@@ -9,8 +9,6 @@ from .reduced import (
     ReducedTangleSim,
     expected_free_consumed,
     free_consumed_distribution,
-    sample_free_consumed,
-    sample_type,
     type_probabilities,
 )
 from .trajectory import TrajectoryFrame
@@ -77,8 +75,6 @@ __all__ = [
     "ring_eigenvalues",
     "run_ensemble",
     "run_scenario",
-    "sample_free_consumed",
-    "sample_type",
     "seed_stream",
     "selection_rates",
     "static_solution",

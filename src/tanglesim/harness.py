@@ -13,7 +13,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -285,6 +285,10 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
         params = _parse_compliance(top)
     else:
         params = _parse_junction(top)
+        if not horizon.is_integer():
+            raise ScenarioError(
+                f"{name}.horizon: a junction runs whole steps, got {horizon}"
+            )
     top.done()
     return Scenario(kind, name, seed, runs, horizon, params, out_stem, per_run)
 
@@ -382,8 +386,7 @@ def ensemble_stats(stack: np.ndarray) -> VarStats:
 
 def _tangle_member(kind: str, params: dict, horizon: float, seed: int, index: int):
     sim = build_tangle_sim(kind, params)
-    frame = sim.run(horizon, seed_stream(seed, index), grid_dt=params.get("grid_dt", 0.5))
-    return frame.times, frame.tips, frame.free, frame.pending, frame.created
+    return sim.run(horizon, seed_stream(seed, index), grid_dt=params.get("grid_dt", 0.5))
 
 
 def run_tangle_ensemble(
@@ -393,24 +396,28 @@ def run_tangle_ensemble(
     seed: int,
     runs: int,
     workers: int = 1,
+    keep_members: bool = False,
 ) -> dict:
     """Ensemble of counter trajectories: stats per variable per type.
 
     Returns {"times": (G,), "L": [VarStats per type], "X": ..., "W": ...,
-    "N": ...} with per-type lists indexed 0-based.
+    "N": ...} with per-type lists indexed 0-based; with ``keep_members``
+    also "members", every run's TrajectoryFrame in run-index order.
     """
+    _integer(runs, "runs", minimum=1)
+    _integer(workers, "workers", minimum=1)
     args = [(kind, params, horizon, seed, r) for r in range(runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tangle_member, *zip(*args)))
+            members = list(pool.map(_tangle_member, *zip(*args)))
     else:
-        results = [_tangle_member(*a) for a in args]
-    times = results[0][0]
-    d = results[0][1].shape[1]
-    out: dict[str, Any] = {"times": times}
-    for vi, var in enumerate(("L", "X", "W", "N")):
-        stacks = np.stack([res[vi + 1] for res in results])  # (runs, G, d)
-        out[var] = [ensemble_stats(stacks[:, :, i]) for i in range(d)]
+        members = [_tangle_member(*a) for a in args]
+    out: dict[str, Any] = {"times": members[0].times}
+    if keep_members:
+        out["members"] = members
+    for var, attr in (("L", "tips"), ("X", "free"), ("W", "pending"), ("N", "created")):
+        stacks = np.stack([getattr(m, attr) for m in members])  # (runs, G, d)
+        out[var] = [ensemble_stats(stacks[:, :, i]) for i in range(stacks.shape[2])]
     return out
 
 
@@ -470,11 +477,18 @@ def run_scenario(
     seed: int | None = None,
     workers: int = 1,
 ) -> RunSummary:
-    """Execute a scenario and write its CSV outputs plus a summary JSON."""
+    """Execute a scenario and write its CSV outputs plus a summary JSON.
+
+    ``runs`` and ``seed`` override the scenario's values in a copy; the
+    caller's scenario is left as it was.
+    """
+    overrides = {}
     if runs is not None:
-        scenario.runs = runs
+        overrides["runs"] = _integer(runs, "runs", minimum=1)
     if seed is not None:
-        scenario.seed = seed
+        overrides["seed"] = _integer(seed, "seed", minimum=0)
+    _integer(workers, "workers", minimum=1)
+    scenario = replace(scenario, **overrides)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = scenario.out_stem or scenario.name
@@ -489,17 +503,14 @@ def run_scenario(
     p = scenario.params
     if scenario.kind in ("tangle-reduced", "tangle-agent"):
         ens = run_tangle_ensemble(
-            scenario.kind, p, scenario.horizon, scenario.seed, scenario.runs, workers
+            scenario.kind, p, scenario.horizon, scenario.seed, scenario.runs, workers,
+            keep_members=scenario.per_run,
         )
         csv_path = out / f"{stem}_ensemble.csv"
         _tangle_ensemble_csv(csv_path, ens, p["types"])
         summary.outputs.append(str(csv_path))
         if scenario.per_run:
-            for r in range(scenario.runs):
-                sim = build_tangle_sim(scenario.kind, p)
-                frame = sim.run(
-                    scenario.horizon, seed_stream(scenario.seed, r), grid_dt=p["grid_dt"]
-                )
+            for r, frame in enumerate(ens["members"]):
                 run_path = out / f"{stem}_run{r:04d}.csv"
                 write_csv(
                     run_path,

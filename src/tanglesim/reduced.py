@@ -12,13 +12,14 @@ left-limit counter values.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
 from .arrivals import ArrivalProcess
-from .trajectory import GridRecorder, TrajectoryFrame, make_grid
+from .trajectory import TrajectoryFrame, make_grid
 
 
 class ExtinctLedgerError(RuntimeError):
@@ -42,27 +43,6 @@ def type_probabilities(tips) -> np.ndarray:
     if total == 0:
         raise ExtinctLedgerError("every conflict type has zero tips")
     return sq / total
-
-
-def sample_type(tips, rng: np.random.Generator) -> int:
-    """Draw the conflict type extended by the next transaction (0-based).
-
-    Consumes one uniform variate only when more than one type is live, so a
-    single-type ledger uses the random stream exactly like an untyped model.
-    """
-    live = [i for i, l in enumerate(tips) if l > 0]
-    if not live:
-        raise ExtinctLedgerError("every conflict type has zero tips")
-    if len(live) == 1:
-        return live[0]
-    weights = [float(tips[i]) ** 2 for i in live]
-    r = rng.random() * sum(weights)
-    acc = 0.0
-    for i, w in zip(live, weights):
-        acc += w
-        if r <= acc:
-            return i
-    return live[-1]
 
 
 def free_consumed_distribution(free, pending, tips):
@@ -91,17 +71,6 @@ def expected_free_consumed(free, tips):
     return 2 * free / tips - free / (tips * tips)
 
 
-def sample_free_consumed(free, pending, tips, rng: np.random.Generator) -> int:
-    """Draw how many distinct free tips the next selection covers (0, 1 or 2)."""
-    p0, p1, _ = free_consumed_distribution(free, pending, tips)
-    r = rng.random()
-    if r < p0:
-        return 0
-    if r < p0 + p1:
-        return 1
-    return 2
-
-
 @dataclass(frozen=True)
 class Injection:
     """A burst of forced-type transactions created at one instant."""
@@ -120,7 +89,7 @@ class Injection:
 
 
 class ReducedTangleSim:
-    """Event-driven simulation of the per-type counter model.
+    """Simulation of the per-type counter model.
 
     The ledger starts from a single attached free tip of type 1.  Honest
     transactions arrive via ``arrivals``; injections force their type but
@@ -128,6 +97,10 @@ class ReducedTangleSim:
     first injection of a type with no tips contributes one attached free tip
     immediately (the forced branch point), so the remaining burst members
     have a tip to select.
+
+    Attach times are fixed at creation, so ``run`` builds the whole creation
+    schedule up front, draws each creation's type and coverage in one loop
+    over creations, and fills the output grid from the draws afterwards.
     """
 
     def __init__(
@@ -156,73 +129,174 @@ class ReducedTangleSim:
     def run(
         self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5
     ) -> TrajectoryFrame:
+        """One ledger history up to ``horizon``, sampled every ``grid_dt``.
+
+        The arrival times are drawn from ``rng`` first; the uniforms of the
+        creations then come from the same stream in fixed-size chunks.
+        """
         if not horizon > 0:
             raise ValueError("horizon must be positive")
-        d = self.types
-        h = self.delay
-        tips = [0.0] * d
-        free = [0.0] * d
-        pend = [0.0] * d
-        created = [0] * d
-        tips[0] = free[0] = 1.0
-        created[0] = 1
+        grid = make_grid(horizon, grid_dt)
+        arrivals = self.arrivals.times(horizon, rng)
+        ct, blocks, seeds = _schedule(arrivals, self.injections, horizon)
+        typ, cov = _kernel(
+            ct, blocks, self.delay, self.types, horizon, rng, self.check_invariants
+        )
+        return _fill_grid(grid, horizon, self.delay, ct, typ, cov, seeds, self.types)
 
-        arrival_times = self.arrivals.times(horizon, rng)
-        waiting: deque[tuple[float, int, int]] = deque()
-        inj_list = list(self.injections)
-        recorder = GridRecorder(make_grid(horizon, grid_dt), d)
 
-        check = self.check_invariants
+def _schedule(arrivals: np.ndarray, injections, horizon: float):
+    """Creation times in processing order, cut into blocks.
 
-        def verify() -> None:
-            for i in range(d):
-                assert free[i] + pend[i] == tips[i], "free + pending != tips"
-                assert free[i] >= 0 and pend[i] >= 0 and tips[i] >= 0
+    A block is ``(start, stop, forced, seed)``: creations ``start..stop-1``
+    are honest (``forced`` is -1) or members of one burst of 0-based type
+    ``forced``; ``seed`` marks the first burst of a type, which seeds the
+    type with one attached free tip before its members.  Burst members
+    precede honest arrivals at the same instant.  Whether a type is seeded
+    does not depend on the counters: a type only gains tips once seeded and
+    never loses its last one (an attach covering two pending tips adds a
+    free one), so the first burst of each type is the one that seeds it.
+    Returns the creation times, the blocks and {type: seed time}.
+    """
+    bursts = [inj for inj in injections if inj.time <= horizon]
+    cuts = np.searchsorted(arrivals, [inj.time for inj in bursts], side="left")
+    pieces, blocks, seeds = [], [], {}
+    n = done = 0
+    for inj, cut in zip(bursts, cuts.tolist()):
+        if cut > done:
+            pieces.append(arrivals[done:cut])
+            blocks.append((n, n + cut - done, -1, False))
+            n += cut - done
+            done = cut
+        i = inj.type_label - 1
+        seed = i not in seeds
+        if seed:
+            seeds[i] = inj.time
+        m = inj.count - seed
+        pieces.append(np.full(m, inj.time))
+        blocks.append((n, n + m, i, seed))
+        n += m
+    if len(arrivals) > done:
+        pieces.append(arrivals[done:])
+        blocks.append((n, n + len(arrivals) - done, -1, False))
+    ct = np.concatenate(pieces) if pieces else np.empty(0)
+    return ct, blocks, seeds
 
-        def create(i: int, now: float) -> None:
-            u = sample_free_consumed(free[i], pend[i], tips[i], rng)
-            created[i] += 1
-            free[i] -= u
-            pend[i] += u
-            waiting.append((now + h, i, u))
+
+_CHUNK = 1024  # uniforms per Generator.random call
+
+
+def _kernel(ct, blocks, delay, types, horizon, rng, check):
+    """Draw each creation's type and free-tip coverage, in schedule order.
+
+    Every attach at or before a creation's time is applied before it
+    (attaches are FIFO: the attach time is creation time + delay).  Returns
+    per-creation 0-based types and coverages (0, 1 or 2).  The counters are
+    exact Python ints, which give the same draws as integral floats.
+    """
+    tips = [0] * types
+    free = [0] * types
+    pend = [0] * types
+    tips[0] = free[0] = 1
+    seeded = 1
+    n = len(ct)
+    typ = np.zeros(n, dtype=np.intp)
+    cov = np.zeros(n, dtype=np.uint8)
+    typ_v = memoryview(typ)
+    cov_v = memoryview(cov)
+    attach_times = ct + delay
+    # attaches that precede each creation; attaches win ties
+    attached = memoryview(np.searchsorted(attach_times, ct, side="right"))
+    # Generator.random(k) yields the doubles of k scalar random() calls
+    draw = chain.from_iterable(iter(lambda: rng.random(_CHUNK).tolist(), None)).__next__
+
+    def verify() -> None:
+        for i in range(types):
+            assert free[i] + pend[i] == tips[i], "free + pending != tips"
+            assert free[i] >= 0 and pend[i] >= 0 and tips[i] >= 0
+
+    a = 0
+    for start, stop, forced, seed in blocks:
+        if seed:
+            tips[forced] = free[forced] = 1
+            seeded += 1
             if check:
                 verify()
-
-        ai = 0
-        ii = 0
-        n_arrivals = len(arrival_times)
-        while True:
-            t_arr = arrival_times[ai] if ai < n_arrivals else np.inf
-            t_att = waiting[0][0] if waiting else np.inf
-            t_inj = inj_list[ii].time if ii < len(inj_list) else np.inf
-            t_next = min(t_arr, t_att, t_inj)
-            if t_next > horizon or t_next == np.inf:
-                break
-            recorder.advance(t_next, tips, free, pend, created)
-            # attach events take priority at equal times (left-limit rule),
-            # then injections, then honest creations
-            if t_att <= t_arr and t_att <= t_inj:
-                _, i, u = waiting.popleft()
-                tips[i] += 1 - u
-                free[i] += 1
-                pend[i] -= u
+        pick = forced < 0 and seeded > 1
+        i = forced if forced >= 0 else 0
+        for k in range(start, stop):
+            e = attached[k]
+            while a < e:
+                j = typ_v[a]
+                u = cov_v[a]
+                tips[j] += 1 - u
+                free[j] += 1
+                pend[j] -= u
+                a += 1
                 if check:
                     verify()
-            elif t_inj <= t_arr:
-                inj = inj_list[ii]
-                ii += 1
-                i = inj.type_label - 1
-                m = inj.count
-                if tips[i] == 0:
-                    # forced branch point: one attached free tip, no delay
-                    created[i] += 1
-                    tips[i] += 1
-                    free[i] += 1
-                    m -= 1
-                for _ in range(m):
-                    create(i, inj.time)
+            if pick:
+                # type i with probability tips[i]**2 / sum(tips**2); types
+                # not yet seeded have no tips and so are never picked
+                r = draw() * sum(map(mul, tips, tips))
+                i = 0
+                acc = tips[0] * tips[0]
+                while r > acc:
+                    i += 1
+                    acc += tips[i] * tips[i]
+            x = free[i]
+            w = pend[i]
+            t = tips[i]
+            denom = t * t
+            p0 = w * w / denom
+            r = draw()
+            if r < p0:
+                u = 0
+            elif r < p0 + (2 * w + 1) * x / denom:
+                u = 1
             else:
-                ai += 1
-                i = sample_type(tips, rng)
-                create(i, t_arr)
-        return recorder.finish(tips, free, pend, created)
+                u = 2
+            free[i] = x - u
+            pend[i] = w + u
+            typ_v[k] = i
+            cov_v[k] = u
+            if check:
+                verify()
+    if check:
+        # the attaches after the last creation, up to the horizon
+        end = int(np.searchsorted(attach_times, horizon, side="right"))
+        for j, u in zip(typ[a:end].tolist(), cov[a:end].tolist()):
+            tips[j] += 1 - u
+            free[j] += 1
+            pend[j] -= u
+            verify()
+    return typ, cov
+
+
+def _fill_grid(grid, horizon, delay, ct, typ, cov, seeds, types) -> TrajectoryFrame:
+    """Counters at each grid time, counting every event at or before it.
+
+    Events after ``horizon`` do not count (a fixed arrival lattice can
+    overshoot it by an ulp), so grid times past it see the state at the
+    horizon.
+    """
+    g = np.minimum(grid, horizon)
+    shape = (len(grid), types)
+    tips, free, pend, created = (np.zeros(shape) for _ in range(4))
+    for i in range(types):
+        if i == 0:
+            base = np.ones(len(g), dtype=np.intp)
+        elif i in seeds:
+            base = (g >= seeds[i]).astype(np.intp)
+        else:
+            continue
+        mine = typ == i
+        cti = ct[mine]
+        cum = np.concatenate(([0], np.cumsum(cov[mine], dtype=np.intp)))
+        nc = np.searchsorted(cti, g, side="right")
+        na = np.searchsorted(cti + delay, g, side="right")
+        created[:, i] = base + nc
+        free[:, i] = base + na - cum[nc]
+        pend[:, i] = cum[nc] - cum[na]
+        tips[:, i] = base + na - cum[na]
+    return TrajectoryFrame(grid, tips, free, pend, created)

@@ -47,6 +47,41 @@ def test_simulate_missing_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--runs", "0"], ["--runs", "-1"], ["--workers", "0"]]
+)
+def test_simulate_rejects_bad_overrides(tmp_path, capsys, flags):
+    scenario = _write(
+        tmp_path, "small.json",
+        {"kind": "tangle-reduced", "rate": 40.0, "delay": 1.0,
+         "horizon": 8.0, "runs": 3},
+    )
+    code = main(["simulate", scenario, "--out", str(tmp_path / "res"), *flags])
+    assert code == 2
+    assert flags[0].lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_simulate_rejects_fractional_junction_horizon(tmp_path, capsys):
+    scenario = _write(
+        tmp_path, "junction.json",
+        {"kind": "junction", "mode": "fixed", "Q": 0.8, "horizon": 10.5},
+    )
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
+def test_validate_rejects_zero_workers(tmp_path, capsys):
+    pair = [
+        _write(tmp_path, f"{kind}.json",
+               {"kind": f"tangle-{kind}", "rate": 40.0, "delay": 1.0,
+                "horizon": 8.0, "runs": 3})
+        for kind in ("agent", "reduced")
+    ]
+    assert main(["validate", *pair, "--workers", "0"]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
 def test_validate_pass_and_report(tmp_path, capsys):
     agent = _write(
         tmp_path, "agent.json",

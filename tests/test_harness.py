@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tanglesim import harness
+from tanglesim import ReducedTangleSim, harness
 from tanglesim.harness import (
     Scenario,
     ScenarioError,
@@ -117,6 +117,13 @@ def test_fluid_history_lengths_must_match():
         parse_scenario(
             {"kind": "fluid", "horizon": 30.0, "delay": 3.0,
              "x0": [1.5, 1.5], "l0": [3.0]}
+        )
+
+
+def test_junction_horizon_must_be_whole_steps():
+    with pytest.raises(ScenarioError, match="horizon"):
+        parse_scenario(
+            {"kind": "junction", "horizon": 10.5, "mode": "fixed", "Q": 0.8}
         )
 
 
@@ -304,6 +311,55 @@ def test_run_scenario_overrides(tmp_path):
     summary = run_scenario(sc, out_dir=tmp_path, runs=2, seed=9)
     assert summary.runs == 2
     assert summary.seed == 9
+    # the overrides apply to a copy, not to the caller's scenario
+    assert (sc.runs, sc.seed) == (50, 0)
+
+
+@pytest.mark.parametrize(
+    "override", [{"runs": 0}, {"runs": -2}, {"seed": -1}, {"workers": 0}]
+)
+def test_run_scenario_rejects_bad_overrides_before_any_work(tmp_path, override):
+    sc = parse_scenario(_reduced_dict(runs=3), name="bad")
+    name = next(iter(override))
+    with pytest.raises(ScenarioError, match=name):
+        run_scenario(sc, out_dir=tmp_path / "out", **override)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_tangle_ensemble_rejects_empty_or_workerless_ensembles():
+    params = {"rate": 40.0, "delay": 1.0}
+    with pytest.raises(ScenarioError, match="runs"):
+        run_tangle_ensemble("tangle-reduced", params, 5.0, 0, 0)
+    with pytest.raises(ScenarioError, match="workers"):
+        run_tangle_ensemble("tangle-reduced", params, 5.0, 0, 2, workers=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_per_run_csvs_come_from_the_ensemble_members(tmp_path, monkeypatch, workers):
+    sc = parse_scenario(
+        _reduced_dict(runs=3, horizon=10.0, types=2, per_run=True,
+                      injections=[{"time": 4.0, "type": 2, "count": 5}]),
+        name="perrun",
+    )
+    calls = []
+    run = ReducedTangleSim.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReducedTangleSim, "run", counted)
+    run_scenario(sc, out_dir=tmp_path, workers=workers)
+    if workers == 1:  # pool members run in other processes
+        assert len(calls) == sc.runs
+    for r in range(sc.runs):
+        frame = run(harness.build_tangle_sim(sc.kind, sc.params), 10.0,
+                    seed_stream(sc.seed, r), grid_dt=0.5)
+        write_csv(tmp_path / "direct.csv",
+                  ["time", "type", "tips", "free", "pending", "created"],
+                  frame.row_iter())
+        assert ((tmp_path / f"perrun_run{r:04d}.csv").read_bytes()
+                == (tmp_path / "direct.csv").read_bytes())
 
 
 def test_write_csv_round_trip(tmp_path):

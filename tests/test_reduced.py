@@ -1,16 +1,20 @@
 """Counter-model unit tests.
 
-The selection pmf is checked exactly in rational arithmetic, and the typed
-event loop is pinned against an independently written untyped counter loop:
-with a single conflict type both must consume the random stream identically
-and produce bit-identical trajectories.
+The selection pmf is checked exactly in rational arithmetic.  The
+schedule-first kernel of `ReducedTangleSim.run` is pinned against two
+references kept here: an independently written untyped counter loop (with
+a single conflict type both must consume the random stream identically),
+and the scalar event loop `scalar_run`, which merges arrivals, attaches and
+injections one event at a time and draws one uniform per call; the kernel
+must reproduce its frames bit for bit for every type count and injection
+set.
 """
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanglesim import (
@@ -20,12 +24,107 @@ from tanglesim import (
     ReducedTangleSim,
     expected_free_consumed,
     free_consumed_distribution,
-    sample_free_consumed,
-    sample_type,
     type_probabilities,
 )
 from tanglesim.seeding import seed_stream
-from tanglesim.trajectory import make_grid
+from tanglesim.trajectory import GridRecorder, make_grid
+
+
+# -- scalar reference oracle ---------------------------------------------------
+
+def sample_type(tips, rng: np.random.Generator) -> int:
+    """Draw the conflict type extended by the next transaction (0-based).
+
+    Consumes one uniform variate only when more than one type is live, so a
+    single-type ledger uses the random stream exactly like an untyped model.
+    """
+    live = [i for i, l in enumerate(tips) if l > 0]
+    if not live:
+        raise ExtinctLedgerError("every conflict type has zero tips")
+    if len(live) == 1:
+        return live[0]
+    weights = [float(tips[i]) ** 2 for i in live]
+    r = rng.random() * sum(weights)
+    acc = 0.0
+    for i, w in zip(live, weights):
+        acc += w
+        if r <= acc:
+            return i
+    return live[-1]
+
+
+def sample_free_consumed(free, pending, tips, rng: np.random.Generator) -> int:
+    """Draw how many distinct free tips the next selection covers (0, 1 or 2)."""
+    p0, p1, _ = free_consumed_distribution(free, pending, tips)
+    r = rng.random()
+    if r < p0:
+        return 0
+    if r < p0 + p1:
+        return 1
+    return 2
+
+
+def scalar_run(sim: ReducedTangleSim, horizon, rng, grid_dt=0.5):
+    """One event at a time: the next of arrival, attach and injection.
+
+    Attaches take priority at equal times (left-limit rule), then
+    injections, then honest creations; a burst of a type with no tips first
+    seeds it with one attached free tip.
+    """
+    d = sim.types
+    h = sim.delay
+    tips = [0.0] * d
+    free = [0.0] * d
+    pend = [0.0] * d
+    created = [0] * d
+    tips[0] = free[0] = 1.0
+    created[0] = 1
+
+    arrival_times = sim.arrivals.times(horizon, rng)
+    waiting = deque()
+    inj_list = list(sim.injections)
+    recorder = GridRecorder(make_grid(horizon, grid_dt), d)
+
+    def create(i, now):
+        u = sample_free_consumed(free[i], pend[i], tips[i], rng)
+        created[i] += 1
+        free[i] -= u
+        pend[i] += u
+        waiting.append((now + h, i, u))
+
+    ai = 0
+    ii = 0
+    n_arrivals = len(arrival_times)
+    while True:
+        t_arr = arrival_times[ai] if ai < n_arrivals else np.inf
+        t_att = waiting[0][0] if waiting else np.inf
+        t_inj = inj_list[ii].time if ii < len(inj_list) else np.inf
+        t_next = min(t_arr, t_att, t_inj)
+        if t_next > horizon or t_next == np.inf:
+            break
+        recorder.advance(t_next, tips, free, pend, created)
+        if t_att <= t_arr and t_att <= t_inj:
+            _, i, u = waiting.popleft()
+            tips[i] += 1 - u
+            free[i] += 1
+            pend[i] -= u
+        elif t_inj <= t_arr:
+            inj = inj_list[ii]
+            ii += 1
+            i = inj.type_label - 1
+            m = inj.count
+            if tips[i] == 0:
+                created[i] += 1
+                tips[i] += 1
+                free[i] += 1
+                m -= 1
+            for _ in range(m):
+                create(i, inj.time)
+        else:
+            ai += 1
+            i = sample_type(tips, rng)
+            create(i, t_arr)
+    return recorder.finish(tips, free, pend, created)
 
 
 # -- selection pmf -------------------------------------------------------------
@@ -191,6 +290,72 @@ def test_single_type_run_is_bit_identical_to_untyped_loop():
     assert np.array_equal(frame.free[:, 0], out[:, 1])
     assert np.array_equal(frame.pending[:, 0], out[:, 2])
     assert np.array_equal(frame.created[:, 0], out[:, 3])
+
+
+# -- schedule-first kernel vs the scalar oracle ----------------------------------
+
+@st.composite
+def reduced_configs(draw):
+    types = draw(st.integers(1, 3))
+    horizon = draw(st.sampled_from([1.7, 6.8, 10.0, 12.25]))
+    injections = ()
+    if types > 1:
+        # bursts at 0, at the horizon, past it and in between; repeats of a
+        # type and one-member bursts arise freely
+        times = st.sampled_from([0.0, horizon, horizon + 0.5]) | st.integers(
+            0, int(horizon * 4)
+        ).map(lambda q: q / 4)
+        injections = tuple(draw(st.lists(
+            st.builds(Injection, times, st.integers(2, types), st.integers(1, 30)),
+            max_size=4,
+        )))
+    return {
+        "types": types,
+        "horizon": horizon,
+        "injections": injections,
+        # dyadic gaps and delays make fixed arrivals tie exactly with
+        # attaches; at rate 10 the lattice overshoots horizon 1.7 by an ulp
+        "rate": draw(st.sampled_from([2.0, 4.0, 8.0, 10.0, 25.0])),
+        "kind": draw(st.sampled_from(["poisson", "fixed"])),
+        "delay": draw(st.sampled_from([0.3, 0.5, 1.0, 1.5])),
+        "stop": draw(st.none() | st.integers(0, int(horizon)).map(float)),
+        "grid_dt": draw(st.sampled_from([0.3, 0.5, 0.7, 1.0])),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=reduced_configs(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(
+    config={"types": 3, "horizon": 10.0, "rate": 4.0, "kind": "fixed",
+            "delay": 1.0, "stop": None, "grid_dt": 0.3,
+            "injections": (Injection(0.0, 3, 1), Injection(4.0, 2, 12),
+                           Injection(4.0, 2, 5), Injection(10.0, 3, 6))},
+    seed=5,
+)
+@example(
+    config={"types": 2, "horizon": 12.25, "rate": 25.0, "kind": "poisson",
+            "delay": 1.5, "stop": 5.0, "grid_dt": 0.7,
+            "injections": (Injection(6.0, 2, 20), Injection(9.0, 2, 20))},
+    seed=17,
+)
+@example(
+    config={"types": 1, "horizon": 1.7, "rate": 10.0, "kind": "fixed",
+            "delay": 0.5, "stop": None, "grid_dt": 0.5, "injections": ()},
+    seed=0,
+)
+def test_kernel_matches_scalar_oracle(config, seed):
+    sim = ReducedTangleSim(
+        ArrivalProcess(config["rate"], config["kind"], config["stop"]),
+        config["delay"],
+        types=config["types"],
+        injections=config["injections"],
+        check_invariants=True,
+    )
+    horizon, grid_dt = config["horizon"], config["grid_dt"]
+    want = scalar_run(sim, horizon, np.random.default_rng(seed), grid_dt)
+    got = sim.run(horizon, np.random.default_rng(seed), grid_dt)
+    for name in ("times", "tips", "free", "pending", "created"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_reruns_are_bit_identical():

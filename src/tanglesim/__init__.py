@@ -16,11 +16,8 @@ from .fluid import (
     FluidTrajectory,
     StaticSolution,
     constant_history,
-    fluid_rhs,
     integrate,
-    selection_rates,
     static_solution,
-    tip_shares,
 )
 from .stability import (
     ModeCheck,
@@ -34,7 +31,7 @@ from .stability import (
     ring_eigenvalues,
     verify_unstable_mode,
 )
-from .compliance import ComplianceNetwork, windowed_average
+from .compliance import ComplianceNetwork
 from .junction import ControllerParams, JunctionConfig, controller_step, run_ensemble
 from .seeding import seed_stream
 from .harness import Scenario, parse_scenario, run_scenario, validate
@@ -66,7 +63,6 @@ __all__ = [
     "count_roots",
     "expected_free_consumed",
     "find_x0",
-    "fluid_rhs",
     "free_consumed_distribution",
     "integrate",
     "mode_ratio",
@@ -76,11 +72,8 @@ __all__ = [
     "run_ensemble",
     "run_scenario",
     "seed_stream",
-    "selection_rates",
     "static_solution",
-    "tip_shares",
     "type_probabilities",
     "validate",
     "verify_unstable_mode",
-    "windowed_average",
 ]

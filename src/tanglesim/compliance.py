@@ -8,10 +8,11 @@ toward the target compliance and never goes negative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
+
+_CSV_BLOCK = 512  # rows converted to Python floats at a time
 
 
 def _as_vector(value, n: int, name: str) -> np.ndarray:
@@ -118,15 +119,6 @@ class ComplianceNetwork:
             ring_params=(float(coupling), float(lag)),
         )
 
-    def response(self, i: int, qbar: Sequence[float], cost: float) -> float:
-        """Compliance of activity i given delayed window averages and cost."""
-        raw = (
-            self.baselines[i]
-            + float(np.dot(self.coupling[i], np.asarray(qbar, dtype=float)))
-            + self.cost_sens[i] * cost
-        )
-        return min(max(raw, 0.0), 1.0)
-
 
 @dataclass(frozen=True)
 class StaticCosts:
@@ -156,40 +148,6 @@ def static_solution(net: ComplianceNetwork) -> StaticCosts:
     return StaticCosts(costs, not violations, tuple(violations))
 
 
-def windowed_average(times, values, t: float, width: float, history=None):
-    """(1/width) * integral of values over [t - width, t], trapezoid rule.
-
-    times must be ascending; values may be (K,) or (K, n).  Before times[0]
-    the signal is extended as the constant `history` (default: values[0]).
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if not width > 0:
-        raise ValueError("window width must be positive")
-    if t > times[-1] + 1e-12:
-        raise ValueError("window end lies past the stored history")
-    lo = t - width
-    h0 = values[0] if history is None else np.asarray(history, dtype=float)
-    total = 0.0
-    if lo < times[0]:
-        total = h0 * (min(times[0], t) - lo)
-        lo = times[0]
-        if t <= lo:
-            return total / width
-    inner = (times > lo) & (times < t)
-    grid = np.concatenate(([lo], times[inner], [t]))
-    if values.ndim == 1:
-        vals = np.interp(grid, times, values)
-        seg = np.trapezoid(vals, grid)
-    else:
-        cols = [
-            np.trapezoid(np.interp(grid, times, values[:, j]), grid)
-            for j in range(values.shape[1])
-        ]
-        seg = np.array(cols)
-    return (total + seg) / width
-
-
 @dataclass
 class ComplianceTrajectory:
     times: np.ndarray  # (K+1,)
@@ -202,9 +160,16 @@ class ComplianceTrajectory:
         return self.Q.shape[1]
 
     def row_iter(self):
-        """CSV rows: t, Q_1..Q_n, C_1..C_n, Qbar_1..Qbar_n."""
-        for k, t in enumerate(self.times):
-            yield [float(t), *self.Q[k], *self.C[k], *self.Qbar[k]]
+        """CSV rows of Python floats: t, Q_1..Q_n, C_1..C_n, Qbar_1..Qbar_n.
+
+        Rows are stacked and converted _CSV_BLOCK at a time, so the Python
+        floats of the whole trajectory never exist at once.
+        """
+        for a in range(0, len(self.times), _CSV_BLOCK):
+            b = a + _CSV_BLOCK
+            yield from np.hstack(
+                (self.times[a:b, None], self.Q[a:b], self.C[a:b], self.Qbar[a:b])
+            ).tolist()
 
 
 def default_step(net: ComplianceNetwork) -> float:
@@ -225,6 +190,12 @@ def simulate(
     initial_Q is the constant compliance history for t <= 0 (default: the
     targets); initial_C the starting costs (default: zero).  The cost uses
     explicit Euler with the non-negativity clamp applied every step.
+
+    The loop works on Python floats: Q, C, the prefix integral P and the
+    times are read and written through flat memoryviews of the output
+    arrays, and each row sums its couplings over a precomputed edge list in
+    column order, so every value is bit-identical to the elementwise numpy
+    formulation.
     """
     n = net.n
     q0 = _as_vector(initial_Q if initial_Q is not None else net.targets, n, "initial_Q")
@@ -242,42 +213,58 @@ def simulate(
     Q = np.empty((K + 1, n))
     C = np.empty((K + 1, n))
     P = np.empty((K + 1, n))  # prefix integral of Q
+    qbar = np.empty((K + 1, n))
     C[0] = c0
     P[0] = 0.0
     w = net.window
+    tv, qv, cv, pv, bv = (memoryview(a.reshape(-1)) for a in (times, Q, C, P, qbar))
+    q0 = q0.tolist()
+    base = net.baselines.tolist()
+    sens = net.cost_sens.tolist()
+    targets = net.targets.tolist()
+    gain_dt = (dt * net.ctrl_gain).tolist()
+    half_dt = dt * 0.5
+    # per row: (j, coupling, lag) for every nonzero coupling, in column order
+    edges = [
+        [(j, float(net.coupling[i, j]), float(net.lags_to[i, j]))
+         for j in range(n) if net.coupling[i, j] != 0.0]
+        for i in range(n)
+    ]
 
-    def prefix_at(s: float, last: int) -> np.ndarray:
-        # integral of Q over [0, s]; constant history q0 before 0; `last` is
-        # the newest finalized prefix row, and times beyond it extend with
-        # the newest known compliance value (rectangle, O(dt) like Euler)
+    def prefix_at(s: float, last: int, j: int) -> float:
+        # integral of Q_j over [0, s]; constant history q0 before 0; `last`
+        # is the newest finalized prefix row, and times beyond it extend
+        # with the newest known compliance value (rectangle, O(dt) like Euler)
         if s <= 0.0:
-            return q0 * s
-        j = min(int(s / dt), last)
-        if j == last:
-            return P[last] + (s - times[last]) * Q[last]
-        return P[j] + (s - times[j]) / dt * (P[j + 1] - P[j])
+            return q0[j] * s
+        r = int(s / dt)
+        if r >= last:
+            return pv[last * n + j] + (s - tv[last]) * qv[last * n + j]
+        lo = pv[r * n + j]
+        return lo + (s - tv[r]) / dt * (pv[r * n + n + j] - lo)
 
     for k in range(K + 1):
-        t = times[k]
+        t = tv[k]
         last = max(k - 1, 0)
+        row = k * n
         for i in range(n):
-            acc = net.baselines[i] + net.cost_sens[i] * C[k, i]
-            for j in range(n):
-                if net.coupling[i, j] != 0.0:
-                    s = t - net.lags_to[i, j]
-                    hi = prefix_at(s, last)[j] if k else q0[j] * min(s, 0.0)
-                    lo = prefix_at(s - w, last)[j]
-                    acc += net.coupling[i, j] * (hi - lo) / w
-            Q[k, i] = min(max(acc, 0.0), 1.0)
+            acc = base[i] + sens[i] * cv[row + i]
+            for j, c, lag in edges[i]:
+                s = t - lag
+                hi = prefix_at(s, last, j) if k else q0[j] * min(s, 0.0)
+                lo = prefix_at(s - w, last, j)
+                acc += c * (hi - lo) / w
+            qv[row + i] = min(max(acc, 0.0), 1.0)
         if k:
-            P[k] = P[k - 1] + dt * 0.5 * (Q[k - 1] + Q[k])
+            for i in range(row, row + n):
+                pv[i] = pv[i - n] + half_dt * (qv[i - n] + qv[i])
         if k < K:
-            C[k + 1] = np.maximum(
-                C[k] + dt * net.ctrl_gain * (net.targets - Q[k]), 0.0
-            )
-    qbar = np.empty((K + 1, n))
+            for i in range(n):
+                c = cv[row + i] + gain_dt[i] * (targets[i] - qv[row + i])
+                # clamp at zero as np.maximum does: -0.0 becomes 0.0, NaN stays
+                cv[row + n + i] = 0.0 if c <= 0.0 else c
     for k in range(K + 1):
-        hi = prefix_at(times[k], K)
-        lo = prefix_at(times[k] - w, K)
-        qbar[k] = (hi - lo) / w
+        t = tv[k]
+        for j in range(n):
+            bv[k * n + j] = (prefix_at(t, K, j) - prefix_at(t - w, K, j)) / w
     return ComplianceTrajectory(times, Q, C, qbar)

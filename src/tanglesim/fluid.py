@@ -19,6 +19,7 @@ RateFn = Callable[[float], float]
 HistoryFn = Callable[[float], Sequence[float]]
 
 L_FLOOR = 1e-12
+_CSV_BLOCK = 512  # rows converted to Python floats at a time
 
 
 class FluidSingularError(ValueError):
@@ -27,38 +28,6 @@ class FluidSingularError(ValueError):
 
 class FluidIntegrationError(RuntimeError):
     """A tip density went negative far beyond the step tolerance."""
-
-
-def tip_shares(l) -> np.ndarray:
-    """p_i = l_i^2 / sum_j l_j^2."""
-    l = np.asarray(l, dtype=float)
-    sq = l * l
-    denom = sq.sum()
-    if denom == 0.0:
-        raise FluidSingularError("all tip densities are zero")
-    return sq / denom
-
-def selection_rates(x, l) -> np.ndarray:
-    """u_i = 2 x_i l_i / sum_j l_j^2 (mean free-tip consumption rate)."""
-    x = np.asarray(x, dtype=float)
-    l = np.asarray(l, dtype=float)
-    denom = (l * l).sum()
-    if denom == 0.0:
-        raise FluidSingularError("all tip densities are zero")
-    return (2.0 * x) * l / denom
-
-
-def fluid_rhs(x_now, l_now, x_del, l_del, a_now: float, a_del: float):
-    """Time derivatives (dx/dt, dl/dt) given current and delay-lagged state.
-
-    dx_i/dt = a(t-h) p_i(t-h) - a(t) u_i(t)
-    dl_i/dt = a(t-h) p_i(t-h) - a(t-h) u_i(t-h)
-    """
-    p_del = tip_shares(l_del)
-    u_del = selection_rates(x_del, l_del)
-    u_now = selection_rates(x_now, l_now)
-    inflow = a_del * p_del
-    return inflow - a_now * u_now, inflow - a_del * u_del
 
 
 @dataclass(frozen=True)
@@ -117,29 +86,73 @@ class FluidTrajectory:
         return self.x[k], self.l[k]
 
     def row_iter(self):
-        """Yield CSV rows: t, then x_i, l_i, w_i per type."""
-        w = self.w
-        for k, t in enumerate(self.times):
-            row = [float(t)]
-            for i in range(self.d):
-                row.extend(
-                    (float(self.x[k, i]), float(self.l[k, i]), float(w[k, i]))
-                )
-            yield row
+        """Yield CSV rows of Python floats: t, then x_i, l_i, w_i per type.
+
+        Rows are stacked and converted _CSV_BLOCK at a time, so the Python
+        floats of the whole trajectory never exist at once.
+        """
+        d = self.d
+        for a in range(0, len(self.times), _CSV_BLOCK):
+            b = a + _CSV_BLOCK
+            x, l = self.x[a:b], self.l[a:b]
+            rows = np.empty((len(x), 1 + 3 * d))
+            rows[:, 0] = self.times[a:b]
+            rows[:, 1::3] = x
+            rows[:, 2::3] = l
+            rows[:, 3::3] = l - x
+            yield from rows.tolist()
 
 
-def _interp_row(arr: np.ndarray, q: float, k_max: int) -> np.ndarray:
-    """Cubic Lagrange interpolation of grid rows at fractional index q."""
-    j = int(math.floor(q))
-    if abs(q - round(q)) < 1e-9:
-        return arr[int(round(q))]
-    j0 = min(max(j - 1, 0), k_max - 3)
-    s = q - j0
-    w0 = -(s - 1) * (s - 2) * (s - 3) / 6.0
-    w1 = s * (s - 2) * (s - 3) / 2.0
-    w2 = -s * (s - 1) * (s - 3) / 2.0
-    w3 = s * (s - 1) * (s - 2) / 6.0
-    return w0 * arr[j0] + w1 * arr[j0 + 1] + w2 * arr[j0 + 2] + w3 * arr[j0 + 3]
+def _sum_squares(v: list) -> float:
+    """sum of v_i^2, added in the order numpy's ``(v * v).sum()`` uses.
+
+    Below eight terms that is left to right.  From eight on it is numpy's
+    pairwise scheme: eight running sums over blocks of eight, a fixed tree
+    over those sums, then the leftover terms in order; runs longer than 128
+    are split in two (at a multiple of eight) and the halves added.
+    """
+    n = len(v)
+    if n < 8:
+        total = 0.0
+        for a in v:
+            total += a * a
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum_squares(v[:half]) + _sum_squares(v[half:])
+    r = [a * a for a in v[:8]]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += v[i + j] * v[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for a in v[tail:]:
+        total += a * a
+    return total
+
+
+def _lagged(xd: list, ld: list, a_del: float, alive: list) -> tuple[list, list]:
+    """Inflow a(t-h) p_i(t-h) and dl_i/dt from one delayed state (dead: 0)."""
+    den = _sum_squares(ld)
+    if den == 0.0:
+        raise FluidSingularError("all tip densities are zero")
+    inflow, dl = [], []
+    for xi, li, live in zip(xd, ld, alive):
+        p = a_del * (li * li / den)
+        inflow.append(p)
+        dl.append(p - a_del * (2.0 * xi * li / den) if live else 0.0)
+    return inflow, dl
+
+
+def _dx(inflow: list, x: list, l: list, a_now: float, alive: list) -> list:
+    """dx_i/dt = inflow_i - a(t) u_i(t) (dead: 0)."""
+    den = _sum_squares(l)
+    if den == 0.0:
+        raise FluidSingularError("all tip densities are zero")
+    return [
+        p - a_now * (2.0 * xi * li / den) if live else 0.0
+        for p, xi, li, live in zip(inflow, x, l, alive)
+    ]
 
 
 def integrate(
@@ -155,6 +168,15 @@ def integrate(
     x_history/l_history map a time in [0, delay] to the per-type state; the
     trajectory is advanced from t = delay to the horizon.  The step is
     rounded down so it divides the delay; it must not exceed delay/100.
+
+    Each RK4 step works on Python floats: the state is carried as lists,
+    the four stored rows around the delayed time are read with one
+    ``tolist()`` per array, and the new row is written back into the
+    output arrays.  Every operation keeps the order of the elementwise
+    numpy formulation (dx_i/dt = a(t-h) p_i(t-h) - a(t) u_i(t),
+    dl_i/dt = a(t-h) p_i(t-h) - a(t-h) u_i(t-h), with p_i = l_i^2 / S and
+    u_i = 2 x_i l_i / S for S = sum_j l_j^2), so the output is bit-identical
+    to it.
     """
     h = float(delay)
     if not h > 0:
@@ -168,7 +190,6 @@ def integrate(
     n_sub = max(int(math.ceil(h / step - 1e-9)), 100)
     dt = h / n_sub
     n_steps = int(math.ceil(horizon / dt - 1e-9))
-    a = rate if rate is not None else (lambda t: 1.0)
 
     x0 = np.asarray(x_history(0.0), dtype=float)
     d = x0.shape[0]
@@ -182,60 +203,91 @@ def integrate(
         if np.any(L[k] < X[k] - 1e-12) or np.any(X[k] < -1e-12):
             raise ValueError("history must satisfy 0 <= x_i <= l_i")
 
-    alive = L[n_sub] > L_FLOOR
+    alive = (L[n_sub] > L_FLOOR).tolist()
     warned = False
     neg_limit = -10.0 * dt
-
-    def delayed(q: float, k_done: int) -> tuple[np.ndarray, np.ndarray]:
-        return _interp_row(X, q, k_done), _interp_row(L, q, k_done)
-
-    def rhs_masked(xv, lv, xd, ld, a_now, a_del):
-        dx, dl = fluid_rhs(xv, lv, xd, ld, a_now, a_del)
-        dx[~alive] = 0.0
-        dl[~alive] = 0.0
-        return dx, dl
-
+    half_dt = 0.5 * dt
+    sixth_dt = dt / 6.0
+    tv = memoryview(times)
+    x = X[n_sub].tolist()
+    l = L[n_sub].tolist()
+    a0 = ah = a1 = a0d = ahd = a1d = 1.0
     for k in range(n_sub, n_steps):
-        t = times[k]
-        xd0, ld0 = X[k - n_sub], L[k - n_sub]
-        xdh, ldh = delayed(k - n_sub + 0.5, k)
-        xd1, ld1 = X[k - n_sub + 1], L[k - n_sub + 1]
-        a0, ah, a1 = a(t), a(t + dt / 2.0), a(t + dt)
-        a0d, ahd, a1d = a(t - h), a(t + dt / 2.0 - h), a(t + dt - h)
+        t = tv[k]
+        # delayed rows m = k - n_sub and m + 1; the midpoint between them
+        # is the cubic through the four stored rows j0 .. j0 + 3
+        m = k - n_sub
+        j0 = min(max(m - 1, 0), k - 3)
+        s = m + 0.5 - j0
+        w0 = -(s - 1) * (s - 2) * (s - 3) / 6.0
+        w1 = s * (s - 2) * (s - 3) / 2.0
+        w2 = -s * (s - 1) * (s - 3) / 2.0
+        w3 = s * (s - 1) * (s - 2) / 6.0
+        xr = X[j0 : j0 + 4].tolist()
+        lr = L[j0 : j0 + 4].tolist()
+        xh = [w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3 for r0, r1, r2, r3 in zip(*xr)]
+        lh = [w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3 for r0, r1, r2, r3 in zip(*lr)]
+        if rate is not None:
+            a0, ah, a1 = rate(t), rate(t + dt / 2.0), rate(t + dt)
+            a0d, ahd, a1d = rate(t - h), rate(t + dt / 2.0 - h), rate(t + dt - h)
 
-        k1x, k1l = rhs_masked(X[k], L[k], xd0, ld0, a0, a0d)
-        k2x, k2l = rhs_masked(
-            X[k] + 0.5 * dt * k1x, L[k] + 0.5 * dt * k1l, xdh, ldh, ah, ahd
+        in0, dl0 = _lagged(xr[m - j0], lr[m - j0], a0d, alive)
+        inh, dlh = _lagged(xh, lh, ahd, alive)  # stages 2 and 3 share it
+        in1, dl1 = _lagged(xr[m - j0 + 1], lr[m - j0 + 1], a1d, alive)
+        k1x = _dx(in0, x, l, a0, alive)
+        k2x = _dx(
+            inh,
+            [a + half_dt * b for a, b in zip(x, k1x)],
+            [a + half_dt * b for a, b in zip(l, dl0)],
+            ah,
+            alive,
         )
-        k3x, k3l = rhs_masked(
-            X[k] + 0.5 * dt * k2x, L[k] + 0.5 * dt * k2l, xdh, ldh, ah, ahd
+        l_mid = [a + half_dt * b for a, b in zip(l, dlh)]
+        k3x = _dx(inh, [a + half_dt * b for a, b in zip(x, k2x)], l_mid, ah, alive)
+        k4x = _dx(
+            in1,
+            [a + dt * b for a, b in zip(x, k3x)],
+            [a + dt * b for a, b in zip(l, dlh)],
+            a1,
+            alive,
         )
-        k4x, k4l = rhs_masked(
-            X[k] + dt * k3x, L[k] + dt * k3l, xd1, ld1, a1, a1d
-        )
-        xn = X[k] + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        ln = L[k] + dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
+        xn = [
+            xi + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            for xi, k1, k2, k3, k4 in zip(x, k1x, k2x, k3x, k4x)
+        ]
+        ln = [
+            li + sixth_dt * (k1 + 2.0 * k23 + 2.0 * k23 + k4)
+            for li, k1, k23, k4 in zip(l, dl0, dlh, dl1)
+        ]
 
-        if np.any(ln < neg_limit):
+        if any(v < neg_limit for v in ln):
             raise FluidIntegrationError(
                 f"tip density fell below {neg_limit:.3g} at t = {t + dt:.6g}"
             )
-        bad = (ln < 0.0) | (xn < 0.0)
-        if np.any(bad & alive) and not warned:
+        if not warned and any(
+            live and (li < 0.0 or xi < 0.0) for xi, li, live in zip(xn, ln, alive)
+        ):
             warnings.warn(
                 "small negative fluid densities clamped to zero", RuntimeWarning
             )
             warned = True
-        np.clip(xn, 0.0, None, out=xn)
-        np.clip(ln, 0.0, None, out=ln)
-        dying = alive & (ln <= L_FLOOR)
-        if np.any(dying):
-            ln[dying] = 0.0
-            xn[dying] = 0.0
-            alive = alive & ~dying
-        np.minimum(xn, ln, out=xn)
+        for i in range(d):
+            xi, li = xn[i], ln[i]
+            # clamp at zero as np.clip does: -0.0 becomes 0.0, NaN stays
+            if xi <= 0.0:
+                xi = 0.0
+            if li <= 0.0:
+                li = 0.0
+            if alive[i] and li <= L_FLOOR:
+                xi = li = 0.0
+                alive[i] = False
+            # x <= l as np.minimum: NaN wins, a tie takes l
+            if not (xi < li or xi != xi):
+                xi = li
+            xn[i], ln[i] = xi, li
         X[k + 1] = xn
         L[k + 1] = ln
+        x, l = xn, ln
     return FluidTrajectory(times, X, L, h, dt)
 
 

@@ -200,16 +200,34 @@ def _parse_compliance(top: _Block) -> dict:
     ic = params["initial_costs"]
     if not (ic == "static" or isinstance(ic, (int, float)) or isinstance(ic, list)):
         raise ScenarioError(f"{top.path}.initial_costs: expected 'static', number, or list")
+    # what `simulate` would refuse at run time, refused before any output
+    try:
+        net = build_network(params)
+    except ValueError as e:
+        raise ScenarioError(f"{top.path}: {e}") from None
+    max_step = compliance.default_step(net)
+    if params["step"] is not None and params["step"] > max_step + 1e-12:
+        raise ScenarioError(
+            f"{top.path}.step: must be at most {max_step:.6g}, got {params['step']}"
+        )
+    if ic != "static":
+        costs = ic if isinstance(ic, list) else [ic]
+        if isinstance(ic, list) and len(ic) != net.n:
+            raise ScenarioError(
+                f"{top.path}.initial_costs: expected {net.n} entries, got {len(ic)}"
+            )
+        if any(_number(c, f"{top.path}.initial_costs") < 0 for c in costs):
+            raise ScenarioError(f"{top.path}.initial_costs: must be non-negative")
     return params
 
 
-def _parse_fluid(top: _Block) -> dict:
+def _parse_fluid(top: _Block, horizon: float) -> dict:
     x0 = top.take("x0")
     l0 = top.take("l0")
     if not (isinstance(x0, list) and isinstance(l0, list) and len(x0) == len(l0)):
         raise ScenarioError(f"{top.path}: x0 and l0 must be lists of equal length")
     step_raw = top.take("step", None)
-    return {
+    params = {
         "delay": _number(top.take("delay"), f"{top.path}.delay", positive=True),
         "step": (
             None if step_raw is None else _number(step_raw, f"{top.path}.step", positive=True)
@@ -217,6 +235,27 @@ def _parse_fluid(top: _Block) -> dict:
         "x0": [_number(v, f"{top.path}.x0") for v in x0],
         "l0": [_number(v, f"{top.path}.l0") for v in l0],
     }
+    # what `fluid.integrate` would refuse at run time (same tolerances),
+    # refused before any output
+    delay, step = params["delay"], params["step"]
+    if not any(v * v > 0.0 for v in params["l0"]):
+        raise ScenarioError(
+            f"{top.path}.l0: needs a nonzero tip density (shares divide by sum l_i^2)"
+        )
+    for i, (x, l) in enumerate(zip(params["x0"], params["l0"])):
+        if x < -1e-12:
+            raise ScenarioError(f"{top.path}.x0[{i}]: must be >= 0, got {x}")
+        if l < x - 1e-12:
+            raise ScenarioError(f"{top.path}.x0[{i}]: exceeds l0[{i}] = {l}, got {x}")
+    if not horizon > delay:
+        raise ScenarioError(
+            f"{top.path}.horizon: must exceed the delay {delay}, got {horizon}"
+        )
+    if step is not None and step > delay / 100.0 + 1e-15:
+        raise ScenarioError(
+            f"{top.path}.step: must be at most delay/100 = {delay / 100.0:.6g}, got {step}"
+        )
+    return params
 
 
 def _parse_junction(top: _Block) -> dict:
@@ -280,7 +319,7 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
     if kind in ("tangle-reduced", "tangle-agent"):
         params = _parse_tangle(top, kind)
     elif kind == "fluid":
-        params = _parse_fluid(top)
+        params = _parse_fluid(top, horizon)
     elif kind == "compliance-net":
         params = _parse_compliance(top)
     else:

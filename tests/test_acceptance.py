@@ -27,7 +27,7 @@ from tanglesim.reduced import (
     type_probabilities,
 )
 from tanglesim.agent import AgentTangleSim
-from tanglesim.fluid import constant_history, fluid_rhs, integrate, static_solution
+from tanglesim.fluid import constant_history, integrate, static_solution
 from tanglesim.stability import (
     SpectralRegion,
     balanced_characteristic,
@@ -48,6 +48,8 @@ from tanglesim.junction import (
 )
 from tanglesim.harness import parse_scenario, run_tangle_ensemble, validate
 from tanglesim.seeding import seed_stream
+
+from test_fluid import fluid_rhs  # the oracle's right-hand side
 
 
 def _report(capsys, tag: str, ok: bool, detail: str) -> None:

@@ -211,3 +211,45 @@ def test_roots_contour_error_is_reported(tmp_path, capsys):
 def test_roots_unknown_kind(tmp_path, capsys):
     spec = _write(tmp_path, "odd.json", {"kind": "wavelet"})
     assert main(["roots", spec]) == 2
+
+
+_FLUID = {"kind": "fluid", "delay": 3.0, "x0": [1.5, 1.5], "l0": [3.0, 3.0],
+          "horizon": 9.0}
+_RING = {"kind": "compliance-net", "horizon": 20.0, "window": 5.0,
+         "targets": 0.9, "baselines": 0.5,
+         "ring": {"n": 4, "coupling": 0.1, "lag": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "base, change, field",
+    [
+        (_FLUID, {"x0": [], "l0": []}, "l0"),
+        (_FLUID, {"x0": [0.0, 0.0], "l0": [0.0, 0.0]}, "l0"),
+        (_FLUID, {"x0": [-0.5, 1.5]}, "x0[0]"),
+        (_FLUID, {"x0": [1.5, 3.5]}, "x0[1]"),
+        (_FLUID, {"horizon": 3.0}, "horizon"),
+        (_FLUID, {"step": 0.05}, "step"),
+        (_RING, {"step": 0.05}, "step"),
+        (_RING, {"targets": 1.2}, "targets"),
+        (_RING, {"targets": -0.1}, "targets"),
+        (_RING, {"initial_costs": -0.2}, "initial_costs"),
+        (_RING, {"initial_costs": [0.1, 0.2]}, "initial_costs"),
+    ],
+)
+def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, change, field):
+    # each of these used to fail only inside the integrator, after the
+    # output directory had been made
+    scenario = _write(tmp_path, "bad.json", {**base, **change})
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_simulate_accepts_the_boundary_inputs(tmp_path, capsys):
+    # the largest allowed steps, x0 == l0 and a dead type still run
+    for name, payload in (
+        ("fluid", {**_FLUID, "x0": [1.5, 1.0, 0.0], "l0": [3.0, 1.0, 0.0], "step": 0.03}),
+        ("ring", {**_RING, "step": 0.02, "initial_costs": [0.0, 0.1, 0.2, 0.3]}),
+    ):
+        scenario = _write(tmp_path, f"{name}.json", payload)
+        assert main(["simulate", scenario, "--out", str(tmp_path / name)]) == 0

@@ -4,17 +4,128 @@ Static costs are checked against a hand-solved two-activity case, the
 windowed average against piecewise-linear signals where the trapezoid rule
 is exact, and the simulator against its own fixed point (which must hold to
 rounding, not just approximately).
+
+The response function, the trapezoid windowed average and the numpy
+formulation of the simulator loop live here as reference oracles;
+`simulate` must reproduce the loop bit for bit.
 """
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanglesim.compliance import (
     ComplianceNetwork,
+    ComplianceTrajectory,
+    _as_vector,
     default_step,
     simulate,
     static_solution,
-    windowed_average,
 )
+
+
+# -- reference oracles ----------------------------------------------------------------
+
+def response(net: ComplianceNetwork, i: int, qbar, cost: float) -> float:
+    """Compliance of activity i given delayed window averages and cost."""
+    raw = (
+        net.baselines[i]
+        + float(np.dot(net.coupling[i], np.asarray(qbar, dtype=float)))
+        + net.cost_sens[i] * cost
+    )
+    return min(max(raw, 0.0), 1.0)
+
+
+def windowed_average(times, values, t: float, width: float, history=None):
+    """(1/width) * integral of values over [t - width, t], trapezoid rule.
+
+    times must be ascending; values may be (K,) or (K, n).  Before times[0]
+    the signal is extended as the constant `history` (default: values[0]).
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if not width > 0:
+        raise ValueError("window width must be positive")
+    if t > times[-1] + 1e-12:
+        raise ValueError("window end lies past the stored history")
+    lo = t - width
+    h0 = values[0] if history is None else np.asarray(history, dtype=float)
+    total = 0.0
+    if lo < times[0]:
+        total = h0 * (min(times[0], t) - lo)
+        lo = times[0]
+        if t <= lo:
+            return total / width
+    inner = (times > lo) & (times < t)
+    grid = np.concatenate(([lo], times[inner], [t]))
+    if values.ndim == 1:
+        vals = np.interp(grid, times, values)
+        seg = np.trapezoid(vals, grid)
+    else:
+        cols = [
+            np.trapezoid(np.interp(grid, times, values[:, j]), grid)
+            for j in range(values.shape[1])
+        ]
+        seg = np.array(cols)
+    return (total + seg) / width
+
+
+def oracle_simulate(net, horizon, initial_Q=None, initial_C=None, step=None):
+    """`simulate` with whole-row numpy prefix lookups."""
+    n = net.n
+    q0 = _as_vector(initial_Q if initial_Q is not None else net.targets, n, "initial_Q")
+    c0 = _as_vector(initial_C if initial_C is not None else 0.0, n, "initial_C")
+    if np.any(c0 < 0):
+        raise ValueError("initial costs must be non-negative")
+    max_step = default_step(net)
+    if step is None:
+        step = max_step
+    if step > max_step + 1e-12:
+        raise ValueError(f"step must be at most {max_step:.6g}")
+    K = int(np.ceil(horizon / step - 1e-9))
+    dt = horizon / K
+    times = np.arange(K + 1) * dt
+    Q = np.empty((K + 1, n))
+    C = np.empty((K + 1, n))
+    P = np.empty((K + 1, n))  # prefix integral of Q
+    C[0] = c0
+    P[0] = 0.0
+    w = net.window
+
+    def prefix_at(s: float, last: int) -> np.ndarray:
+        if s <= 0.0:
+            return q0 * s
+        j = min(int(s / dt), last)
+        if j == last:
+            return P[last] + (s - times[last]) * Q[last]
+        return P[j] + (s - times[j]) / dt * (P[j + 1] - P[j])
+
+    for k in range(K + 1):
+        t = times[k]
+        last = max(k - 1, 0)
+        for i in range(n):
+            acc = net.baselines[i] + net.cost_sens[i] * C[k, i]
+            for j in range(n):
+                if net.coupling[i, j] != 0.0:
+                    s = t - net.lags_to[i, j]
+                    hi = prefix_at(s, last)[j] if k else q0[j] * min(s, 0.0)
+                    lo = prefix_at(s - w, last)[j]
+                    acc += net.coupling[i, j] * (hi - lo) / w
+            Q[k, i] = min(max(acc, 0.0), 1.0)
+        if k:
+            P[k] = P[k - 1] + dt * 0.5 * (Q[k - 1] + Q[k])
+        if k < K:
+            C[k + 1] = np.maximum(
+                C[k] + dt * net.ctrl_gain * (net.targets - Q[k]), 0.0
+            )
+    qbar = np.empty((K + 1, n))
+    for k in range(K + 1):
+        hi = prefix_at(times[k], K)
+        lo = prefix_at(times[k] - w, K)
+        qbar[k] = (hi - lo) / w
+    return ComplianceTrajectory(times, Q, C, qbar)
 
 
 def _pair(targets=(0.9, 0.9), baselines=(0.5, 0.5), coupling=0.1, window=4.0):
@@ -55,10 +166,10 @@ def test_validation_rejects_bad_networks():
 def test_response_interior_and_clamped():
     net = _pair()
     # interior: baseline + D * qbar + E * C
-    got = net.response(0, [0.0, 0.8], 0.2)
+    got = response(net, 0, [0.0, 0.8], 0.2)
     assert abs(got - (0.5 + 0.1 * 0.8 + 0.2)) < 1e-15
-    assert net.response(0, [0.0, 0.0], 5.0) == 1.0  # clamped high
-    assert net.response(0, [0.0, 0.0], -5.0) == 0.0  # clamped low
+    assert response(net, 0, [0.0, 0.0], 5.0) == 1.0  # clamped high
+    assert response(net, 0, [0.0, 0.0], -5.0) == 0.0  # clamped low
 
 
 def test_response_derivatives_match_coupling_coefficients():
@@ -82,13 +193,13 @@ def test_response_derivatives_match_coupling_coefficients():
             e = np.zeros(net.n)
             e[j] = eps
             fd = (
-                net.response(i, q0 + e, st.costs[i])
-                - net.response(i, q0 - e, st.costs[i])
+                response(net, i, q0 + e, st.costs[i])
+                - response(net, i, q0 - e, st.costs[i])
             ) / (2 * eps)
             assert abs(fd - net.coupling[i, j]) < 1e-4
         fd_c = (
-            net.response(i, q0, st.costs[i] + eps)
-            - net.response(i, q0, st.costs[i] - eps)
+            response(net, i, q0, st.costs[i] + eps)
+            - response(net, i, q0, st.costs[i] - eps)
         ) / (2 * eps)
         assert abs(fd_c - net.cost_sens[i]) / net.cost_sens[i] < 1e-4
 
@@ -241,3 +352,74 @@ def test_trajectory_row_layout():
     row = next(iter(traj.row_iter()))
     assert len(row) == 1 + 3 * net.n
     assert row[0] == 0.0
+
+
+def test_row_iter_yields_every_row_as_python_floats():
+    # 1251 rows: two whole conversion blocks and a partial one
+    traj = simulate(_pair(), 25.0)
+    rows = list(traj.row_iter())
+    want = [
+        [float(t), *map(float, traj.Q[k]), *map(float, traj.C[k]),
+         *map(float, traj.Qbar[k])]
+        for k, t in enumerate(traj.times)
+    ]
+    assert rows == want
+    assert {type(v) for row in rows for v in row} == {float}
+
+
+# -- scalar kernel vs the numpy oracle ---------------------------------------------
+
+def _outcome(run):
+    """Output bytes (or the error) and every warning of one simulation."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            traj = run()
+        except ValueError as e:
+            result = (type(e), str(e))
+        else:
+            result = tuple(
+                getattr(traj, a).tobytes() for a in ("times", "Q", "C", "Qbar")
+            )
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@st.composite
+def compliance_cases(draw):
+    n = draw(st.integers(2, 6))
+    vec = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n, max_size=n)  # noqa: E731
+    # sparse couplings, self-coupling included; zero lags are allowed
+    coupling = np.array(draw(st.lists(
+        st.just(0.0) | st.floats(-0.4, 0.4), min_size=n * n, max_size=n * n,
+    ))).reshape(n, n)
+    lags = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.7]), min_size=n * n, max_size=n * n,
+    ))).reshape(n, n)
+    np.fill_diagonal(lags, 0.0)
+    net = ComplianceNetwork.build(
+        targets=draw(vec(0.05, 0.95)),
+        baselines=draw(vec(0.0, 0.8)),
+        cost_sens=draw(vec(0.2, 2.0)),
+        ctrl_gain=draw(vec(0.2, 2.0)),
+        coupling=coupling,
+        lags=lags,
+        window=draw(st.sampled_from([0.5, 1.0, 2.5])),
+    )
+    step = draw(st.sampled_from([None, 1.0, 0.7, 0.5]))
+    return (
+        net,
+        draw(st.sampled_from([0.6, 1.3, 2.5])),
+        draw(vec(0.0, 1.0)),
+        draw(vec(0.0, 1.0)),
+        None if step is None else step * default_step(net),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=compliance_cases())
+@example(case=(_pair(), 6.0, [0.95, 0.85], [0.3, 0.0], None))
+def test_simulate_matches_numpy_oracle(case):
+    net, horizon, q0, c0, step = case
+    want = _outcome(lambda: oracle_simulate(net, horizon, q0, c0, step))
+    got = _outcome(lambda: simulate(net, horizon, q0, c0, step))
+    assert got == want

@@ -5,24 +5,164 @@ bitwise, which the hold tests verify literally (zero drift, not just small
 drift).  The conserved window-load quantity fixes the limit a constant
 perturbation converges to; the mode-shaped perturbation is the one that
 actually grows.
+
+The elementwise numpy formulation of the right-hand side and the RK4 loop
+built on it live here as the reference oracle; `integrate` must reproduce
+it bit for bit, warnings and errors included.
 """
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tanglesim import fluid
 from tanglesim.fluid import (
+    L_FLOOR,
     FluidIntegrationError,
     FluidSingularError,
+    FluidTrajectory,
     constant_history,
-    fluid_rhs,
     integrate,
-    selection_rates,
     static_solution,
-    tip_shares,
 )
 from tanglesim.stability import find_x0, mode_ratio
+
+
+# -- reference oracle -----------------------------------------------------------
+
+def tip_shares(l) -> np.ndarray:
+    """p_i = l_i^2 / sum_j l_j^2."""
+    l = np.asarray(l, dtype=float)
+    sq = l * l
+    denom = sq.sum()
+    if denom == 0.0:
+        raise FluidSingularError("all tip densities are zero")
+    return sq / denom
+
+
+def selection_rates(x, l) -> np.ndarray:
+    """u_i = 2 x_i l_i / sum_j l_j^2 (mean free-tip consumption rate)."""
+    x = np.asarray(x, dtype=float)
+    l = np.asarray(l, dtype=float)
+    denom = (l * l).sum()
+    if denom == 0.0:
+        raise FluidSingularError("all tip densities are zero")
+    return (2.0 * x) * l / denom
+
+
+def fluid_rhs(x_now, l_now, x_del, l_del, a_now: float, a_del: float):
+    """Time derivatives (dx/dt, dl/dt) given current and delay-lagged state.
+
+    dx_i/dt = a(t-h) p_i(t-h) - a(t) u_i(t)
+    dl_i/dt = a(t-h) p_i(t-h) - a(t-h) u_i(t-h)
+    """
+    p_del = tip_shares(l_del)
+    u_del = selection_rates(x_del, l_del)
+    u_now = selection_rates(x_now, l_now)
+    inflow = a_del * p_del
+    return inflow - a_now * u_now, inflow - a_del * u_del
+
+
+def interp_row(arr: np.ndarray, q: float, k_max: int) -> np.ndarray:
+    """Cubic Lagrange interpolation of grid rows at fractional index q."""
+    j = int(math.floor(q))
+    if abs(q - round(q)) < 1e-9:
+        return arr[int(round(q))]
+    j0 = min(max(j - 1, 0), k_max - 3)
+    s = q - j0
+    w0 = -(s - 1) * (s - 2) * (s - 3) / 6.0
+    w1 = s * (s - 2) * (s - 3) / 2.0
+    w2 = -s * (s - 1) * (s - 3) / 2.0
+    w3 = s * (s - 1) * (s - 2) / 6.0
+    return w0 * arr[j0] + w1 * arr[j0 + 1] + w2 * arr[j0 + 2] + w3 * arr[j0 + 3]
+
+
+def oracle_integrate(x_history, l_history, delay, horizon, step=None, rate=None):
+    """`integrate` as one numpy expression per stage on whole state rows."""
+    h = float(delay)
+    if not h > 0:
+        raise ValueError("delay must be positive")
+    if not horizon > h:
+        raise ValueError("horizon must exceed the delay")
+    if step is None:
+        step = h / 100.0
+    if step > h / 100.0 + 1e-15:
+        raise ValueError("step must be at most delay/100")
+    n_sub = max(int(math.ceil(h / step - 1e-9)), 100)
+    dt = h / n_sub
+    n_steps = int(math.ceil(horizon / dt - 1e-9))
+    a = rate if rate is not None else (lambda t: 1.0)
+
+    x0 = np.asarray(x_history(0.0), dtype=float)
+    d = x0.shape[0]
+    times = np.arange(n_steps + 1) * dt
+    X = np.empty((n_steps + 1, d))
+    L = np.empty((n_steps + 1, d))
+    for k in range(n_sub + 1):
+        t = times[k]
+        X[k] = np.asarray(x_history(t), dtype=float)
+        L[k] = np.asarray(l_history(t), dtype=float)
+        if np.any(L[k] < X[k] - 1e-12) or np.any(X[k] < -1e-12):
+            raise ValueError("history must satisfy 0 <= x_i <= l_i")
+
+    alive = L[n_sub] > L_FLOOR
+    warned = False
+    neg_limit = -10.0 * dt
+
+    def delayed(q: float, k_done: int) -> tuple[np.ndarray, np.ndarray]:
+        return interp_row(X, q, k_done), interp_row(L, q, k_done)
+
+    def rhs_masked(xv, lv, xd, ld, a_now, a_del):
+        dx, dl = fluid_rhs(xv, lv, xd, ld, a_now, a_del)
+        dx[~alive] = 0.0
+        dl[~alive] = 0.0
+        return dx, dl
+
+    for k in range(n_sub, n_steps):
+        t = times[k]
+        xd0, ld0 = X[k - n_sub], L[k - n_sub]
+        xdh, ldh = delayed(k - n_sub + 0.5, k)
+        xd1, ld1 = X[k - n_sub + 1], L[k - n_sub + 1]
+        a0, ah, a1 = a(t), a(t + dt / 2.0), a(t + dt)
+        a0d, ahd, a1d = a(t - h), a(t + dt / 2.0 - h), a(t + dt - h)
+
+        k1x, k1l = rhs_masked(X[k], L[k], xd0, ld0, a0, a0d)
+        k2x, k2l = rhs_masked(
+            X[k] + 0.5 * dt * k1x, L[k] + 0.5 * dt * k1l, xdh, ldh, ah, ahd
+        )
+        k3x, k3l = rhs_masked(
+            X[k] + 0.5 * dt * k2x, L[k] + 0.5 * dt * k2l, xdh, ldh, ah, ahd
+        )
+        k4x, k4l = rhs_masked(
+            X[k] + dt * k3x, L[k] + dt * k3l, xd1, ld1, a1, a1d
+        )
+        xn = X[k] + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        ln = L[k] + dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
+
+        if np.any(ln < neg_limit):
+            raise FluidIntegrationError(
+                f"tip density fell below {neg_limit:.3g} at t = {t + dt:.6g}"
+            )
+        bad = (ln < 0.0) | (xn < 0.0)
+        if np.any(bad & alive) and not warned:
+            warnings.warn(
+                "small negative fluid densities clamped to zero", RuntimeWarning
+            )
+            warned = True
+        np.clip(xn, 0.0, None, out=xn)
+        np.clip(ln, 0.0, None, out=ln)
+        dying = alive & (ln <= L_FLOOR)
+        if np.any(dying):
+            ln[dying] = 0.0
+            xn[dying] = 0.0
+            alive = alive & ~dying
+        np.minimum(xn, ln, out=xn)
+        X[k + 1] = xn
+        L[k + 1] = ln
+    return FluidTrajectory(times, X, L, h, dt)
+
 
 H = 3.0
 
@@ -214,11 +354,26 @@ def test_row_iter_layout():
     assert row[1:4] == [st.x[0], st.l[0], st.w[0]]
 
 
+def test_row_iter_yields_every_row_as_python_floats():
+    # 1051 rows: two whole conversion blocks and a partial one
+    hx, hl = _mode_history(H, 1e-3)
+    traj = integrate(hx, hl, H, 10.5 * H)
+    rows = list(traj.row_iter())
+    w = traj.w
+    want = [
+        [float(t)] + [float(v) for i in range(traj.d)
+                      for v in (traj.x[k, i], traj.l[k, i], w[k, i])]
+        for k, t in enumerate(traj.times)
+    ]
+    assert rows == want
+    assert {type(v) for row in rows for v in row} == {float}
+
+
 def test_cubic_interpolation_reproduces_cubics():
     k = np.arange(12, dtype=float)
     arr = (0.5 * k**3 - 2 * k**2 + k - 7).reshape(-1, 1)
     for q in (2.3, 0.4, 10.6):
-        got = fluid._interp_row(arr, q, 11)[0]
+        got = interp_row(arr, q, 11)[0]
         want = 0.5 * q**3 - 2 * q**2 + q - 7
         assert abs(got - want) < 1e-9
 
@@ -256,3 +411,88 @@ def test_no_warnings_on_clean_runs():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         integrate(hx, hl, H, 20 * H)
+
+
+# -- scalar kernel vs the numpy oracle ---------------------------------------------
+
+def _outcome(run):
+    """Output bytes (or the error) and every warning of one integration."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            traj = run()
+        except (ValueError, RuntimeError) as e:
+            result = (type(e), str(e))
+        else:
+            result = (
+                traj.times.tobytes(), traj.x.tobytes(), traj.l.tobytes(),
+                traj.delay, traj.step,
+            )
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _wave_history(x0, l0, amp, omega):
+    """x_i, l_i oscillating about (x0_i, l0_i) with 0 <= x_i <= l_i kept."""
+    x0, l0, amp = (np.asarray(v, dtype=float) for v in (x0, l0, amp))
+    phase = np.arange(len(l0), dtype=float)
+
+    def shape(t):
+        return 1.0 + amp * np.sin(omega * t + phase)
+
+    return (lambda t: x0 * shape(t)), (lambda t: l0 * shape(t))
+
+
+@st.composite
+def fluid_cases(draw):
+    d = draw(st.integers(1, 7))
+    delay = draw(st.sampled_from([1.0, 2.5, 3.0]))
+    # past two delays the delayed rows are integrated rows, not history
+    horizon = delay * draw(st.sampled_from([1.01, 1.5, 2.2, 2.5]))
+    l0 = draw(st.lists(st.floats(1e-3, 6.0), min_size=d, max_size=d))
+    for i in draw(st.sets(st.integers(0, d - 1), max_size=d - 1)):
+        l0[i] = 0.0  # a type that is dead from the start
+    frac = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+    x0 = [f * v for f, v in zip(frac, l0)]
+    history = draw(st.sampled_from(["constant", "wave", "mode"]))
+    if history == "mode" and d == 2:
+        hist = _mode_history(delay, draw(st.floats(1e-4, 0.3)))
+    elif history == "wave":
+        amp = draw(st.lists(st.floats(0.0, 0.9), min_size=d, max_size=d))
+        hist = _wave_history(x0, l0, amp, draw(st.floats(0.1, 5.0)))
+    else:
+        hist = constant_history(x0, l0)
+    # negative rates drive densities below zero: clamp warnings, dying
+    # types and, at the strong end, the negative-density error
+    rate = draw(st.sampled_from([None, "constant", "wave"]))
+    if rate == "constant":
+        c = draw(st.floats(-60.0, 3.0))
+        rate = lambda t: c  # noqa: E731
+    elif rate == "wave":
+        c, b = draw(st.floats(-20.0, 3.0)), draw(st.floats(0.0, 3.0))
+        rate = lambda t: c + b * math.sin(t)  # noqa: E731
+    step = draw(st.sampled_from([None, 1 / 100, 1 / 150, 1 / 237]))
+    return hist, delay, horizon, None if step is None else step * delay, rate
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fluid_cases())
+@example(case=(constant_history([1.0], [10.0]), H, 2.5 * H, None, lambda t: -50.0))
+@example(case=(constant_history([0.5, 0.0], [1.0, 2e-3]), 1.0, 2.5, None, lambda t: -3.0))
+@example(case=(constant_history([0.0, 0.0], [0.0, 0.0]), 1.0, 1.5, None, None))
+@example(case=(_mode_history(H, 1e-3), H, 2.5 * H, H / 150, None))
+def test_integrate_matches_numpy_oracle(case):
+    (hx, hl), delay, horizon, step, rate = case
+    want = _outcome(lambda: oracle_integrate(hx, hl, delay, horizon, step, rate))
+    got = _outcome(lambda: integrate(hx, hl, delay, horizon, step, rate))
+    assert got == want
+
+
+@pytest.mark.parametrize("d", [8, 9, 16, 23, 130])
+def test_integrate_matches_numpy_summation_order_for_many_types(d):
+    # from eight terms numpy sums l*l pairwise; the kernel follows that order
+    rng = np.random.default_rng(d)
+    l0 = rng.uniform(0.1, 3.0, d)
+    hx, hl = _wave_history(rng.uniform(0.0, 1.0, d) * l0, l0, np.full(d, 0.3), 2.0)
+    want = _outcome(lambda: oracle_integrate(hx, hl, 1.0, 2.3))
+    got = _outcome(lambda: integrate(hx, hl, 1.0, 2.3))
+    assert got == want

@@ -2,7 +2,7 @@
 deposit-priced compliance control."""
 
 from .arrivals import ArrivalProcess
-from .agent import AgentTangle, AgentTangleSim, Site, new_tangle
+from .agent import AgentTangle, AgentTangleSim, Site
 from .reduced import (
     ExtinctLedgerError,
     Injection,
@@ -66,7 +66,6 @@ __all__ = [
     "free_consumed_distribution",
     "integrate",
     "mode_ratio",
-    "new_tangle",
     "parse_scenario",
     "ring_eigenvalues",
     "run_ensemble",

@@ -8,14 +8,14 @@ ground-truth model the per-type counter simulation is validated against.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .arrivals import ArrivalProcess
-from .reduced import ExtinctLedgerError, Injection
-from .trajectory import GridRecorder, TrajectoryFrame, make_grid
+from .reduced import ExtinctLedgerError, Injection, _fill_grid, _schedule
+from .trajectory import TrajectoryFrame, make_grid
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,7 +25,8 @@ class Site:
     id: int
     created_at: float
     attached_at: float
-    parents: tuple[int, int] | None  # None only for genesis
+    # None for genesis and for a seed placed before any site is interior
+    parents: tuple[int, int] | None
     type_label: int  # 1-based
 
 
@@ -158,14 +159,7 @@ class AgentTangle:
         The caller is responsible for calling attach() at site.attached_at.
         """
         a, b = self.select_tips(rng)
-        site = Site(
-            len(self.sites), t, t + self.delay, (a, b), self.sites[a].type_label
-        )
-        self._register(site)
-        self._mark_pending(a)
-        self._mark_pending(b)
-        self.created[site.type_label - 1] += 1
-        return site
+        return self._create(t, a, b, self.sites[a].type_label)
 
     def create_forced(
         self, t: float, type_label: int, rng: np.random.Generator
@@ -176,6 +170,9 @@ class AgentTangle:
             raise ExtinctLedgerError(f"type {type_label} has no tips to select")
         a = bucket[int(rng.integers(len(bucket)))]
         b = bucket[int(rng.integers(len(bucket)))]
+        return self._create(t, a, b, type_label)
+
+    def _create(self, t: float, a: int, b: int, type_label: int) -> Site:
         site = Site(len(self.sites), t, t + self.delay, (a, b), type_label)
         self._register(site)
         self._mark_pending(a)
@@ -193,10 +190,7 @@ class AgentTangle:
                 raise RuntimeError("parent not attached before child")
             if not self.sites[p].attached_at < site.attached_at:
                 raise RuntimeError("attach-time ordering violated (cycle risk)")
-            if (
-                site.id not in self.seed_ids
-                and self.sites[p].type_label != site.type_label
-            ):
+            if self.sites[p].type_label != site.type_label:
                 raise RuntimeError("edge joins different conflict types")
             self.children[p].append(site.id)
         self.attached[site.id] = True
@@ -209,47 +203,28 @@ class AgentTangle:
         self.tips[i].add(site.id)
         self.tip_count[i] += 1
 
-    def inject_attack(
-        self, t: float, m: int, attack_type: int, rng: np.random.Generator
-    ) -> list[Site]:
-        """Start a conflicting sub-DAG at time t.
+    def add_seed(self, t: float, type_label: int) -> Site:
+        """Attach the seed tip of a conflicting type at time t.
 
-        One seed site of attack_type is force-attached immediately to the two
-        oldest attached non-tip sites (the seed conflicts by label, so its
-        edges are exempt from the same-type rule), then m - 1 transactions are
-        created that select tips only within attack_type.  Returns the
-        scheduled (not yet attached) sites.
+        The seed's parents are the two oldest interior (attached, non-tip)
+        sites, the one interior site twice when only one exists, and none
+        (a second root, like genesis) when there is none, so the seed
+        consumes no tip.  It conflicts by label, so its edges are exempt
+        from the same-type rule.
         """
-        if attack_type < 2 or attack_type > self.d:
-            raise ValueError("attack type must be in {2..d}")
-        if m < 1:
-            raise ValueError("burst size must be at least 1")
-        parents = []
-        for sid in range(len(self.sites)):
-            if self.attached[sid] and sid not in self.tips[
-                self.sites[sid].type_label - 1
-            ]:
-                parents.append(sid)
-                if len(parents) == 2:
-                    break
-        while len(parents) < 2:  # degenerate early-attack fallback
-            parents.append(0)
-        seed = Site(len(self.sites), t, t, (parents[0], parents[1]), attack_type)
+        interior = list(islice((i for i, c in enumerate(self.children) if c), 2))
+        parents = (interior[0], interior[-1]) if interior else None
+        seed = Site(len(self.sites), t, t, parents, type_label)
         self._register(seed)
         self.seed_ids.add(seed.id)
-        self.created[attack_type - 1] += 1
-        a, b = seed.parents
-        for p in (a, b) if a != b else (a,):
-            if not self.attached[p]:
-                raise RuntimeError("seed parent not attached")
-            self.children[p].append(seed.id)
         self.attached[seed.id] = True
-        self._drop_tip(a)
-        if b != a:
-            self._drop_tip(b)
-        self.tips[attack_type - 1].add(seed.id)
-        self.tip_count[attack_type - 1] += 1
-        return [self.create_forced(t, attack_type, rng) for _ in range(m - 1)]
+        for p in dict.fromkeys(parents or ()):
+            self.children[p].append(seed.id)
+        i = type_label - 1
+        self.tips[i].add(seed.id)
+        self.tip_count[i] += 1
+        self.created[i] += 1
+        return seed
 
     def site_weight(self, site_id: int) -> int:
         """1 + number of distinct attached descendants of the site."""
@@ -295,13 +270,9 @@ class AgentTangle:
                     assert self.sites[p].type_label == s.type_label
 
 
-def new_tangle(types: int, delay: float = 1.0) -> AgentTangle:
-    """Fresh ledger holding only the genesis site (type 1, sole tip)."""
-    return AgentTangle(types, delay)
-
-
 class AgentTangleSim:
-    """Event loop driving an AgentTangle; same interface as the reduced model."""
+    """Drives an AgentTangle through the creation schedule; same interface
+    as the reduced model."""
 
     def __init__(
         self,
@@ -325,46 +296,67 @@ class AgentTangleSim:
     def run(
         self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5
     ) -> TrajectoryFrame:
+        """One ledger history up to ``horizon``, sampled every ``grid_dt``.
+
+        Runs on the reduced model's creation schedule and grid fill: the
+        graph decides each creation's type and the tips it newly marks
+        pending, and the frame is filled from those.  Creations after the
+        last grid time are not made, as no grid row would see them.
+        """
         if not horizon > 0:
             raise ValueError("horizon must be positive")
+        grid = make_grid(horizon, grid_dt)
+        end = min(grid[-1], horizon)
         tangle = AgentTangle(self.types, self.delay)
-        arrival_times = self.arrivals.times(horizon, rng)
-        waiting: deque[Site] = deque()
-        inj_list = list(self.injections)
-        recorder = GridRecorder(make_grid(horizon, grid_dt), self.types)
-        ai = 0
-        ii = 0
-        n_arrivals = len(arrival_times)
-        while True:
-            t_arr = arrival_times[ai] if ai < n_arrivals else np.inf
-            t_att = waiting[0].attached_at if waiting else np.inf
-            t_inj = inj_list[ii].time if ii < len(inj_list) else np.inf
-            t_next = min(t_arr, t_att, t_inj)
-            if t_next > horizon or t_next == np.inf:
-                break
-            recorder.advance(
-                t_next,
-                tangle.tip_count,
-                tangle.free_counts,
-                tangle.pending_count,
-                tangle.created,
-            )
-            if t_att <= t_arr and t_att <= t_inj:
-                tangle.attach(waiting.popleft())
-            elif t_inj <= t_arr:
-                inj = inj_list[ii]
-                ii += 1
-                waiting.extend(
-                    tangle.inject_attack(inj.time, inj.count, inj.type_label, rng)
-                )
-            else:
-                ai += 1
-                waiting.append(tangle.create_transaction(t_arr, rng))
-            if self.check_invariants:
-                tangle.check()
-        return recorder.finish(
-            tangle.tip_count,
-            tangle.free_counts,
-            tangle.pending_count,
-            tangle.created,
-        )
+        arrivals = self.arrivals.times(horizon, rng)
+        ct, blocks, seeds = _schedule(arrivals, self.injections, horizon)
+        n = int(np.searchsorted(ct, end, side="right"))
+        ct = ct[:n]
+        attach_times = ct + self.delay
+        # attaches that precede each creation; attaches win ties
+        attached = np.searchsorted(attach_times, ct, side="right").tolist()
+        times = ct.tolist()
+        typ = np.zeros(n, dtype=np.intp)
+        cov = np.zeros(n, dtype=np.uint8)
+        made: list[Site] = []
+        check = tangle.check if self.check_invariants else lambda: None
+        a = 0
+
+        def attach_upto(e: int) -> None:
+            nonlocal a
+            while a < e:
+                tangle.attach(made[a])
+                a += 1
+                check()
+
+        for start, stop, forced, seed in blocks:
+            if seed:
+                t = seeds[forced]
+                if t > end:
+                    break
+                attach_upto(int(np.searchsorted(attach_times, t, side="right")))
+                tangle.add_seed(t, forced + 1)
+                check()
+            for k in range(start, min(stop, n)):
+                attach_upto(attached[k])
+                w = sum(tangle.pending_count)
+                if forced < 0:
+                    site = tangle.create_transaction(times[k], rng)
+                else:
+                    site = tangle.create_forced(times[k], forced + 1, rng)
+                made.append(site)
+                typ[k] = site.type_label - 1
+                cov[k] = sum(tangle.pending_count) - w
+                check()
+        frame = _fill_grid(grid, horizon, self.delay, ct, typ, cov, seeds, self.types)
+        if self.check_invariants:
+            # the attaches after the last creation, up to the last grid time
+            attach_upto(int(np.searchsorted(attach_times, end, side="right")))
+            for name, live in (
+                ("tips", tangle.tip_count),
+                ("free", tangle.free_counts),
+                ("pending", tangle.pending_count),
+                ("created", tangle.created),
+            ):
+                assert np.array_equal(getattr(frame, name)[-1], live), name
+        return frame

@@ -461,6 +461,8 @@ def run_tangle_ensemble(
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write one CSV; its directory is made here, after the model has run."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -529,7 +531,6 @@ def run_scenario(
     _integer(workers, "workers", minimum=1)
     scenario = replace(scenario, **overrides)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stem = scenario.out_stem or scenario.name
     started = time.perf_counter()
     summary = RunSummary(

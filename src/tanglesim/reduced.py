@@ -146,7 +146,8 @@ class ReducedTangleSim:
 
 
 def _schedule(arrivals: np.ndarray, injections, horizon: float):
-    """Creation times in processing order, cut into blocks.
+    """Creation times in processing order, cut into blocks; both tangle
+    models run on this schedule.
 
     A block is ``(start, stop, forced, seed)``: creations ``start..stop-1``
     are honest (``forced`` is -1) or members of one burst of 0-based type

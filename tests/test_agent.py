@@ -1,12 +1,17 @@
 """DAG-ledger agent model tests.
 
 Graph structure is exercised through the low-level AgentTangle API so weights
-and invariants can be checked against hand-built ledgers; the event-driven
-sim is fuzzed with full invariant recomputation after every event.
+and invariants can be checked against hand-built ledgers.  `AgentTangleSim.run`
+is pinned against `event_loop_run`, the one-event-at-a-time loop kept here as
+the reference oracle: it merges arrivals, attaches and bursts itself, records
+through `GridRecorder`, and seeds a burst's type only when the graph holds no
+tip of it, with full invariant recomputation after every event.
 """
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanglesim import (
@@ -15,15 +20,87 @@ from tanglesim import (
     ArrivalProcess,
     ExtinctLedgerError,
     Injection,
+    ReducedTangleSim,
     Site,
-    new_tangle,
 )
 from tanglesim.seeding import seed_stream
+from tanglesim.trajectory import GridRecorder, make_grid
+
+
+# -- event-loop reference oracle -------------------------------------------------
+
+def _expected_seed_parents(tangle):
+    """The two oldest attached non-tip sites, one twice, or None."""
+    interior = [
+        sid for sid, s in enumerate(tangle.sites)
+        if tangle.attached[sid] and sid not in tangle.tips[s.type_label - 1]
+    ]
+    if not interior:
+        return None
+    return (interior[0], interior[1] if len(interior) > 1 else interior[0])
+
+
+def event_loop_run(sim, horizon, rng, grid_dt=0.5):
+    """One event at a time on the graph: the next of arrival, attach and burst.
+
+    Attaches take priority at equal times, then bursts, then honest
+    arrivals.  A burst whose type has no tips first places one seed tip,
+    which must hang under the oldest interior sites and consume no tip;
+    the rest of the burst are forced creations.
+    """
+    tangle = AgentTangle(sim.types, sim.delay)
+    arrival_times = sim.arrivals.times(horizon, rng)
+    waiting = deque()
+    inj_list = list(sim.injections)
+    recorder = GridRecorder(make_grid(horizon, grid_dt), sim.types)
+    ai = 0
+    ii = 0
+    n_arrivals = len(arrival_times)
+    while True:
+        t_arr = arrival_times[ai] if ai < n_arrivals else np.inf
+        t_att = waiting[0].attached_at if waiting else np.inf
+        t_inj = inj_list[ii].time if ii < len(inj_list) else np.inf
+        t_next = min(t_arr, t_att, t_inj)
+        if t_next > horizon or t_next == np.inf:
+            break
+        recorder.advance(
+            t_next,
+            tangle.tip_count,
+            tangle.free_counts,
+            tangle.pending_count,
+            tangle.created,
+        )
+        if t_att <= t_arr and t_att <= t_inj:
+            tangle.attach(waiting.popleft())
+        elif t_inj <= t_arr:
+            inj = inj_list[ii]
+            ii += 1
+            m = inj.count
+            if tangle.tip_count[inj.type_label - 1] == 0:
+                parents = _expected_seed_parents(tangle)
+                before = list(tangle.tip_count)
+                seed = tangle.add_seed(inj.time, inj.type_label)
+                assert seed.parents == parents
+                before[inj.type_label - 1] += 1
+                assert tangle.tip_count == before
+                m -= 1
+            for _ in range(m):
+                waiting.append(tangle.create_forced(inj.time, inj.type_label, rng))
+        else:
+            ai += 1
+            waiting.append(tangle.create_transaction(t_arr, rng))
+        tangle.check()
+    return recorder.finish(
+        tangle.tip_count,
+        tangle.free_counts,
+        tangle.pending_count,
+        tangle.created,
+    )
 
 
 def _chain(n, delay=1.0):
     """Genesis plus a chain of n sites, each referencing its predecessor."""
-    tangle = new_tangle(1, delay)
+    tangle = AgentTangle(1, delay)
     rng = np.random.default_rng(0)
     t = 0.5
     out = []
@@ -47,7 +124,7 @@ def test_chain_weight_counts_self_plus_descendants():
 
 
 def test_diamond_weight_counts_distinct_descendants_once():
-    tangle = new_tangle(1)
+    tangle = AgentTangle(1, 1.0)
     rng = np.random.default_rng(1)
     a = tangle.create_transaction(0.5, rng)
     tangle.attach(a)
@@ -78,7 +155,7 @@ def test_weight_errors():
 # -- attach rules -----------------------------------------------------------------
 
 def test_attach_twice_rejected():
-    tangle = new_tangle(1)
+    tangle = AgentTangle(1, 1.0)
     rng = np.random.default_rng(3)
     site = tangle.create_transaction(0.5, rng)
     tangle.attach(site)
@@ -87,7 +164,7 @@ def test_attach_twice_rejected():
 
 
 def test_attach_requires_parent_order():
-    tangle = new_tangle(1)
+    tangle = AgentTangle(1, 1.0)
     rng = np.random.default_rng(4)
     site = tangle.create_transaction(0.5, rng)
     bad = Site(site.id, 0.0, 0.0, site.parents, site.type_label)
@@ -96,7 +173,7 @@ def test_attach_requires_parent_order():
 
 
 def test_attach_rejects_cross_type_edge():
-    tangle = new_tangle(2)
+    tangle = AgentTangle(2, 1.0)
     rng = np.random.default_rng(5)
     site = tangle.create_transaction(0.5, rng)  # selects genesis, type 1
     bad = Site(site.id, 0.5, 1.5, site.parents, 2)
@@ -105,7 +182,7 @@ def test_attach_rejects_cross_type_edge():
 
 
 def test_unattached_parent_rejected():
-    tangle = new_tangle(1)
+    tangle = AgentTangle(1, 1.0)
     rng = np.random.default_rng(6)
     a = tangle.create_transaction(0.5, rng)
     b = tangle.create_transaction(0.6, rng)  # also selects genesis
@@ -119,7 +196,7 @@ def test_unattached_parent_rejected():
 
 
 def test_selected_tip_stays_selectable_until_covered():
-    tangle = new_tangle(1)
+    tangle = AgentTangle(1, 1.0)
     rng = np.random.default_rng(7)
     a = tangle.create_transaction(0.5, rng)
     # genesis is pending now but still the only tip, so a second creation
@@ -134,9 +211,11 @@ def test_selected_tip_stays_selectable_until_covered():
 
 
 def test_select_tips_returns_matching_types():
-    tangle = new_tangle(2)
+    tangle = AgentTangle(2, 1.0)
     rng = np.random.default_rng(8)
-    tangle.inject_attack(1.0, 5, 2, rng)
+    tangle.add_seed(1.0, 2)
+    for _ in range(4):
+        tangle.create_forced(1.0, 2, rng)
     for _ in range(200):
         a, b = tangle.select_tips(rng)
         assert tangle.sites[a].type_label == tangle.sites[b].type_label
@@ -145,7 +224,7 @@ def test_select_tips_returns_matching_types():
 # -- injections --------------------------------------------------------------------
 
 def _grown_tangle(rng, n=30):
-    tangle = new_tangle(2, delay=1.0)
+    tangle = AgentTangle(2, 1.0)
     t = 0.5
     pending = []
     for _ in range(n):
@@ -161,13 +240,14 @@ def _grown_tangle(rng, n=30):
 def test_injection_seed_attaches_immediately_to_interior_sites():
     rng = np.random.default_rng(9)
     tangle, t = _grown_tangle(rng)
-    scheduled = tangle.inject_attack(t + 5.0, 10, 2, rng)
-    assert len(scheduled) == 9
-    assert tangle.tip_count[1] == 1  # only the seed is attached so far
+    type1_tips = tangle.tip_count[0]
+    seed = tangle.add_seed(t + 5.0, 2)
+    scheduled = [tangle.create_forced(t + 5.0, 2, rng) for _ in range(9)]
+    assert tangle.tip_count == [type1_tips, 1]  # the seed consumed no tip
     assert tangle.created[1] == 10
-    seed_id = next(iter(tangle.seed_ids))
-    seed = tangle.sites[seed_id]
+    assert tangle.seed_ids == {seed.id}
     assert seed.attached_at == t + 5.0
+    assert seed.parents == (0, 1)  # the two oldest interior sites
     for p in seed.parents:
         assert tangle.attached[p]
         assert tangle.children[p]  # interior: already had children
@@ -179,15 +259,30 @@ def test_injection_seed_attaches_immediately_to_interior_sites():
     tangle.check()
 
 
+def test_early_seed_is_a_second_root_and_consumes_no_tip():
+    rng = np.random.default_rng(11)
+    tangle = AgentTangle(3, 1.0)
+    seed = tangle.add_seed(0.0, 2)  # nothing is interior yet
+    assert seed.parents is None
+    assert tangle.tip_count == [1, 1, 0]
+    first = tangle.create_transaction(0.5, rng)
+    tangle.attach(first)  # genesis or the seed is now the one interior site
+    (only,) = {p for p in first.parents}
+    late = tangle.add_seed(2.0, 3)
+    assert late.parents == (only, only)
+    assert tangle.tip_count[2] == 1
+    assert sum(tangle.tip_count) == 3  # first's tip, the untouched root, late
+    tangle.check()
+
+
 def test_injection_validation():
-    tangle = new_tangle(2)
-    rng = np.random.default_rng(10)
     with pytest.raises(ValueError):
-        tangle.inject_attack(1.0, 5, 1, rng)
+        Injection(1.0, 1, 5)  # type 1 is the honest type
     with pytest.raises(ValueError):
-        tangle.inject_attack(1.0, 5, 3, rng)
+        AgentTangleSim(ArrivalProcess(1.0), 1.0, types=2,
+                       injections=(Injection(1.0, 3, 5),))
     with pytest.raises(ValueError):
-        tangle.inject_attack(1.0, 0, 2, rng)
+        Injection(1.0, 2, 0)
 
 
 def test_attack_burst_dominates_tip_population():
@@ -247,7 +342,7 @@ def test_full_invariant_recheck_after_every_event(seed):
 
 
 def test_genesis_counts_once():
-    tangle = new_tangle(3)
+    tangle = AgentTangle(3, 1.0)
     assert tangle.created == [1, 0, 0]
     assert tangle.tip_count == [1, 0, 0]
     assert tangle.free_counts == [1, 0, 0]
@@ -261,3 +356,116 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         AgentTangleSim(ArrivalProcess(1.0), 1.0, types=1,
                        injections=(Injection(1.0, 2, 3),))
+
+
+# -- schedule-driven run vs the event-loop oracle ----------------------------------
+
+@st.composite
+def agent_configs(draw):
+    types = draw(st.integers(1, 3))
+    horizon = draw(st.sampled_from([1.7, 4.0, 6.25]))
+    delay = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    injections = ()
+    if types > 1:
+        # bursts at 0, before the first attach, at the horizon, past it and
+        # in between; repeats of a type and one-member bursts arise freely
+        times = st.sampled_from([0.0, delay / 2, horizon, horizon + 0.5]) | st.integers(
+            0, int(horizon * 4)
+        ).map(lambda q: q / 4)
+        injections = tuple(draw(st.lists(
+            st.builds(Injection, times, st.integers(2, types), st.integers(1, 8)),
+            max_size=4,
+        )))
+    return {
+        "types": types,
+        "horizon": horizon,
+        "injections": injections,
+        # dyadic gaps and delays make fixed arrivals tie exactly with
+        # attaches and bursts; at rate 10 the lattice overshoots 1.7 by an ulp
+        "rate": draw(st.sampled_from([2.0, 4.0, 8.0, 10.0])),
+        "kind": draw(st.sampled_from(["poisson", "fixed"])),
+        "delay": delay,
+        "stop": draw(st.none() | st.integers(0, int(horizon)).map(float)),
+        "grid_dt": draw(st.sampled_from([0.3, 0.5, 0.7, 1.0])),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=agent_configs(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(
+    config={"types": 3, "horizon": 6.25, "rate": 4.0, "kind": "fixed",
+            "delay": 1.0, "stop": None, "grid_dt": 0.3,
+            "injections": (Injection(0.0, 3, 1), Injection(2.0, 2, 6),
+                           Injection(2.0, 2, 3), Injection(6.25, 3, 4))},
+    seed=5,
+)
+@example(
+    config={"types": 2, "horizon": 4.0, "rate": 8.0, "kind": "poisson",
+            "delay": 1.5, "stop": 2.0, "grid_dt": 0.7,
+            "injections": (Injection(0.75, 2, 5), Injection(3.0, 2, 5))},
+    seed=17,
+)
+@example(
+    # the type-2 seed is a root that is interior by 1.25 while genesis is
+    # still a tip: the type-3 seed hangs under that one interior site twice
+    config={"types": 3, "horizon": 4.0, "rate": 2.0, "kind": "fixed",
+            "delay": 1.0, "stop": None, "grid_dt": 0.5,
+            "injections": (Injection(0.0, 2, 3), Injection(1.25, 3, 2))},
+    seed=1,
+)
+@example(
+    config={"types": 1, "horizon": 1.7, "rate": 10.0, "kind": "fixed",
+            "delay": 0.5, "stop": None, "grid_dt": 0.5, "injections": ()},
+    seed=0,
+)
+def test_run_matches_event_loop_oracle(config, seed):
+    sim = AgentTangleSim(
+        ArrivalProcess(config["rate"], config["kind"], config["stop"]),
+        config["delay"],
+        types=config["types"],
+        injections=config["injections"],
+        check_invariants=True,
+    )
+    horizon, grid_dt = config["horizon"], config["grid_dt"]
+    want = event_loop_run(sim, horizon, np.random.default_rng(seed), grid_dt)
+    got = sim.run(horizon, np.random.default_rng(seed), grid_dt)
+    for name in ("times", "tips", "free", "pending", "created"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# -- one seed rule in both models -----------------------------------------------------
+
+def _both_models(rate, delay, injections, stop=None):
+    args = (ArrivalProcess(rate, stop=stop), delay)
+    kw = {"types": 2, "injections": injections}
+    return AgentTangleSim(*args, **kw), ReducedTangleSim(*args, **kw)
+
+
+def test_early_burst_keeps_the_genesis_tip_in_both_models():
+    # the seed at 0.5 finds no interior site: it becomes a second root, and
+    # nothing attaches before 3, so each type holds exactly one tip at 1
+    for sim in _both_models(20.0, 3.0, (Injection(0.5, 2, 3),)):
+        for r in range(3):
+            frame = sim.run(12.0, seed_stream(35, r))
+            at_1 = frame.times == 1.0
+            assert frame.tips[at_1, 0].tolist() == [1.0]
+            assert frame.tips[at_1, 1].tolist() == [1.0]
+
+
+def test_second_burst_adds_members_but_no_tip():
+    # the second burst of a seeded type is 60 forced creations and no seed:
+    # against the same seed without it, the state at 35 differs by exactly
+    # 60 type-2 creations, and the tips are the same
+    first = Injection(20.0, 2, 60)
+    second = Injection(35.0, 2, 60)
+    pairs = zip(_both_models(60.0, 3.0, (first,)), _both_models(60.0, 3.0, (first, second)))
+    for one, two in pairs:
+        for r in range(2):
+            a = one.run(35.5, seed_stream(36, r))
+            b = two.run(35.5, seed_stream(36, r))
+            before = a.times < 35.0
+            for name in ("tips", "free", "pending", "created"):
+                assert np.array_equal(getattr(a, name)[before], getattr(b, name)[before])
+            at = a.times == 35.0
+            assert (b.created[at] - a.created[at]).tolist() == [[0.0, 60.0]]
+            assert np.array_equal(b.tips[at], a.tips[at])

@@ -245,6 +245,23 @@ def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, c
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # no pending tips: the one type's density dies at t = 6
+        ({"kind": "fluid", "delay": 1.0, "horizon": 20.0, "x0": [3.0], "l0": [3.0]},
+         "tip densities"),
+        ({**_RING, "targets": 0.2, "baselines": 0.9}, "infeasible"),
+    ],
+)
+def test_simulate_run_failure_leaves_no_output(tmp_path, capsys, payload, message):
+    # these inputs parse; only the run itself fails
+    scenario = _write(tmp_path, "dies.json", payload)
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_simulate_accepts_the_boundary_inputs(tmp_path, capsys):
     # the largest allowed steps, x0 == l0 and a dead type still run
     for name, payload in (

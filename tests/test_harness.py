@@ -391,6 +391,19 @@ def test_validation_passes_for_matching_models():
     assert rep.compared_points == 30
 
 
+def test_validation_passes_for_one_injected_burst():
+    # two types, one type-2 burst of 60 at t = 20: both models seed the type
+    # with one attached tip and create the other 59 members at that instant
+    base = {"rate": 60.0, "delay": 3.0, "types": 2, "horizon": 60.0,
+            "runs": 100, "seed": 42,
+            "injections": [{"time": 20.0, "type": 2, "count": 60}]}
+    a, r = (parse_scenario(dict(base, kind=f"tangle-{k}"), name=k)
+            for k in ("agent", "reduced"))
+    rep = validate(a, r, workers=2)
+    assert rep.passed
+    assert rep.max_rel_L < 0.05 and rep.max_rel_X < 0.05
+
+
 def test_validation_fails_honestly_for_different_physics():
     a, r = _val_pair(delay=5.0, runs=10)
     a.runs = 10

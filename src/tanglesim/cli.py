@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import compliance, harness, stability
-from .harness import ScenarioError, _Block, _number, parse_scenario
+from .harness import ScenarioError, _Block, _integer, _number, parse_scenario
 
 
 def _cmd_simulate(args) -> int:
@@ -74,17 +74,17 @@ def _cmd_stability(args) -> int:
 def _parse_region(block: _Block | None, default) -> stability.SpectralRegion:
     if block is None:
         return default
-    re_pair = block.take("re")
-    im_pair = block.take("im")
-    samples = block.take("samples", 64)
+
+    def pair(key: str) -> list[float]:
+        raw = block.take(key)
+        if not (isinstance(raw, list) and len(raw) == 2):
+            raise ScenarioError(f"{block.path}.{key}: expected a [min, max] pair, got {raw!r}")
+        return [_number(v, f"{block.path}.{key}") for v in raw]
+
+    re_pair, im_pair = pair("re"), pair("im")
+    samples = _integer(block.take("samples", 64), f"{block.path}.samples", minimum=2)
     block.done()
-    if not (isinstance(re_pair, list) and isinstance(im_pair, list)):
-        raise ScenarioError("region re/im must be [min, max] pairs")
-    return stability.SpectralRegion(
-        float(re_pair[0]), float(re_pair[1]),
-        float(im_pair[0]), float(im_pair[1]),
-        samples_per_side=int(samples),
-    )
+    return stability.SpectralRegion(*re_pair, *im_pair, samples_per_side=samples)
 
 
 def _cmd_roots(args) -> int:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CSV_BLOCK = 512  # rows converted to Python floats at a time
 
 
 def _as_vector(value, n: int, name: str) -> np.ndarray:
@@ -158,18 +157,6 @@ class ComplianceTrajectory:
     @property
     def n(self) -> int:
         return self.Q.shape[1]
-
-    def row_iter(self):
-        """CSV rows of Python floats: t, Q_1..Q_n, C_1..C_n, Qbar_1..Qbar_n.
-
-        Rows are stacked and converted _CSV_BLOCK at a time, so the Python
-        floats of the whole trajectory never exist at once.
-        """
-        for a in range(0, len(self.times), _CSV_BLOCK):
-            b = a + _CSV_BLOCK
-            yield from np.hstack(
-                (self.times[a:b, None], self.Q[a:b], self.C[a:b], self.Qbar[a:b])
-            ).tolist()
 
 
 def default_step(net: ComplianceNetwork) -> float:

@@ -19,7 +19,6 @@ RateFn = Callable[[float], float]
 HistoryFn = Callable[[float], Sequence[float]]
 
 L_FLOOR = 1e-12
-_CSV_BLOCK = 512  # rows converted to Python floats at a time
 
 
 class FluidSingularError(ValueError):
@@ -84,23 +83,6 @@ class FluidTrajectory:
     def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         k = self.index_at(t)
         return self.x[k], self.l[k]
-
-    def row_iter(self):
-        """Yield CSV rows of Python floats: t, then x_i, l_i, w_i per type.
-
-        Rows are stacked and converted _CSV_BLOCK at a time, so the Python
-        floats of the whole trajectory never exist at once.
-        """
-        d = self.d
-        for a in range(0, len(self.times), _CSV_BLOCK):
-            b = a + _CSV_BLOCK
-            x, l = self.x[a:b], self.l[a:b]
-            rows = np.empty((len(x), 1 + 3 * d))
-            rows[:, 0] = self.times[a:b]
-            rows[:, 1::3] = x
-            rows[:, 2::3] = l
-            rows[:, 3::3] = l - x
-            yield from rows.tolist()
 
 
 def _sum_squares(v: list) -> float:

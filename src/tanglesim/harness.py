@@ -2,17 +2,17 @@
 
 A scenario is a strict JSON document: a top-level "kind" discriminator picks
 the schema, unknown keys are rejected, and every run is reproducible from
-the file plus its seed.  Ensembles fan out over a process pool and are
-aggregated in run-index order so the output never depends on completion
-order.
+the file plus its seed.  Ensembles run through ``seeding.seeded_runs`` and
+are aggregated in run-index order so the output never depends on the
+worker count.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -23,7 +23,8 @@ from . import compliance, fluid, junction
 from .agent import AgentTangleSim
 from .arrivals import ArrivalProcess
 from .reduced import Injection, ReducedTangleSim
-from .seeding import seed_stream
+from .seeding import seeded_runs
+from .trajectory import make_grid
 
 KINDS = ("tangle-reduced", "tangle-agent", "fluid", "compliance-net", "junction")
 
@@ -315,7 +316,11 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
     runs = _integer(top.take("runs", 100), f"{name}.runs", minimum=1)
     horizon = _number(top.take("horizon"), f"{name}.horizon", positive=True)
     out_stem = top.take("out", None)
-    per_run = bool(top.take("per_run", False))
+    if out_stem is not None and not (isinstance(out_stem, str) and out_stem):
+        raise ScenarioError(f"{name}.out: expected a non-empty string, got {out_stem!r}")
+    per_run = top.take("per_run", False)
+    if not isinstance(per_run, bool):
+        raise ScenarioError(f"{name}.per_run: expected true or false, got {per_run!r}")
     if kind in ("tangle-reduced", "tangle-agent"):
         params = _parse_tangle(top, kind)
     elif kind == "fluid":
@@ -410,12 +415,18 @@ def nearest_rank_index(p: float, n: int) -> int:
 
 
 def ensemble_stats(stack: np.ndarray) -> VarStats:
-    """Per-time stats over a (runs, times) stack."""
-    srt = np.sort(stack, axis=0)
+    """Stats over the runs of a (runs, ...) stack, one value per trailing index.
+
+    The sorted copy is made after ``std`` has freed its temporary, so at
+    most one stack-sized temporary is alive at a time.
+    """
     n = stack.shape[0]
+    mean = stack.mean(axis=0)
+    std = stack.std(axis=0)
+    srt = np.sort(stack, axis=0)
     return VarStats(
-        mean=stack.mean(axis=0),
-        std=stack.std(axis=0),
+        mean=mean,
+        std=std,
         p5=srt[nearest_rank_index(5, n)],
         p95=srt[nearest_rank_index(95, n)],
     )
@@ -423,9 +434,7 @@ def ensemble_stats(stack: np.ndarray) -> VarStats:
 
 # -- scenario execution -------------------------------------------------------
 
-def _tangle_member(kind: str, params: dict, horizon: float, seed: int, index: int):
-    sim = build_tangle_sim(kind, params)
-    return sim.run(horizon, seed_stream(seed, index), grid_dt=params.get("grid_dt", 0.5))
+TANGLE_VARS = ("L", "X", "W", "N")  # tips, free tips, pending, created
 
 
 def run_tangle_ensemble(
@@ -435,58 +444,39 @@ def run_tangle_ensemble(
     seed: int,
     runs: int,
     workers: int = 1,
-    keep_members: bool = False,
 ) -> dict:
     """Ensemble of counter trajectories: stats per variable per type.
 
-    Returns {"times": (G,), "L": [VarStats per type], "X": ..., "W": ...,
-    "N": ...} with per-type lists indexed 0-based; with ``keep_members``
-    also "members", every run's TrajectoryFrame in run-index order.
+    Returns {"times": (G,), "stats": VarStats of (4, G, d) arrays, the
+    variables in TANGLE_VARS order, "members": every run's TrajectoryFrame
+    in run-index order}.
     """
     _integer(runs, "runs", minimum=1)
     _integer(workers, "workers", minimum=1)
-    args = [(kind, params, horizon, seed, r) for r in range(runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            members = list(pool.map(_tangle_member, *zip(*args)))
-    else:
-        members = [_tangle_member(*a) for a in args]
-    out: dict[str, Any] = {"times": members[0].times}
-    if keep_members:
-        out["members"] = members
-    for var, attr in (("L", "tips"), ("X", "free"), ("W", "pending"), ("N", "created")):
-        stacks = np.stack([getattr(m, attr) for m in members])  # (runs, G, d)
-        out[var] = [ensemble_stats(stacks[:, :, i]) for i in range(stacks.shape[2])]
-    return out
+    sim = build_tangle_sim(kind, params)
+    member = functools.partial(sim.run, horizon, grid_dt=params.get("grid_dt", 0.5))
+    members = list(seeded_runs(member, seed, runs, workers))
+    stack = np.array([(m.tips, m.free, m.pending, m.created) for m in members])
+    return {"times": members[0].times, "stats": ensemble_stats(stack), "members": members}
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write one CSV; its directory is made here, after the model has run."""
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write one CSV from equal-length 1-D columns, one per header name.
+
+    Its directory is made here, after the model has run.  Rows are built
+    from 512-row ``tolist()`` blocks, so cells are Python numbers of the
+    column's kind (float columns print ``0.0``, integer columns ``1``) and
+    the Python objects of a whole table never exist at once.
+    """
+    n = len(columns[0])
+    if len(columns) != len(header) or any(len(c) != n for c in columns):
+        raise ValueError("write_csv needs one equal-length column per header name")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
-def _tangle_ensemble_csv(path: Path, ens: dict, d: int) -> None:
-    header = ["time"]
-    for i in range(d):
-        for var in ("L", "X", "W", "N"):
-            for stat in ("mean", "std", "p5", "p95"):
-                header.append(f"{var}{i + 1}_{stat}")
-    rows = []
-    for g, t in enumerate(ens["times"]):
-        row = [float(t)]
-        for i in range(d):
-            for var in ("L", "X", "W", "N"):
-                vs = ens[var][i]
-                row.extend(
-                    (float(vs.mean[g]), float(vs.std[g]), float(vs.p5[g]), float(vs.p95[g]))
-                )
-        rows.append(row)
-    write_csv(path, header, rows)
+        for a in range(0, n, 512):
+            writer.writerows(zip(*(c[a:a + 512].tolist() for c in columns)))
 
 
 @dataclass
@@ -541,34 +531,42 @@ def run_scenario(
         wall_time_s=0.0,
     )
     p = scenario.params
+
+    def emit(suffix: str, header: list[str], columns: list[np.ndarray]) -> None:
+        path = out / f"{stem}_{suffix}.csv"
+        write_csv(path, header, columns)
+        summary.outputs.append(str(path))
+
     if scenario.kind in ("tangle-reduced", "tangle-agent"):
         ens = run_tangle_ensemble(
-            scenario.kind, p, scenario.horizon, scenario.seed, scenario.runs, workers,
-            keep_members=scenario.per_run,
+            scenario.kind, p, scenario.horizon, scenario.seed, scenario.runs, workers
         )
-        csv_path = out / f"{stem}_ensemble.csv"
-        _tangle_ensemble_csv(csv_path, ens, p["types"])
-        summary.outputs.append(str(csv_path))
+        d = p["types"]
+        header, columns = ["time"], [ens["times"]]
+        for i in range(d):
+            for v, var in enumerate(TANGLE_VARS):
+                for stat in ("mean", "std", "p5", "p95"):
+                    header.append(f"{var}{i + 1}_{stat}")
+                    columns.append(getattr(ens["stats"], stat)[v, :, i])
+        emit("ensemble", header, columns)
         if scenario.per_run:
             for r, frame in enumerate(ens["members"]):
-                run_path = out / f"{stem}_run{r:04d}.csv"
-                write_csv(
-                    run_path,
+                emit(
+                    f"run{r:04d}",
                     ["time", "type", "tips", "free", "pending", "created"],
-                    frame.row_iter(),
+                    [np.repeat(frame.times, d), np.tile(np.arange(1, d + 1), len(frame.times))]
+                    + [a.ravel() for a in (frame.tips, frame.free, frame.pending, frame.created)],
                 )
-                summary.outputs.append(str(run_path))
     elif scenario.kind == "fluid":
         hx, hl = fluid.constant_history(p["x0"], p["l0"])
         traj = fluid.integrate(
             hx, hl, p["delay"], scenario.horizon, step=p["step"]
         )
-        csv_path = out / f"{stem}_fluid.csv"
-        header = ["time"]
-        for i in range(traj.d):
-            header.extend((f"x{i + 1}", f"l{i + 1}", f"w{i + 1}"))
-        write_csv(csv_path, header, traj.row_iter())
-        summary.outputs.append(str(csv_path))
+        header, columns = ["time"], [traj.times]
+        for i, (x, l, w) in enumerate(zip(traj.x.T, traj.l.T, traj.w.T)):
+            header += [f"x{i + 1}", f"l{i + 1}", f"w{i + 1}"]
+            columns += [x, l, w]
+        emit("fluid", header, columns)
     elif scenario.kind == "compliance-net":
         net = build_network(p)
         sol = compliance.static_solution(net)
@@ -585,13 +583,12 @@ def run_scenario(
         traj = compliance.simulate(
             net, scenario.horizon, initial_Q=q0, initial_C=c0, step=p["step"]
         )
-        csv_path = out / f"{stem}_compliance.csv"
-        header = ["time"]
-        header += [f"Q{i + 1}" for i in range(net.n)]
-        header += [f"C{i + 1}" for i in range(net.n)]
-        header += [f"Qbar{i + 1}" for i in range(net.n)]
-        write_csv(csv_path, header, traj.row_iter())
-        summary.outputs.append(str(csv_path))
+        series = (("Q", traj.Q), ("C", traj.C), ("Qbar", traj.Qbar))
+        emit(
+            "compliance",
+            ["time"] + [f"{v}{i + 1}" for v, _ in series for i in range(net.n)],
+            [traj.times] + [col for _, a in series for col in a.T],
+        )
     else:  # junction
         config, mode_kw = build_junction(p)
         ens = junction.run_ensemble(
@@ -599,15 +596,14 @@ def run_scenario(
             runs=scenario.runs,
             horizon=int(scenario.horizon),
             master_seed=scenario.seed,
+            workers=workers,
             **mode_kw,
         )
-        csv_path = out / f"{stem}_junction.csv"
-        write_csv(
-            csv_path,
+        emit(
+            "junction",
             ["time", "vbar_mean", "vbar_std", "q_mean", "c_mean"],
-            ens.row_iter(),
+            [ens.times.astype(float), ens.vbar_mean, ens.vbar_std, ens.q_mean, ens.c_mean],
         )
-        summary.outputs.append(str(csv_path))
     summary.wall_time_s = time.perf_counter() - started
     summary_path = out / f"{stem}_summary.json"
     summary_path.write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
@@ -665,24 +661,18 @@ def validate(
         raise ScenarioError("horizons differ; trajectories are not comparable")
     if pa["grid_dt"] != pr["grid_dt"]:
         raise ScenarioError("output grids differ; trajectories are not comparable")
-    ens_a = run_tangle_ensemble(
-        "tangle-agent", pa, agent_scenario.horizon, agent_scenario.seed,
-        agent_scenario.runs, workers,
-    )
-    ens_r = run_tangle_ensemble(
-        "tangle-reduced", pr, reduced_scenario.horizon, reduced_scenario.seed,
-        reduced_scenario.runs, workers,
+    # mean L and X of each model, (2, G, d); the agent ensemble's members
+    # are freed before the reduced ensemble runs
+    ma, mr = (
+        run_tangle_ensemble(sc.kind, sc.params, sc.horizon, sc.seed, sc.runs, workers)
+        ["stats"].mean[:2]
+        for sc in (agent_scenario, reduced_scenario)
     )
     t_min = 5.0 * max(pa["delay"], pr["delay"])
-    mask = ens_a["times"] > t_min
-    d = pa["types"]
-    per_L, per_X = [], []
-    for i in range(d):
-        for var, acc in (("L", per_L), ("X", per_X)):
-            ma = ens_a[var][i].mean[mask]
-            mr = ens_r[var][i].mean[mask]
-            rel = np.abs(ma - mr) / np.maximum(np.abs(mr), 1.0)
-            acc.append(float(rel.max()))
+    mask = make_grid(agent_scenario.horizon, pa["grid_dt"]) > t_min
+    ma, mr = ma[:, mask], mr[:, mask]
+    rel = (np.abs(ma - mr) / np.maximum(np.abs(mr), 1.0)).max(axis=1)
+    per_L, per_X = rel.tolist()
     max_L, max_X = max(per_L), max(per_X)
     return ValidationReport(
         passed=max(max_L, max_X) < 0.05,

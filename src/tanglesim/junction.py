@@ -11,11 +11,12 @@ entry.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import seed_stream
+from .seeding import seeded_runs
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,6 @@ class JunctionRun:
     vbar: np.ndarray
     Q: np.ndarray
     C: np.ndarray
-    queues: np.ndarray | None = None  # (horizon+1, 3) when recorded
 
 
 def run(
@@ -129,7 +129,6 @@ def run(
     rng: np.random.Generator,
     fixed_Q: float | None = None,
     controller: ControllerParams | None = None,
-    record_queues: bool = False,
 ) -> JunctionRun:
     """Simulate one seeded junction run.
 
@@ -149,7 +148,6 @@ def run(
     vbar = np.zeros(T)
     qs = np.zeros(T)
     cs = np.zeros(T)
-    queues = np.zeros((T, 3), dtype=np.int64) if record_queues else None
     qs[0] = state.Q
     for t in range(1, T):
         step(state, config, rng)
@@ -158,9 +156,7 @@ def run(
         vbar[t] = state.vbar
         qs[t] = state.Q
         cs[t] = state.C
-        if queues is not None:
-            queues[t] = state.queues
-    return JunctionRun(np.arange(T), vbar, qs, cs, queues)
+    return JunctionRun(np.arange(T), vbar, qs, cs)
 
 
 @dataclass
@@ -172,17 +168,6 @@ class JunctionEnsemble:
     c_mean: np.ndarray
     runs: int
 
-    def row_iter(self):
-        """CSV rows: t, mean vbar, std vbar, mean Q, mean C."""
-        for k, t in enumerate(self.times):
-            yield (
-                float(t),
-                float(self.vbar_mean[k]),
-                float(self.vbar_std[k]),
-                float(self.q_mean[k]),
-                float(self.c_mean[k]),
-            )
-
 
 def run_ensemble(
     config: JunctionConfig,
@@ -191,32 +176,20 @@ def run_ensemble(
     master_seed: int,
     fixed_Q: float | None = None,
     controller: ControllerParams | None = None,
+    workers: int = 1,
 ) -> JunctionEnsemble:
-    """Ensemble statistics over independent seeded runs."""
-    if runs < 1:
-        raise ValueError("need at least one run")
-    vb = np.empty((runs, horizon + 1))
-    qm = np.empty((runs, horizon + 1))
-    cm = np.empty((runs, horizon + 1))
-    for r in range(runs):
-        out = run(config, horizon, seed_stream(master_seed, r), fixed_Q, controller)
-        vb[r] = out.vbar
-        qm[r] = out.Q
-        cm[r] = out.C
+    """Ensemble statistics over independent seeded runs on ``workers``
+    processes (see ``seeding.seeded_runs``)."""
+    member = functools.partial(run, config, horizon, fixed_Q=fixed_Q, controller=controller)
+    stack = np.empty((runs, 3, horizon + 1))  # vbar, Q, C per run
+    for r, out in enumerate(seeded_runs(member, master_seed, runs, workers)):
+        stack[r] = out.vbar, out.Q, out.C
+    mean = stack.mean(axis=0)
     return JunctionEnsemble(
         times=np.arange(horizon + 1),
-        vbar_mean=vb.mean(axis=0),
-        vbar_std=vb.std(axis=0),
-        q_mean=qm.mean(axis=0),
-        c_mean=cm.mean(axis=0),
+        vbar_mean=mean[0],
+        vbar_std=stack[:, 0].std(axis=0),
+        q_mean=mean[1],
+        c_mean=mean[2],
         runs=runs,
     )
-
-
-def second_half_slope(times: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares slope of values over the second half of the record."""
-    k = len(times) // 2
-    t = times[k:]
-    v = values[k:]
-    t = t - t.mean()
-    return float((t * (v - v.mean())).sum() / (t * t).sum())

@@ -25,19 +25,6 @@ class TrajectoryFrame:
     def types(self) -> int:
         return self.tips.shape[1]
 
-    def row_iter(self):
-        """Yield per-run CSV rows: (time, type_label, tips, free, pending, created)."""
-        for g, t in enumerate(self.times):
-            for i in range(self.types):
-                yield (
-                    float(t),
-                    i + 1,
-                    float(self.tips[g, i]),
-                    float(self.free[g, i]),
-                    float(self.pending[g, i]),
-                    float(self.created[g, i]),
-                )
-
 
 def make_grid(horizon: float, dt: float) -> np.ndarray:
     if not dt > 0:

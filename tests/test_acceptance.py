@@ -44,12 +44,12 @@ from tanglesim.junction import (
     JunctionConfig,
     run,
     run_ensemble,
-    second_half_slope,
 )
 from tanglesim.harness import parse_scenario, run_tangle_ensemble, validate
 from tanglesim.seeding import seed_stream
 
 from test_fluid import fluid_rhs  # the oracle's right-hand side
+from test_junction import second_half_slope
 
 
 def _report(capsys, tag: str, ok: bool, detail: str) -> None:
@@ -74,7 +74,7 @@ def steady_sweep():
             workers=4,
         )
         mask = stats["times"] >= 50.0
-        means[h] = float(stats["L"][0].mean[mask].mean())
+        means[h] = float(stats["stats"].mean[0][mask, 0].mean())  # L of type 1
     return means
 
 

@@ -62,6 +62,22 @@ def test_simulate_rejects_bad_overrides(tmp_path, capsys, flags):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [({"per_run": "no"}, "per_run"), ({"per_run": 1}, "per_run"),
+     ({"out": 5}, "out"), ({"out": ["a"]}, "out"), ({"out": ""}, "out")],
+)
+def test_simulate_rejects_non_boolean_per_run_and_non_string_out(tmp_path, capsys, change, field):
+    scenario = _write(
+        tmp_path, "small.json",
+        {"kind": "tangle-reduced", "rate": 40.0, "delay": 1.0,
+         "horizon": 8.0, "runs": 3, **change},
+    )
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    assert f"small.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_simulate_rejects_fractional_junction_horizon(tmp_path, capsys):
     scenario = _write(
         tmp_path, "junction.json",
@@ -206,6 +222,25 @@ def test_roots_contour_error_is_reported(tmp_path, capsys):
     )
     assert main(["roots", spec]) == 2
     assert "contour" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "region, field",
+    [
+        ({"re": [-1], "im": [-1.0, 1.0]}, "re"),
+        ({"re": [0, 1, 5], "im": [-1.0, 1.0]}, "re"),
+        ({"re": [0.5, 3.0], "im": [-1.0, "1"]}, "im"),
+        ({"re": [0.5, 3.0], "im": [-1.0, 1.0], "samples": 8.9}, "samples"),
+        ({"re": [0.5, 3.0], "im": [-1.0, 1.0], "samples": 1}, "samples"),
+    ],
+)
+def test_roots_rejects_malformed_regions(tmp_path, capsys, region, field):
+    spec = _write(
+        tmp_path, "poly.json",
+        {"kind": "polynomial", "coefficients": [2.0, -3.0, 1.0], "region": region},
+    )
+    assert main(["roots", spec]) == 2
+    assert f"poly.region.{field}" in capsys.readouterr().err
 
 
 def test_roots_unknown_kind(tmp_path, capsys):

@@ -24,6 +24,7 @@ from tanglesim.compliance import (
     simulate,
     static_solution,
 )
+from tanglesim.harness import parse_scenario, run_scenario
 
 
 # -- reference oracles ----------------------------------------------------------------
@@ -346,25 +347,21 @@ def test_simulate_validation():
         simulate(net, 10.0, initial_C=-0.1)
 
 
-def test_trajectory_row_layout():
-    net = _pair()
-    traj = simulate(net, 5.0)
-    row = next(iter(traj.row_iter()))
-    assert len(row) == 1 + 3 * net.n
-    assert row[0] == 0.0
-
-
-def test_row_iter_yields_every_row_as_python_floats():
-    # 1251 rows: two whole conversion blocks and a partial one
-    traj = simulate(_pair(), 25.0)
-    rows = list(traj.row_iter())
-    want = [
-        [float(t), *map(float, traj.Q[k]), *map(float, traj.C[k]),
-         *map(float, traj.Qbar[k])]
-        for k, t in enumerate(traj.times)
-    ]
-    assert rows == want
-    assert {type(v) for row in rows for v in row} == {float}
+def test_trajectory_row_layout(tmp_path):
+    # the CSV of an explicit two-activity network: time, then Q, C and
+    # Qbar per activity
+    sc = parse_scenario(
+        {"kind": "compliance-net", "horizon": 5.0, "window": 4.0,
+         "targets": [0.9, 0.9], "baselines": [0.5, 0.5], "n": 2,
+         "coupling": [[0.0, 0.1], [0.1, 0.0]], "lags": [[0.0, 1.0], [1.0, 0.0]]},
+        name="pair",
+    )
+    run_scenario(sc, out_dir=tmp_path)
+    rows = (tmp_path / "pair_compliance.csv").read_text().splitlines()
+    assert rows[0] == "time,Q1,Q2,C1,C2,Qbar1,Qbar2"
+    first = rows[1].split(",")
+    assert len(first) == 1 + 3 * 2
+    assert first[0] == "0.0"
 
 
 # -- scalar kernel vs the numpy oracle ---------------------------------------------

@@ -344,31 +344,6 @@ def test_index_at_and_at_time():
         traj.index_at(-1.0)
 
 
-def test_row_iter_layout():
-    st = static_solution(2, H)
-    hx, hl = constant_history(st.x, st.l)
-    traj = integrate(hx, hl, H, 2 * H)
-    row = next(iter(traj.row_iter()))
-    assert len(row) == 1 + 3 * 2
-    assert row[0] == 0.0
-    assert row[1:4] == [st.x[0], st.l[0], st.w[0]]
-
-
-def test_row_iter_yields_every_row_as_python_floats():
-    # 1051 rows: two whole conversion blocks and a partial one
-    hx, hl = _mode_history(H, 1e-3)
-    traj = integrate(hx, hl, H, 10.5 * H)
-    rows = list(traj.row_iter())
-    w = traj.w
-    want = [
-        [float(t)] + [float(v) for i in range(traj.d)
-                      for v in (traj.x[k, i], traj.l[k, i], w[k, i])]
-        for k, t in enumerate(traj.times)
-    ]
-    assert rows == want
-    assert {type(v) for row in rows for v in row} == {float}
-
-
 def test_cubic_interpolation_reproduces_cubics():
     k = np.arange(12, dtype=float)
     arr = (0.5 * k**3 - 2 * k**2 + k - 7).reshape(-1, 1)

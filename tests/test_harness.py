@@ -1,5 +1,8 @@
 """Scenario parsing, seeded ensembles, outputs, and the model comparator."""
+import csv
+import functools
 import json
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ from tanglesim.harness import (
     validate,
     write_csv,
 )
-from tanglesim.seeding import seed_stream
+from tanglesim.seeding import seed_stream, seeded_runs
 
 
 def _reduced_dict(**over):
@@ -49,6 +52,13 @@ def test_missing_required_field_is_named():
     del bad["rate"]
     with pytest.raises(ScenarioError, match="'rate'"):
         parse_scenario(bad)
+
+
+def test_output_naming_does_not_change_the_config_hash():
+    plain = parse_scenario(_reduced_dict(), name="a")
+    named = parse_scenario(_reduced_dict(out="stem", per_run=True), name="b")
+    assert (named.out_stem, named.per_run) == ("stem", True)
+    assert config_hash(named) == config_hash(plain)
 
 
 def test_type_errors_are_rejected():
@@ -216,8 +226,34 @@ def test_workers_do_not_change_results():
     params = {"rate": 40.0, "delay": 1.0}
     serial = run_tangle_ensemble("tangle-reduced", params, 10.0, 3, 6, workers=1)
     pooled = run_tangle_ensemble("tangle-reduced", params, 10.0, 3, 6, workers=3)
-    assert np.array_equal(serial["L"][0].mean, pooled["L"][0].mean)
-    assert np.array_equal(serial["N"][0].p95, pooled["N"][0].p95)
+    for stat in ("mean", "std", "p5", "p95"):
+        assert np.array_equal(getattr(serial["stats"], stat), getattr(pooled["stats"], stat))
+
+
+def test_ensemble_stats_are_the_per_variable_per_type_stats():
+    # one call over the (runs, 4, G, d) stack gives what a call per
+    # variable and type over its (runs, G) slice gives, bit for bit
+    params = {"rate": 40.0, "delay": 1.0, "types": 2,
+              "injections": [{"time": 3.0, "type": 2, "count": 10}]}
+    ens = run_tangle_ensemble("tangle-reduced", params, 10.0, 4, 7)
+    assert ens["stats"].mean.shape == (4, 21, 2)
+    for v, attr in enumerate(("tips", "free", "pending", "created")):
+        for i in range(2):
+            one = ensemble_stats(np.stack([getattr(m, attr)[:, i] for m in ens["members"]]))
+            for stat in ("mean", "std", "p5", "p95"):
+                assert np.array_equal(getattr(one, stat), getattr(ens["stats"], stat)[v, :, i])
+
+
+@pytest.mark.parametrize("runs, workers", [(1, 1), (1, 2), (5, 2), (5, 3), (4, 6)])
+def test_seeded_runs_yields_the_members_in_run_index_order(runs, workers):
+    want = [seed_stream(7, r).random() for r in range(runs)]
+    assert list(seeded_runs(methodcaller("random"), 7, runs, workers)) == want
+
+
+@pytest.mark.parametrize("runs, workers", [(0, 1), (3, 0)])
+def test_seeded_runs_rejects_empty_or_workerless_ensembles(runs, workers):
+    with pytest.raises(ValueError, match="runs" if runs < 1 else "workers"):
+        seeded_runs(methodcaller("random"), 7, runs, workers)
 
 
 # -- scenario execution ----------------------------------------------------------
@@ -260,6 +296,7 @@ def test_run_scenario_fluid_static_stays_flat(tmp_path):
     run_scenario(sc, out_dir=tmp_path)
     rows = (tmp_path / "flat_fluid.csv").read_text().splitlines()
     assert rows[0] == "time,x1,l1,w1,x2,l2,w2"
+    assert rows[1].startswith("0.0,")
     first = [float(v) for v in rows[1].split(",")]
     last = [float(v) for v in rows[-1].split(",")]
     assert first[1:] == last[1:] == [1.5, 3.0, 1.5, 1.5, 3.0, 1.5]
@@ -334,6 +371,26 @@ def test_run_tangle_ensemble_rejects_empty_or_workerless_ensembles():
         run_tangle_ensemble("tangle-reduced", params, 5.0, 0, 2, workers=0)
 
 
+_WORKER_SCENARIOS = {
+    "junction": {"kind": "junction", "horizon": 40.0, "mode": "closed-loop", "seed": 3},
+    "injected": _reduced_dict(types=2, horizon=12.0, seed=5, per_run=True,
+                              injections=[{"time": 4.0, "type": 2, "count": 30}]),
+}
+
+
+@pytest.mark.parametrize("runs", [1, 5])
+@pytest.mark.parametrize("name", sorted(_WORKER_SCENARIOS))
+def test_csvs_are_byte_identical_for_any_worker_count(tmp_path, name, runs):
+    sc = parse_scenario(dict(_WORKER_SCENARIOS[name], runs=runs), name=name)
+    outputs = {}
+    for workers in (1, 2, 3):
+        summary = run_scenario(sc, out_dir=tmp_path / f"w{workers}", workers=workers)
+        outputs[workers] = {Path(p).name: Path(p).read_bytes()
+                            for p in summary.outputs if p.endswith(".csv")}
+    assert len(outputs[1]) == (1 + runs if sc.per_run else 1)
+    assert outputs[1] == outputs[2] == outputs[3]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_per_run_csvs_come_from_the_ensemble_members(tmp_path, monkeypatch, workers):
     sc = parse_scenario(
@@ -344,6 +401,7 @@ def test_per_run_csvs_come_from_the_ensemble_members(tmp_path, monkeypatch, work
     calls = []
     run = ReducedTangleSim.run
 
+    @functools.wraps(run)  # a pooled member pickles as getattr(sim, "run")
     def counted(self, *args, **kwargs):
         calls.append(1)
         return run(self, *args, **kwargs)
@@ -355,17 +413,125 @@ def test_per_run_csvs_come_from_the_ensemble_members(tmp_path, monkeypatch, work
     for r in range(sc.runs):
         frame = run(harness.build_tangle_sim(sc.kind, sc.params), 10.0,
                     seed_stream(sc.seed, r), grid_dt=0.5)
-        write_csv(tmp_path / "direct.csv",
-                  ["time", "type", "tips", "free", "pending", "created"],
-                  frame.row_iter())
-        assert ((tmp_path / f"perrun_run{r:04d}.csv").read_bytes()
-                == (tmp_path / "direct.csv").read_bytes())
+        rows = _read_csv(tmp_path / f"perrun_run{r:04d}.csv")
+        assert rows[0] == ["time", "type", "tips", "free", "pending", "created"]
+        # one row per grid time and type, in that order, with 1-based
+        # integer type labels and float counters
+        want = [
+            [repr(float(t)), str(i + 1)]
+            + [repr(float(getattr(frame, a)[g, i]))
+               for a in ("tips", "free", "pending", "created")]
+            for g, t in enumerate(frame.times) for i in range(2)
+        ]
+        assert rows[1:] == want
+
+
+# -- CSV writer ----------------------------------------------------------------
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _float_rows(*columns):
+    """CSV rows as the writer must print them: each value a Python float."""
+    return [[repr(float(v)) for v in row] for row in zip(*columns)]
+
+
+def _recorded(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that keeps every return value."""
+    seen = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
 
 
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [[1, 2.5], [3, 4.0]])
+    write_csv(path, ["a", "b"], [np.array([1, 3]), np.array([2.5, 4.0])])
     assert path.read_bytes() == b"a,b\r\n1,2.5\r\n3,4.0\r\n"
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+def test_write_csv_writes_every_row_across_block_boundaries(tmp_path, n):
+    rng = np.random.default_rng(n)
+    ints = np.arange(n) * 7
+    floats = rng.normal(size=n)
+    strided = rng.normal(size=(n, 3))[:, 1]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["i", "x", "y"], [ints, floats, strided])
+    rows = _read_csv(path)
+    assert rows[0] == ["i", "x", "y"]
+    assert rows[1:] == [
+        [str(int(i)), repr(float(x)), repr(float(y))]
+        for i, x, y in zip(ints, floats, strided)
+    ]
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [(["a"], [np.zeros(3), np.zeros(3)]), (["a", "b"], [np.zeros(3), np.zeros(2)])],
+)
+def test_write_csv_rejects_mismatched_columns(tmp_path, header, columns):
+    with pytest.raises(ValueError, match="column"):
+        write_csv(tmp_path / "out" / "t.csv", header, columns)
+    assert not (tmp_path / "out").exists()
+
+
+def test_fluid_csv_holds_every_row_as_python_floats(tmp_path, monkeypatch):
+    # a moving two-type state over more than two 512-row blocks
+    trajs = _recorded(monkeypatch, harness.fluid, "integrate")
+    sc = parse_scenario(
+        {"kind": "fluid", "horizon": 10.5, "delay": 1.0,
+         "x0": [0.5, 1.0], "l0": [2.0, 1.5]},
+        name="moving",
+    )
+    run_scenario(sc, out_dir=tmp_path)
+    (traj,) = trajs
+    rows = _read_csv(tmp_path / "moving_fluid.csv")
+    assert rows[0] == ["time", "x1", "l1", "w1", "x2", "l2", "w2"]
+    assert len(rows) - 1 == len(traj.times) > 1024
+    w = traj.l - traj.x
+    assert rows[1:] == _float_rows(
+        traj.times, traj.x[:, 0], traj.l[:, 0], w[:, 0], traj.x[:, 1], traj.l[:, 1], w[:, 1]
+    )
+
+
+def test_compliance_csv_holds_every_row_as_python_floats(tmp_path, monkeypatch):
+    # 1251 rows: two whole 512-row blocks and a partial one
+    trajs = _recorded(monkeypatch, harness.compliance, "simulate")
+    sc = parse_scenario(
+        {"kind": "compliance-net", "horizon": 25.0, "window": 5.0,
+         "targets": 0.9, "baselines": 0.5,
+         "ring": {"n": 3, "coupling": 0.1, "lag": 1.0},
+         "initial_q_offset": 0.05},
+        name="ring3",
+    )
+    run_scenario(sc, out_dir=tmp_path)
+    (traj,) = trajs
+    rows = _read_csv(tmp_path / "ring3_compliance.csv")
+    assert len(rows) - 1 == len(traj.times) == 1251
+    assert rows[1:] == _float_rows(traj.times, *traj.Q.T, *traj.C.T, *traj.Qbar.T)
+
+
+def test_junction_csv_prints_times_as_floats(tmp_path, monkeypatch):
+    ensembles = _recorded(monkeypatch, harness.junction, "run_ensemble")
+    sc = parse_scenario(
+        {"kind": "junction", "horizon": 20.0, "mode": "fixed", "Q": 0.8, "runs": 4},
+        name="jn",
+    )
+    run_scenario(sc, out_dir=tmp_path)
+    (ens,) = ensembles
+    rows = _read_csv(tmp_path / "jn_junction.csv")
+    assert rows[1][0] == "0.0"
+    assert rows[1:] == _float_rows(
+        ens.times, ens.vbar_mean, ens.vbar_std, ens.q_mean, ens.c_mean
+    )
 
 
 # -- agent-vs-reduced validation -----------------------------------------------------

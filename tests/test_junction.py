@@ -16,11 +16,19 @@ from tanglesim.junction import (
     controller_step,
     run,
     run_ensemble,
-    second_half_slope,
     service_capacity,
     step,
 )
 from tanglesim.seeding import seed_stream
+
+
+def second_half_slope(times: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of values over the second half of the record."""
+    k = len(times) // 2
+    t = times[k:]
+    v = values[k:]
+    t = t - t.mean()
+    return float((t * (v - v.mean())).sum() / (t * t).sum())
 
 
 # -- service law -------------------------------------------------------------------
@@ -159,12 +167,18 @@ def test_run_requires_exactly_one_mode():
 
 
 def test_fixed_mode_records_constant_q():
-    r = run(JunctionConfig(), 50, seed_stream(55, 0), fixed_Q=0.8,
-            record_queues=True)
+    cfg = JunctionConfig()
+    r = run(cfg, 50, seed_stream(55, 0), fixed_Q=0.8)
     assert np.all(r.Q == 0.8)
     assert np.all(r.C == 0.0)
-    assert r.queues is not None and r.queues.shape == (51, 3)
-    assert np.allclose(r.vbar, r.queues.sum(axis=1) / 3.0)
+    # the recorded mean queue is the state's after each unit on the same stream
+    state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=0.8)
+    rng = seed_stream(55, 0)
+    vbar = [state.vbar]
+    for _ in range(50):
+        step(state, cfg, rng)
+        vbar.append(state.vbar)
+    assert r.vbar.tolist() == vbar
 
 
 def test_closed_loop_q_tracks_the_deterministic_map():
@@ -186,6 +200,23 @@ def test_ensemble_statistics_and_determinism():
     assert a.runs == 20
     c = run_ensemble(cfg, runs=20, horizon=100, master_seed=58, fixed_Q=0.9)
     assert not np.array_equal(a.vbar_mean, c.vbar_mean)
+
+
+def test_ensemble_members_are_the_seeded_runs_on_any_worker_count():
+    cfg = JunctionConfig()
+    members = [run(cfg, 30, seed_stream(60, r), fixed_Q=0.8).vbar for r in range(5)]
+    for workers in (1, 2, 3):
+        ens = run_ensemble(cfg, runs=5, horizon=30, master_seed=60, fixed_Q=0.8,
+                           workers=workers)
+        assert np.array_equal(ens.vbar_mean, np.stack(members).mean(axis=0))
+        assert np.array_equal(ens.vbar_std, np.stack(members).std(axis=0))
+
+
+@pytest.mark.parametrize("runs, workers", [(0, 1), (3, 0)])
+def test_ensemble_rejects_empty_or_workerless_ensembles(runs, workers):
+    with pytest.raises(ValueError, match="runs" if runs < 1 else "workers"):
+        run_ensemble(JunctionConfig(), runs=runs, horizon=10, master_seed=1,
+                     fixed_Q=0.9, workers=workers)
 
 
 def test_low_compliance_grows_queues_faster():

@@ -29,15 +29,6 @@ def test_event_exactly_on_grid_point_lands_in_that_sample():
     assert frame.tips[1, 0] == 2.0
 
 
-def test_row_iter_uses_one_based_type_labels():
-    rec = GridRecorder(make_grid(1.0, 1.0), 2)
-    frame = rec.finish([5.0, 6.0], [3.0, 4.0], [2.0, 2.0], [8, 9])
-    rows = list(frame.row_iter())
-    assert rows[0][:2] == (0.0, 1)
-    assert rows[1][:2] == (0.0, 2)
-    assert rows[1][2:] == (6.0, 4.0, 2.0, 9.0)
-
-
 def test_grid_must_be_positive():
     with pytest.raises(ValueError):
         make_grid(10.0, 0.0)

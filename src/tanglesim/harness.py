@@ -24,7 +24,7 @@ from .agent import AgentTangleSim
 from .arrivals import ArrivalProcess
 from .reduced import Injection, ReducedTangleSim
 from .seeding import seeded_runs
-from .trajectory import make_grid
+from .trajectory import TrajectoryFrame, make_grid
 
 KINDS = ("tangle-reduced", "tangle-agent", "fluid", "compliance-net", "junction")
 
@@ -479,6 +479,17 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             writer.writerows(zip(*(c[a:a + 512].tolist() for c in columns)))
 
 
+def member_columns(frame: TrajectoryFrame) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns of one ensemble member's CSV: a row per grid time
+    and type, in that order, with 1-based type labels."""
+    d, g = frame.types, len(frame.times)
+    return (
+        ["time", "type", "tips", "free", "pending", "created"],
+        [np.repeat(frame.times, d), np.tile(np.arange(1, d + 1), g)]
+        + [a.ravel() for a in (frame.tips, frame.free, frame.pending, frame.created)],
+    )
+
+
 @dataclass
 class RunSummary:
     kind: str
@@ -551,12 +562,7 @@ def run_scenario(
         emit("ensemble", header, columns)
         if scenario.per_run:
             for r, frame in enumerate(ens["members"]):
-                emit(
-                    f"run{r:04d}",
-                    ["time", "type", "tips", "free", "pending", "created"],
-                    [np.repeat(frame.times, d), np.tile(np.arange(1, d + 1), len(frame.times))]
-                    + [a.ravel() for a in (frame.tips, frame.free, frame.pending, frame.created)],
-                )
+                emit(f"run{r:04d}", *member_columns(frame))
     elif scenario.kind == "fluid":
         hx, hl = fluid.constant_history(p["x0"], p["l0"])
         traj = fluid.integrate(

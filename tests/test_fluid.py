@@ -27,6 +27,7 @@ from tanglesim.fluid import (
     integrate,
     static_solution,
 )
+from tanglesim.harness import parse_scenario, run_scenario
 from tanglesim.stability import find_x0, mode_ratio
 
 
@@ -342,6 +343,22 @@ def test_index_at_and_at_time():
         traj.index_at(100 * H)
     with pytest.raises(ValueError):
         traj.index_at(-1.0)
+
+
+def test_row_iter_layout(tmp_path):
+    # the written fluid CSV: time, then x, l, w for each type in turn
+    st = static_solution(2, H)
+    sc = parse_scenario(
+        {"kind": "fluid", "horizon": 2 * H, "delay": H,
+         "x0": st.x.tolist(), "l0": st.l.tolist()},
+        name="static",
+    )
+    run_scenario(sc, out_dir=tmp_path)
+    rows = (tmp_path / "static_fluid.csv").read_text().splitlines()
+    row = [float(v) for v in rows[1].split(",")]
+    assert len(row) == 1 + 3 * 2
+    assert row[0] == 0.0
+    assert row[1:4] == [st.x[0], st.l[0], st.w[0]]
 
 
 def test_cubic_interpolation_reproduces_cubics():

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from tanglesim.harness import member_columns, write_csv
 from tanglesim.trajectory import GridRecorder, make_grid
 
 
@@ -27,6 +30,21 @@ def test_event_exactly_on_grid_point_lands_in_that_sample():
     frame = rec.finish([2.0], [2.0], [0.0], [2])
     # an event at t=1.0 is included in the value reported for t=1.0
     assert frame.tips[1, 0] == 2.0
+
+
+def test_row_iter_uses_one_based_type_labels(tmp_path):
+    # a member's CSV rows: one per grid time and type, labelled 1..d
+    rec = GridRecorder(make_grid(1.0, 1.0), 2)
+    frame = rec.finish([5.0, 6.0], [3.0, 4.0], [2.0, 2.0], [8, 9])
+    path = tmp_path / "m.csv"
+    write_csv(path, *member_columns(frame))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["time", "type", "tips", "free", "pending", "created"]
+    assert rows[1][:2] == ["0.0", "1"]
+    assert rows[2][:2] == ["0.0", "2"]
+    assert rows[2][2:] == ["6.0", "4.0", "2.0", "9.0"]
+    assert [r[1] for r in rows[1:]] == ["1", "2", "1", "2"]
 
 
 def test_grid_must_be_positive():

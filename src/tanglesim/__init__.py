@@ -3,14 +3,7 @@ deposit-priced compliance control."""
 
 from .arrivals import ArrivalProcess
 from .agent import AgentTangle, AgentTangleSim, Site
-from .reduced import (
-    ExtinctLedgerError,
-    Injection,
-    ReducedTangleSim,
-    expected_free_consumed,
-    free_consumed_distribution,
-    type_probabilities,
-)
+from .reduced import ExtinctLedgerError, Injection, ReducedTangleSim
 from .trajectory import TrajectoryFrame
 from .fluid import (
     FluidTrajectory,
@@ -61,9 +54,7 @@ __all__ = [
     "constant_history",
     "controller_step",
     "count_roots",
-    "expected_free_consumed",
     "find_x0",
-    "free_consumed_distribution",
     "integrate",
     "mode_ratio",
     "parse_scenario",
@@ -72,7 +63,6 @@ __all__ = [
     "run_scenario",
     "seed_stream",
     "static_solution",
-    "type_probabilities",
     "validate",
     "verify_unstable_mode",
 ]

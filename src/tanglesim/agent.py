@@ -13,8 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from .arrivals import ArrivalProcess
-from .reduced import ExtinctLedgerError, Injection, _fill_grid, _schedule
+from .reduced import ExtinctLedgerError, _TangleSim, _fill_grid, _schedule
 from .trajectory import TrajectoryFrame, make_grid
 
 
@@ -226,21 +225,6 @@ class AgentTangle:
         self.created[i] += 1
         return seed
 
-    def site_weight(self, site_id: int) -> int:
-        """1 + number of distinct attached descendants of the site."""
-        if site_id < 0 or site_id >= len(self.sites):
-            raise KeyError(f"unknown site id {site_id}")
-        if not self.attached[site_id]:
-            raise ValueError(f"site {site_id} is not attached yet")
-        seen = {site_id}
-        stack = [site_id]
-        while stack:
-            for c in self.children[stack.pop()]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return len(seen)
-
     # -- invariants -------------------------------------------------------
 
     def check(self) -> None:
@@ -270,28 +254,9 @@ class AgentTangle:
                     assert self.sites[p].type_label == s.type_label
 
 
-class AgentTangleSim:
-    """Drives an AgentTangle through the creation schedule; same interface
-    as the reduced model."""
-
-    def __init__(
-        self,
-        arrivals: ArrivalProcess,
-        delay: float,
-        types: int = 1,
-        injections: tuple[Injection, ...] = (),
-        check_invariants: bool = False,
-    ):
-        for inj in injections:
-            if inj.type_label > types:
-                raise ValueError(
-                    f"injection type {inj.type_label} exceeds declared types {types}"
-                )
-        self.arrivals = arrivals
-        self.delay = delay
-        self.types = types
-        self.injections = tuple(sorted(injections, key=lambda i: i.time))
-        self.check_invariants = check_invariants
+class AgentTangleSim(_TangleSim):
+    """Drives an AgentTangle through the creation schedule; built like the
+    reduced model, with the same interface."""
 
     def run(
         self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5
@@ -303,9 +268,7 @@ class AgentTangleSim:
         pending, and the frame is filled from those.  Creations after the
         last grid time are not made, as no grid row would see them.
         """
-        if not horizon > 0:
-            raise ValueError("horizon must be positive")
-        grid = make_grid(horizon, grid_dt)
+        grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
         end = min(grid[-1], horizon)
         tangle = AgentTangle(self.types, self.delay)
         arrivals = self.arrivals.times(horizon, rng)

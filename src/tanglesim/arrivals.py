@@ -29,7 +29,7 @@ class ArrivalProcess:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown arrival kind {self.kind!r}, expected one of {_KINDS}")
         if self.stop is not None and self.stop < 0:
-            raise ValueError("arrival stop time must be non-negative")
+            raise ValueError(f"arrival stop time must be non-negative, got {self.stop}")
 
     def times(self, horizon: float, rng: np.random.Generator) -> np.ndarray:
         """Strictly increasing creation times in (0, min(stop, horizon)]."""

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import compliance, harness, stability
-from .harness import ScenarioError, _Block, _integer, _number, parse_scenario
+from .harness import ScenarioError, parse_scenario
 
 
 def _cmd_simulate(args) -> int:
@@ -71,74 +71,8 @@ def _cmd_stability(args) -> int:
     return 0 if passed else 1
 
 
-def _parse_region(block: _Block | None, default) -> stability.SpectralRegion:
-    if block is None:
-        return default
-
-    def pair(key: str) -> list[float]:
-        raw = block.take(key)
-        if not (isinstance(raw, list) and len(raw) == 2):
-            raise ScenarioError(f"{block.path}.{key}: expected a [min, max] pair, got {raw!r}")
-        return [_number(v, f"{block.path}.{key}") for v in raw]
-
-    re_pair, im_pair = pair("re"), pair("im")
-    samples = _integer(block.take("samples", 64), f"{block.path}.samples", minimum=2)
-    block.done()
-    return stability.SpectralRegion(*re_pair, *im_pair, samples_per_side=samples)
-
-
 def _cmd_roots(args) -> int:
-    path = Path(args.spec)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ScenarioError(f"equation spec not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
-    top = _Block(data, path.stem)
-    kind = top.take("kind")
-    if kind == "tip-characteristic":
-        h = _number(top.take("delay"), "delay", positive=True)
-        # right-half-plane roots would satisfy |1 + hz| <= 1/2, i.e.
-        # |z| <= 3/(2h); the default rectangle is 4x that bound
-        bound = 4.0 * 1.5 / h
-        region = _parse_region(
-            top.block("region"),
-            stability.SpectralRegion(0.0, bound, -bound, bound),
-        )
-        top.done()
-        f = stability.balanced_characteristic(h)
-    elif kind == "polynomial":
-        coeffs = top.take("coefficients")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ScenarioError("polynomial needs a non-empty coefficient list")
-        region = _parse_region(top.block("region", required=True), None)
-        top.done()
-        cs = [complex(c) for c in coeffs]
-
-        def f(z: complex) -> complex:
-            acc = 0.0 + 0.0j
-            for c in reversed(cs):
-                acc = acc * z + c
-            return acc
-
-    elif kind == "compliance-window":
-        net_path = top.take("network")
-        scenario = parse_scenario(Path(path.parent) / net_path)
-        if scenario.kind != "compliance-net":
-            raise ScenarioError("network must be a compliance-net scenario file")
-        net = harness.build_network(scenario.params)
-        delta = float((net.cost_sens * net.ctrl_gain).max())
-        region = _parse_region(
-            top.block("region"),
-            stability.SpectralRegion(
-                1e-6, 10.0 * delta, -100.0 / net.window, 100.0 / net.window
-            ),
-        )
-        top.done()
-        f = stability.window_characteristic(net)
-    else:
-        raise ScenarioError(f"unknown equation kind {kind!r}")
+    kind, f, region = harness.parse_roots_spec(args.spec)
     count = stability.count_roots(f, region)
     print(
         json.dumps(

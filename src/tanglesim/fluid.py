@@ -74,16 +74,6 @@ class FluidTrajectory:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def index_at(self, t: float) -> int:
-        k = int(round(t / self.step))
-        if k < 0 or k >= len(self.times) or abs(self.times[k] - t) > self.step / 2:
-            raise ValueError(f"time {t} outside the stored grid")
-        return k
-
-    def at_time(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        k = self.index_at(t)
-        return self.x[k], self.l[k]
-
 
 def _sum_squares(v: list) -> float:
     """sum of v_i^2, added in the order numpy's ``(v * v).sum()`` uses.

@@ -12,14 +12,15 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from . import compliance, fluid, junction
+from . import compliance, fluid, junction, stability
 from .agent import AgentTangleSim
 from .arrivals import ArrivalProcess
 from .reduced import Injection, ReducedTangleSim
@@ -33,8 +34,16 @@ class ScenarioError(ValueError):
     """Scenario file failed to parse or validate."""
 
 
+_REQUIRED = object()
+
+
 class _Block:
-    """Dict wrapper that tracks consumed keys and rejects leftovers."""
+    """Dict wrapper that tracks consumed keys and rejects leftovers.
+
+    The typed getters check one field each and name it ``<path>.<key>`` in
+    their errors, so a parser names each field once.  A default of None
+    makes a field optional: absent or null, it reads as None.
+    """
 
     def __init__(self, data: dict, path: str):
         if not isinstance(data, dict):
@@ -43,21 +52,63 @@ class _Block:
         self.path = path
         self.seen: set[str] = set()
 
-    _REQUIRED = object()
-
     def take(self, key: str, default: Any = _REQUIRED):
         self.seen.add(key)
         if key in self.data:
             return self.data[key]
-        if default is self._REQUIRED:
+        if default is _REQUIRED:
             raise ScenarioError(f"{self.path}: missing required field '{key}'")
         return default
 
+    def error(self, key: str, message: str) -> ScenarioError:
+        return ScenarioError(f"{self.path}.{key}: {message}")
+
     def block(self, key: str, required: bool = False) -> "_Block | None":
-        raw = self.take(key, None if not required else self._REQUIRED)
+        raw = self.take(key, _REQUIRED if required else None)
         if raw is None:
             return None
         return _Block(raw, f"{self.path}.{key}")
+
+    def blocks(self, key: str) -> list["_Block"]:
+        """An optional list of objects; absent or null reads as empty."""
+        raw = self.take(key, None)
+        if raw is None:
+            return []
+        if not isinstance(raw, list):
+            raise self.error(key, "expected a list")
+        return [_Block(item, f"{self.path}.{key}[{k}]") for k, item in enumerate(raw)]
+
+    def number(self, key: str, default: Any = _REQUIRED, positive: bool = False) -> float | None:
+        raw = self.take(key, default)
+        if raw is None and default is None:
+            return None
+        return _number(raw, f"{self.path}.{key}", positive)
+
+    def integer(self, key: str, default: Any = _REQUIRED, minimum: int | None = None) -> int:
+        return _integer(self.take(key, default), f"{self.path}.{key}", minimum)
+
+    def numbers(self, key: str, default: Any = _REQUIRED) -> float | list[float]:
+        """A number, or a list of numbers whose errors name ``key[i]``."""
+        raw = self.take(key, default)
+        if isinstance(raw, list):
+            return [_number(v, f"{self.path}.{key}[{i}]") for i, v in enumerate(raw)]
+        return _number(raw, f"{self.path}.{key}")
+
+    def matrix(self, key: str, n: int) -> list[list[float]]:
+        rows = self.take(key)
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(row, list) and len(row) == n for row in rows)):
+            raise self.error(key, f"expected an {n}x{n} matrix")
+        return [[_number(v, f"{self.path}.{key}[{i}][{j}]") for j, v in enumerate(row)]
+                for i, row in enumerate(rows)]
+
+    def text(self, key: str, default: Any = _REQUIRED) -> str | None:
+        raw = self.take(key, default)
+        if raw is None and default is None:
+            return None
+        if not (isinstance(raw, str) and raw):
+            raise self.error(key, f"expected a non-empty string, got {raw!r}")
+        return raw
 
     def done(self) -> None:
         extra = set(self.data) - self.seen
@@ -68,9 +119,12 @@ class _Block:
 
 
 def _number(value, path: str, positive: bool = False) -> float:
+    # Python's JSON reader also takes NaN and Infinity; no field means them
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        raise ScenarioError(f"{path}: expected a finite number, got {v}")
     if positive and not v > 0:
         raise ScenarioError(f"{path}: must be positive, got {v}")
     return v
@@ -82,6 +136,24 @@ def _integer(value, path: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{path}: must be >= {minimum}, got {value}")
     return value
+
+
+def _built(path: str, build, *args):
+    """``build(*args)``, with a ValueError of the model's constructor
+    reported against the file: the constructors own their value rules."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ScenarioError(f"{path}: {e}") from None
+
+
+def _load(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ScenarioError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as e:
+        raise ScenarioError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
 
 
 @dataclass
@@ -113,148 +185,92 @@ def config_hash(scenario: Scenario) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _parse_injections(raw, path: str) -> list[dict]:
-    if raw is None:
-        return []
-    if not isinstance(raw, list):
-        raise ScenarioError(f"{path}: expected a list")
-    out = []
-    for k, item in enumerate(raw):
-        b = _Block(item, f"{path}[{k}]")
-        out.append(
-            {
-                "time": _number(b.take("time"), f"{path}[{k}].time"),
-                "type": _integer(b.take("type"), f"{path}[{k}].type", minimum=2),
-                "count": _integer(b.take("count"), f"{path}[{k}].count", minimum=1),
-            }
-        )
-        b.done()
-    return out
-
-
 def _parse_tangle(top: _Block, kind: str) -> dict:
     params = {
-        "rate": _number(top.take("rate"), f"{top.path}.rate", positive=True),
-        "delay": _number(top.take("delay"), f"{top.path}.delay", positive=True),
-        "types": _integer(top.take("types", 1), f"{top.path}.types", minimum=1),
+        "rate": top.number("rate"),
+        "delay": top.number("delay"),
+        "types": top.integer("types", 1),
         "arrival_kind": top.take("arrival_kind", "poisson"),
-        "stop_arrivals_at": top.take("stop_arrivals_at", None),
-        "grid_dt": _number(top.take("grid_dt", 0.5), f"{top.path}.grid_dt", positive=True),
-        "injections": _parse_injections(top.take("injections", None), f"{top.path}.injections"),
+        "stop_arrivals_at": top.number("stop_arrivals_at", None),
+        "grid_dt": top.number("grid_dt", 0.5, positive=True),
+        "injections": [],
     }
-    if params["arrival_kind"] not in ("poisson", "fixed"):
-        raise ScenarioError(f"{top.path}.arrival_kind: unknown kind")
-    if params["stop_arrivals_at"] is not None:
-        params["stop_arrivals_at"] = _number(
-            params["stop_arrivals_at"], f"{top.path}.stop_arrivals_at"
+    for b in top.blocks("injections"):
+        params["injections"].append(
+            {"time": b.number("time"), "type": b.integer("type"), "count": b.integer("count")}
         )
+        b.done()
+    _built(top.path, build_tangle_sim, kind, params)
     return params
-
-
-def _parse_matrix(raw, path: str, n: int) -> list[list[float]]:
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ScenarioError(f"{path}: expected an {n}x{n} matrix")
-    out = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != n:
-            raise ScenarioError(f"{path}[{i}]: expected {n} entries")
-        out.append([_number(v, f"{path}[{i}]") for v in row])
-    return out
-
-
-def _vector_or_scalar(raw, path: str):
-    if isinstance(raw, list):
-        return [_number(v, path) for v in raw]
-    return _number(raw, path)
 
 
 def _parse_compliance(top: _Block) -> dict:
     params: dict[str, Any] = {
-        "window": _number(top.take("window"), f"{top.path}.window", positive=True),
-        "targets": _vector_or_scalar(top.take("targets"), f"{top.path}.targets"),
-        "baselines": _vector_or_scalar(top.take("baselines"), f"{top.path}.baselines"),
-        "cost_sens": _vector_or_scalar(top.take("cost_sens", 1.0), f"{top.path}.cost_sens"),
-        "ctrl_gain": _vector_or_scalar(top.take("ctrl_gain", 1.0), f"{top.path}.ctrl_gain"),
-        "step": top.take("step", None),
-        "initial_q_offset": _number(
-            top.take("initial_q_offset", 0.0), f"{top.path}.initial_q_offset"
-        ),
+        "window": top.number("window"),
+        "targets": top.numbers("targets"),
+        "baselines": top.numbers("baselines"),
+        "cost_sens": top.numbers("cost_sens", 1.0),
+        "ctrl_gain": top.numbers("ctrl_gain", 1.0),
+        "step": top.number("step", None, positive=True),
+        "initial_q_offset": top.number("initial_q_offset", 0.0),
+        # kept as written (it is hashed); its numbers are checked below
         "initial_costs": top.take("initial_costs", "static"),
     }
-    if params["step"] is not None:
-        params["step"] = _number(params["step"], f"{top.path}.step", positive=True)
     ring = top.block("ring")
     if ring is not None:
         params["ring"] = {
-            "n": _integer(ring.take("n"), f"{ring.path}.n", minimum=3),
-            "coupling": _number(ring.take("coupling"), f"{ring.path}.coupling"),
-            "lag": _number(ring.take("lag"), f"{ring.path}.lag"),
+            "n": ring.integer("n"),
+            "coupling": ring.number("coupling"),
+            "lag": ring.number("lag"),
         }
         ring.done()
         if "coupling" in top.data or "lags" in top.data or "n" in top.data:
             raise ScenarioError(f"{top.path}: give either 'ring' or explicit matrices")
     else:
-        n = _integer(top.take("n"), f"{top.path}.n", minimum=1)
+        n = top.integer("n", minimum=1)
         params["n"] = n
-        params["coupling"] = _parse_matrix(top.take("coupling"), f"{top.path}.coupling", n)
-        params["lags"] = _parse_matrix(top.take("lags"), f"{top.path}.lags", n)
-    ic = params["initial_costs"]
-    if not (ic == "static" or isinstance(ic, (int, float)) or isinstance(ic, list)):
-        raise ScenarioError(f"{top.path}.initial_costs: expected 'static', number, or list")
+        params["coupling"] = top.matrix("coupling", n)
+        params["lags"] = top.matrix("lags", n)
     # what `simulate` would refuse at run time, refused before any output
-    try:
-        net = build_network(params)
-    except ValueError as e:
-        raise ScenarioError(f"{top.path}: {e}") from None
+    net = _built(top.path, build_network, params)
     max_step = compliance.default_step(net)
     if params["step"] is not None and params["step"] > max_step + 1e-12:
-        raise ScenarioError(
-            f"{top.path}.step: must be at most {max_step:.6g}, got {params['step']}"
-        )
-    if ic != "static":
-        costs = ic if isinstance(ic, list) else [ic]
-        if isinstance(ic, list) and len(ic) != net.n:
-            raise ScenarioError(
-                f"{top.path}.initial_costs: expected {net.n} entries, got {len(ic)}"
-            )
-        if any(_number(c, f"{top.path}.initial_costs") < 0 for c in costs):
-            raise ScenarioError(f"{top.path}.initial_costs: must be non-negative")
+        raise top.error("step", f"must be at most {max_step:.6g}, got {params['step']}")
+    if params["initial_costs"] != "static":
+        costs = top.numbers("initial_costs")
+        if not isinstance(costs, list):
+            costs = [costs]
+        elif len(costs) != net.n:
+            raise top.error("initial_costs", f"expected {net.n} entries, got {len(costs)}")
+        if any(c < 0 for c in costs):
+            raise top.error("initial_costs", "must be non-negative")
     return params
 
 
 def _parse_fluid(top: _Block, horizon: float) -> dict:
-    x0 = top.take("x0")
-    l0 = top.take("l0")
+    params = {
+        "delay": top.number("delay", positive=True),
+        "step": top.number("step", None, positive=True),
+        "x0": top.numbers("x0"),
+        "l0": top.numbers("l0"),
+    }
+    delay, step, x0, l0 = params["delay"], params["step"], params["x0"], params["l0"]
     if not (isinstance(x0, list) and isinstance(l0, list) and len(x0) == len(l0)):
         raise ScenarioError(f"{top.path}: x0 and l0 must be lists of equal length")
-    step_raw = top.take("step", None)
-    params = {
-        "delay": _number(top.take("delay"), f"{top.path}.delay", positive=True),
-        "step": (
-            None if step_raw is None else _number(step_raw, f"{top.path}.step", positive=True)
-        ),
-        "x0": [_number(v, f"{top.path}.x0") for v in x0],
-        "l0": [_number(v, f"{top.path}.l0") for v in l0],
-    }
     # what `fluid.integrate` would refuse at run time (same tolerances),
     # refused before any output
-    delay, step = params["delay"], params["step"]
-    if not any(v * v > 0.0 for v in params["l0"]):
-        raise ScenarioError(
-            f"{top.path}.l0: needs a nonzero tip density (shares divide by sum l_i^2)"
-        )
-    for i, (x, l) in enumerate(zip(params["x0"], params["l0"])):
+    if not any(v * v > 0.0 for v in l0):
+        raise top.error("l0", "needs a nonzero tip density (shares divide by sum l_i^2)")
+    for i, (x, l) in enumerate(zip(x0, l0)):
         if x < -1e-12:
-            raise ScenarioError(f"{top.path}.x0[{i}]: must be >= 0, got {x}")
+            raise top.error(f"x0[{i}]", f"must be >= 0, got {x}")
         if l < x - 1e-12:
-            raise ScenarioError(f"{top.path}.x0[{i}]: exceeds l0[{i}] = {l}, got {x}")
+            raise top.error(f"x0[{i}]", f"exceeds l0[{i}] = {l}, got {x}")
     if not horizon > delay:
-        raise ScenarioError(
-            f"{top.path}.horizon: must exceed the delay {delay}, got {horizon}"
-        )
+        raise top.error("horizon", f"must exceed the delay {delay}, got {horizon}")
     if step is not None and step > delay / 100.0 + 1e-15:
-        raise ScenarioError(
-            f"{top.path}.step: must be at most delay/100 = {delay / 100.0:.6g}, got {step}"
+        raise top.error(
+            "step", f"must be at most delay/100 = {delay / 100.0:.6g}, got {step}"
         )
     return params
 
@@ -264,63 +280,60 @@ def _parse_junction(top: _Block) -> dict:
     config = {}
     if cfg is not None:
         config = {
-            "switch_period": _integer(cfg.take("switch_period", 10), f"{cfg.path}.switch_period", 1),
-            "cross_time": _number(cfg.take("cross_time", 1.0), f"{cfg.path}.cross_time", positive=True),
-            "slowdown": _number(cfg.take("slowdown", 1.0), f"{cfg.path}.slowdown"),
-            "service_rate": _integer(cfg.take("service_rate", 3), f"{cfg.path}.service_rate", 1),
-            "arrival_rate": _number(cfg.take("arrival_rate", 1.0), f"{cfg.path}.arrival_rate", positive=True),
+            "switch_period": cfg.integer("switch_period", 10),
+            "cross_time": cfg.number("cross_time", 1.0),
+            "slowdown": cfg.number("slowdown", 1.0),
+            "service_rate": cfg.integer("service_rate", 3),
+            # stricter than the config, which allows a junction without traffic
+            "arrival_rate": cfg.number("arrival_rate", 1.0, positive=True),
         }
         cfg.done()
     mode = top.take("mode")
     params: dict[str, Any] = {"config": config, "mode": mode}
     if mode == "fixed":
-        params["Q"] = _number(top.take("Q"), f"{top.path}.Q")
+        params["Q"] = top.number("Q")
         if not 0.0 <= params["Q"] <= 1.0:
-            raise ScenarioError(f"{top.path}.Q: must lie in [0, 1]")
+            raise top.error("Q", "must lie in [0, 1]")
     elif mode == "closed-loop":
         ctl = top.block("controller")
         controller = {}
         if ctl is not None:
             controller = {
-                "slope": _number(ctl.take("slope", 0.6), f"{ctl.path}.slope", positive=True),
-                "memory": _number(ctl.take("memory", 1.0), f"{ctl.path}.memory"),
-                "gain": _number(ctl.take("gain", 0.1), f"{ctl.path}.gain"),
-                "target": _number(ctl.take("target", 0.95), f"{ctl.path}.target"),
+                "slope": ctl.number("slope", 0.6),
+                "memory": ctl.number("memory", 1.0),
+                "gain": ctl.number("gain", 0.1),
+                "target": ctl.number("target", 0.95),
             }
             ctl.done()
         params["controller"] = controller
     else:
-        raise ScenarioError(f"{top.path}.mode: expected 'fixed' or 'closed-loop'")
+        raise top.error("mode", "expected 'fixed' or 'closed-loop'")
+    _built(top.path, build_junction, params)
     return params
 
 
 def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenario:
-    """Parse and strictly validate a scenario file (or pre-loaded dict)."""
+    """Parse and strictly validate a scenario file (or pre-loaded dict).
+
+    Every model is built here once, so a value its constructor refuses
+    fails at parse time, before any run or output.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        name = name or path.stem
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ScenarioError(f"scenario file not found: {path}")
-        except json.JSONDecodeError as e:
-            raise ScenarioError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+        data, name = _load(path, "scenario file"), name or path.stem
     else:
-        data = source
-        name = name or "scenario"
+        data, name = source, name or "scenario"
     top = _Block(data, name)
     kind = top.take("kind")
     if kind not in KINDS:
-        raise ScenarioError(f"{name}.kind: unknown kind {kind!r}, expected one of {KINDS}")
-    seed = _integer(top.take("seed", 0), f"{name}.seed", minimum=0)
-    runs = _integer(top.take("runs", 100), f"{name}.runs", minimum=1)
-    horizon = _number(top.take("horizon"), f"{name}.horizon", positive=True)
-    out_stem = top.take("out", None)
-    if out_stem is not None and not (isinstance(out_stem, str) and out_stem):
-        raise ScenarioError(f"{name}.out: expected a non-empty string, got {out_stem!r}")
+        raise top.error("kind", f"unknown kind {kind!r}, expected one of {KINDS}")
+    seed = top.integer("seed", 0, minimum=0)
+    runs = top.integer("runs", 100, minimum=1)
+    horizon = top.number("horizon", positive=True)
+    out_stem = top.text("out", None)
     per_run = top.take("per_run", False)
     if not isinstance(per_run, bool):
-        raise ScenarioError(f"{name}.per_run: expected true or false, got {per_run!r}")
+        raise top.error("per_run", f"expected true or false, got {per_run!r}")
     if kind in ("tangle-reduced", "tangle-agent"):
         params = _parse_tangle(top, kind)
     elif kind == "fluid":
@@ -330,34 +343,83 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
     else:
         params = _parse_junction(top)
         if not horizon.is_integer():
-            raise ScenarioError(
-                f"{name}.horizon: a junction runs whole steps, got {horizon}"
-            )
+            raise top.error("horizon", f"a junction runs whole steps, got {horizon}")
     top.done()
     return Scenario(kind, name, seed, runs, horizon, params, out_stem, per_run)
+
+
+def _parse_region(block: _Block | None, default) -> stability.SpectralRegion:
+    if block is None:
+        return default
+
+    def pair(key: str) -> list[float]:
+        raw = block.numbers(key)
+        if not (isinstance(raw, list) and len(raw) == 2):
+            raise block.error(key, f"expected a [min, max] pair, got {raw!r}")
+        return raw
+
+    re_pair, im_pair = pair("re"), pair("im")
+    samples = block.integer("samples", 64, minimum=2)
+    block.done()
+    return _built(block.path, stability.SpectralRegion, *re_pair, *im_pair, samples)
+
+
+def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.SpectralRegion]:
+    """Parse a ``roots`` equation spec into its kind, the function whose
+    zeros are counted and the rectangle they are counted in."""
+    path = Path(source)
+    top = _Block(_load(path, "equation spec"), path.stem)
+    kind = top.take("kind")
+    if kind == "tip-characteristic":
+        h = top.number("delay", positive=True)
+        f = stability.balanced_characteristic(h)
+        # right-half-plane roots would satisfy |1 + hz| <= 1/2, i.e.
+        # |z| <= 3/(2h); the default rectangle is 4x that bound
+        bound = 4.0 * 1.5 / h
+        default = stability.SpectralRegion(0.0, bound, -bound, bound)
+    elif kind == "polynomial":
+        coeffs = top.numbers("coefficients")
+        if not (isinstance(coeffs, list) and coeffs):
+            raise top.error("coefficients", f"expected a non-empty list, got {coeffs!r}")
+        cs = [complex(c) for c in coeffs]
+
+        def f(z: complex) -> complex:
+            acc = 0.0 + 0.0j
+            for c in reversed(cs):
+                acc = acc * z + c
+            return acc
+
+        default = None  # the region is required
+    elif kind == "compliance-window":
+        scenario = parse_scenario(path.parent / top.text("network"))
+        if scenario.kind != "compliance-net":
+            raise top.error("network", "must be a compliance-net scenario file")
+        net = build_network(scenario.params)
+        f = stability.window_characteristic(net)
+        delta = float((net.cost_sens * net.ctrl_gain).max())
+        default = stability.SpectralRegion(
+            1e-6, 10.0 * delta, -100.0 / net.window, 100.0 / net.window
+        )
+    else:
+        raise top.error("kind", f"unknown equation kind {kind!r}")
+    region = _parse_region(top.block("region", required=default is None), default)
+    top.done()
+    return kind, f, region
 
 
 # -- builders -----------------------------------------------------------------
 
 def build_tangle_sim(kind: str, params: dict):
-    # Missing keys fall back to scenario-file defaults so the builder can be
-    # driven with hand-built dicts as well as parsed scenarios.
     arrivals = ArrivalProcess(
         rate=params["rate"],
-        kind=params.get("arrival_kind", "poisson"),
-        stop=params.get("stop_arrivals_at"),
+        kind=params["arrival_kind"],
+        stop=params["stop_arrivals_at"],
     )
     injections = tuple(
-        Injection(i["time"], i["type"], i["count"])
-        for i in params.get("injections", ())
+        Injection(i["time"], i["type"], i["count"]) for i in params["injections"]
     )
     cls = ReducedTangleSim if kind == "tangle-reduced" else AgentTangleSim
-    return cls(
-        arrivals=arrivals,
-        delay=params["delay"],
-        types=params.get("types", 1),
-        injections=injections,
-    )
+    return cls(arrivals, params["delay"], params["types"], injections)
 
 
 def build_network(params: dict) -> compliance.ComplianceNetwork:
@@ -454,7 +516,7 @@ def run_tangle_ensemble(
     _integer(runs, "runs", minimum=1)
     _integer(workers, "workers", minimum=1)
     sim = build_tangle_sim(kind, params)
-    member = functools.partial(sim.run, horizon, grid_dt=params.get("grid_dt", 0.5))
+    member = functools.partial(sim.run, horizon, grid_dt=params["grid_dt"])
     members = list(seeded_runs(member, seed, runs, workers))
     stack = np.array([(m.tips, m.free, m.pending, m.created) for m in members])
     return {"times": members[0].times, "stats": ensemble_stats(stack), "members": members}

@@ -29,13 +29,15 @@ class JunctionConfig:
 
     def __post_init__(self) -> None:
         if self.switch_period < 1:
-            raise ValueError("switch period must be at least 1")
-        if not (self.cross_time > 0 and self.slowdown >= 0):
-            raise ValueError("crossing times must be positive")
+            raise ValueError(f"switch_period must be at least 1, got {self.switch_period}")
+        if not self.cross_time > 0:
+            raise ValueError(f"cross_time must be positive, got {self.cross_time}")
+        if not self.slowdown >= 0:
+            raise ValueError(f"slowdown must be non-negative, got {self.slowdown}")
         if self.service_rate < 1:
-            raise ValueError("service rate must be at least 1")
+            raise ValueError(f"service_rate must be at least 1, got {self.service_rate}")
         if not self.arrival_rate >= 0:
-            raise ValueError("arrival rate must be non-negative")
+            raise ValueError(f"arrival_rate must be non-negative, got {self.arrival_rate}")
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,9 @@ class ControllerParams:
 
     def __post_init__(self) -> None:
         if not self.slope > 0:
-            raise ValueError("slope must be positive")
+            raise ValueError(f"slope must be positive, got {self.slope}")
         if not (0.0 <= self.target <= 1.0):
-            raise ValueError("target must lie in [0, 1]")
+            raise ValueError(f"target must lie in [0, 1], got {self.target}")
 
 
 def service_capacity(config: JunctionConfig, violations: int) -> int:

@@ -26,51 +26,6 @@ class ExtinctLedgerError(RuntimeError):
     """Raised when a transaction must be created but no type has any tips."""
 
 
-def type_probabilities(tips) -> np.ndarray:
-    """Probability that a new transaction extends each conflict type.
-
-    Proportional to the squared tip count of the type: conditioning two
-    independent uniform tip picks on landing in the same type weights a
-    type by the square of its share of the tip population.
-    """
-    arr = np.asarray(tips, dtype=float)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise ValueError("tips must be a non-empty 1-d array")
-    if np.any(arr < 0):
-        raise ValueError("tip counts must be non-negative")
-    sq = arr * arr
-    total = sq.sum()
-    if total == 0:
-        raise ExtinctLedgerError("every conflict type has zero tips")
-    return sq / total
-
-
-def free_consumed_distribution(free, pending, tips):
-    """Distribution of the number of distinct free tips a selection covers.
-
-    Returns the probabilities of covering 0, 1 or 2 distinct free tips when
-    two parents are drawn uniformly with replacement from ``tips`` tips of
-    which ``free`` are free and ``pending`` already selected.  The arithmetic
-    is generic: pass ``fractions.Fraction`` values to get exact results.
-    """
-    if tips != free + pending:
-        raise ValueError("tips must equal free + pending")
-    if tips <= 0:
-        raise ValueError("a type with zero tips cannot be selected")
-    if free < 0 or pending < 0:
-        raise ValueError("counts must be non-negative")
-    denom = tips * tips
-    p0 = (pending * pending) / denom
-    p1 = ((2 * pending + 1) * free) / denom
-    p2 = (free * free - free) / denom
-    return p0, p1, p2
-
-
-def expected_free_consumed(free, tips):
-    """Mean number of distinct free tips covered: 2*free/tips - free/tips**2."""
-    return 2 * free / tips - free / (tips * tips)
-
-
 @dataclass(frozen=True)
 class Injection:
     """A burst of forced-type transactions created at one instant."""
@@ -81,14 +36,45 @@ class Injection:
 
     def __post_init__(self) -> None:
         if self.time < 0:
-            raise ValueError("injection time must be non-negative")
+            raise ValueError(f"injection time must be non-negative, got {self.time}")
         if self.type_label < 2:
-            raise ValueError("injected conflict type must differ from type 1")
+            raise ValueError(
+                f"injection type must be 2 or above (1 is the honest type), got {self.type_label}"
+            )
         if self.count < 1:
-            raise ValueError("injection count must be at least 1")
+            raise ValueError(f"injection count must be at least 1, got {self.count}")
 
 
-class ReducedTangleSim:
+class _TangleSim:
+    """What both tangle models are built from, checked once here: the
+    arrival process, the attach delay, the number of conflict types and the
+    bursts.  Each model's ``run`` is defined in its own class."""
+
+    def __init__(
+        self,
+        arrivals: ArrivalProcess,
+        delay: float,
+        types: int = 1,
+        injections: tuple[Injection, ...] = (),
+        check_invariants: bool = False,
+    ):
+        if not delay > 0:
+            raise ValueError(f"attach delay must be positive, got {delay}")
+        if types < 1:
+            raise ValueError(f"need at least one conflict type, got {types}")
+        for inj in injections:
+            if inj.type_label > types:
+                raise ValueError(
+                    f"injection type {inj.type_label} exceeds declared types {types}"
+                )
+        self.arrivals = arrivals
+        self.delay = delay
+        self.types = types
+        self.injections = tuple(sorted(injections, key=lambda i: i.time))
+        self.check_invariants = check_invariants
+
+
+class ReducedTangleSim(_TangleSim):
     """Simulation of the per-type counter model.
 
     The ledger starts from a single attached free tip of type 1.  Honest
@@ -103,29 +89,6 @@ class ReducedTangleSim:
     over creations, and fills the output grid from the draws afterwards.
     """
 
-    def __init__(
-        self,
-        arrivals: ArrivalProcess,
-        delay: float,
-        types: int = 1,
-        injections: tuple[Injection, ...] = (),
-        check_invariants: bool = False,
-    ):
-        if not delay > 0:
-            raise ValueError("attach delay must be positive")
-        if types < 1:
-            raise ValueError("need at least one conflict type")
-        for inj in injections:
-            if inj.type_label > types:
-                raise ValueError(
-                    f"injection type {inj.type_label} exceeds declared types {types}"
-                )
-        self.arrivals = arrivals
-        self.delay = delay
-        self.types = types
-        self.injections = tuple(sorted(injections, key=lambda i: i.time))
-        self.check_invariants = check_invariants
-
     def run(
         self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5
     ) -> TrajectoryFrame:
@@ -134,9 +97,7 @@ class ReducedTangleSim:
         The arrival times are drawn from ``rng`` first; the uniforms of the
         creations then come from the same stream in fixed-size chunks.
         """
-        if not horizon > 0:
-            raise ValueError("horizon must be positive")
-        grid = make_grid(horizon, grid_dt)
+        grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
         arrivals = self.arrivals.times(horizon, rng)
         ct, blocks, seeds = _schedule(arrivals, self.injections, horizon)
         typ, cov = _kernel(

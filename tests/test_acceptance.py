@@ -20,12 +20,7 @@ import numpy as np
 import pytest
 
 from tanglesim.arrivals import ArrivalProcess
-from tanglesim.reduced import (
-    Injection,
-    ReducedTangleSim,
-    free_consumed_distribution,
-    type_probabilities,
-)
+from tanglesim.reduced import Injection, ReducedTangleSim
 from tanglesim.agent import AgentTangleSim
 from tanglesim.fluid import constant_history, integrate, static_solution
 from tanglesim.stability import (
@@ -49,6 +44,7 @@ from tanglesim.harness import parse_scenario, run_tangle_ensemble, validate
 from tanglesim.seeding import seed_stream
 
 from test_fluid import fluid_rhs  # the oracle's right-hand side
+from test_reduced import free_consumed_distribution, type_probabilities
 from test_junction import second_half_slope
 
 
@@ -65,9 +61,12 @@ def steady_sweep():
     """Steady tip-count means for delays 1,3,5,7 (rate 60, 100 seeds)."""
     means = {}
     for h in (1.0, 3.0, 5.0, 7.0):
+        params = parse_scenario(
+            {"kind": "tangle-reduced", "rate": 60.0, "delay": h, "horizon": 100.0}
+        ).params
         stats = run_tangle_ensemble(
             "tangle-reduced",
-            {"rate": 60.0, "delay": h},
+            params,
             horizon=100.0,
             seed=11,
             runs=100,

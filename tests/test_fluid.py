@@ -165,6 +165,19 @@ def oracle_integrate(x_history, l_history, delay, horizon, step=None, rate=None)
     return FluidTrajectory(times, X, L, h, dt)
 
 
+def index_at(traj, t: float) -> int:
+    """Row of a trajectory's stored grid that holds time t."""
+    k = int(round(t / traj.step))
+    if k < 0 or k >= len(traj.times) or abs(traj.times[k] - t) > traj.step / 2:
+        raise ValueError(f"time {t} outside the stored grid")
+    return k
+
+
+def at_time(traj, t: float) -> tuple[np.ndarray, np.ndarray]:
+    k = index_at(traj, t)
+    return traj.x[k], traj.l[k]
+
+
 H = 3.0
 
 
@@ -259,7 +272,7 @@ def test_mode_perturbation_grows_at_the_predicted_rate():
     hx, hl = _mode_history(H, 1e-3)
     traj = integrate(hx, hl, H, 8 * H)
     z = find_x0() / H
-    i0, i1 = traj.index_at(H), traj.index_at(6 * H)
+    i0, i1 = index_at(traj, H), index_at(traj, 6 * H)
     gap = traj.l[i0 : i1 + 1, 0] - traj.l[i0 : i1 + 1, 1]
     assert np.all(np.diff(gap) > 0)
     slope = np.polyfit(traj.times[i0 : i1 + 1], np.log(gap), 1)[0]
@@ -269,7 +282,7 @@ def test_mode_perturbation_grows_at_the_predicted_rate():
 def test_mode_perturbation_starves_the_minority_type():
     hx, hl = _mode_history(H, 1e-3)
     traj = integrate(hx, hl, H, 150 * H)
-    tail = slice(traj.index_at(100 * H), None)
+    tail = slice(index_at(traj, 100 * H), None)
     minority = traj.l[tail, 1]
     assert np.all(np.diff(minority) < 0)  # still shrinking
     assert minority[-1] < 0.15  # far below the h = 3 equilibrium share
@@ -294,7 +307,7 @@ def test_rescaled_ensemble_tracks_fluid_density():
 
     st = static_solution(1, H)
     traj = integrate(*constant_history(st.x, st.l), delay=H, horizon=60.0)
-    fluid_l = np.array([traj.l[traj.index_at(t), 0] for t in times])
+    fluid_l = np.array([traj.l[index_at(traj, t), 0] for t in times])
 
     mask = times > 10 * H
     rel = np.abs(mean[mask] - fluid_l[mask]) / fluid_l[mask]
@@ -337,12 +350,12 @@ def test_index_at_and_at_time():
     st = static_solution(1, H)
     hx, hl = constant_history(st.x, st.l)
     traj = integrate(hx, hl, H, 2 * H)
-    x, l = traj.at_time(H)
+    x, l = at_time(traj, H)
     assert x[0] == st.x[0] and l[0] == st.l[0]
     with pytest.raises(ValueError):
-        traj.index_at(100 * H)
+        index_at(traj, 100 * H)
     with pytest.raises(ValueError):
-        traj.index_at(-1.0)
+        index_at(traj, -1.0)
 
 
 def test_row_iter_layout(tmp_path):

@@ -30,6 +30,11 @@ def _reduced_dict(**over):
     return base
 
 
+def _reduced_params(**over) -> dict:
+    """Parsed tangle params: the builders take nothing else."""
+    return parse_scenario(_reduced_dict(**over)).params
+
+
 # -- parsing --------------------------------------------------------------------
 
 def test_parse_minimal_scenario_fills_defaults():
@@ -168,6 +173,32 @@ def test_parse_from_file_and_bad_json(tmp_path):
         parse_scenario(tmp_path / "missing.json")
 
 
+# every shipped scenario's config hash, pinned: the parser stores each value
+# with the type and value it always had
+_SHIPPED_HASHES = {
+    "double_spend_attack": "c1214779ab7f1443e408fd18e971875e6dbf0079a347aade188683e2cf0088fb",
+    "fluid_equilibrium": "9c11eb24b2efbacb56356605dad489db6a599b029dffa3e31c5ef583cc9b7543",
+    "fluid_window_surplus": "7c1285b2a87a365c93669a80d0f23364d2e4aeeaa47b240dd344b97bdfe042be",
+    "junction_controller": "7c69c98b7d0fc719822c85db547e7f1bbec9a1dcd0d7f7fc9a87f643c294b19e",
+    "junction_fixed": "bd138b83e4ac43b8f3e50ae7b9d33fe3a07f58108d116f47e08348e98bb0c2df",
+    "ring_compliance": "8d0732a8ce8220b247cf6d551cfdd785dae35b522a73dcc238efa37926855555",
+    "steady_state": "71a2fcfe10fe4be48adac428478283315e9de97b1ef0b79c62f86d8fc19c5bd4",
+    "validation_agent": "702bb7b55882424df6227e758fb0f7e39abe590dc2d93102a2203aa492d9eddc",
+    "validation_reduced": "d386b7095ddc566514264577c2fbb6d2c899da6954bea1b954dc17fece26864e",
+}
+_SHIPPED = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", _SHIPPED, ids=lambda p: p.stem)
+def test_shipped_files_parse(path):
+    if path.stem.startswith("roots_"):
+        kind, f, region = harness.parse_roots_spec(path)
+        assert kind == json.loads(path.read_text())["kind"]
+        assert isinstance(f(region.re_max + 1j * region.im_max), complex)
+    else:
+        assert config_hash(parse_scenario(path)) == _SHIPPED_HASHES[path.stem]
+
+
 # -- hashing ---------------------------------------------------------------------
 
 def test_config_hash_tracks_semantics_only():
@@ -223,7 +254,7 @@ def test_ensemble_stats_against_manual_numpy():
 
 
 def test_workers_do_not_change_results():
-    params = {"rate": 40.0, "delay": 1.0}
+    params = _reduced_params(rate=40.0, delay=1.0)
     serial = run_tangle_ensemble("tangle-reduced", params, 10.0, 3, 6, workers=1)
     pooled = run_tangle_ensemble("tangle-reduced", params, 10.0, 3, 6, workers=3)
     for stat in ("mean", "std", "p5", "p95"):
@@ -233,8 +264,8 @@ def test_workers_do_not_change_results():
 def test_ensemble_stats_are_the_per_variable_per_type_stats():
     # one call over the (runs, 4, G, d) stack gives what a call per
     # variable and type over its (runs, G) slice gives, bit for bit
-    params = {"rate": 40.0, "delay": 1.0, "types": 2,
-              "injections": [{"time": 3.0, "type": 2, "count": 10}]}
+    params = _reduced_params(rate=40.0, delay=1.0, types=2,
+                             injections=[{"time": 3.0, "type": 2, "count": 10}])
     ens = run_tangle_ensemble("tangle-reduced", params, 10.0, 4, 7)
     assert ens["stats"].mean.shape == (4, 21, 2)
     for v, attr in enumerate(("tips", "free", "pending", "created")):
@@ -364,7 +395,7 @@ def test_run_scenario_rejects_bad_overrides_before_any_work(tmp_path, override):
 
 
 def test_run_tangle_ensemble_rejects_empty_or_workerless_ensembles():
-    params = {"rate": 40.0, "delay": 1.0}
+    params = _reduced_params(rate=40.0, delay=1.0)
     with pytest.raises(ScenarioError, match="runs"):
         run_tangle_ensemble("tangle-reduced", params, 5.0, 0, 0)
     with pytest.raises(ScenarioError, match="workers"):

@@ -22,12 +22,56 @@ from tanglesim import (
     ExtinctLedgerError,
     Injection,
     ReducedTangleSim,
-    expected_free_consumed,
-    free_consumed_distribution,
-    type_probabilities,
 )
 from tanglesim.seeding import seed_stream
 from tanglesim.trajectory import GridRecorder, make_grid
+
+
+# -- selection laws (oracles; a11 imports them too) ----------------------------
+
+def type_probabilities(tips) -> np.ndarray:
+    """Probability that a new transaction extends each conflict type.
+
+    Proportional to the squared tip count of the type: conditioning two
+    independent uniform tip picks on landing in the same type weights a
+    type by the square of its share of the tip population.
+    """
+    arr = np.asarray(tips, dtype=float)
+    if arr.ndim != 1 or len(arr) == 0:
+        raise ValueError("tips must be a non-empty 1-d array")
+    if np.any(arr < 0):
+        raise ValueError("tip counts must be non-negative")
+    sq = arr * arr
+    total = sq.sum()
+    if total == 0:
+        raise ExtinctLedgerError("every conflict type has zero tips")
+    return sq / total
+
+
+def free_consumed_distribution(free, pending, tips):
+    """Distribution of the number of distinct free tips a selection covers.
+
+    Returns the probabilities of covering 0, 1 or 2 distinct free tips when
+    two parents are drawn uniformly with replacement from ``tips`` tips of
+    which ``free`` are free and ``pending`` already selected.  The arithmetic
+    is generic: pass ``fractions.Fraction`` values to get exact results.
+    """
+    if tips != free + pending:
+        raise ValueError("tips must equal free + pending")
+    if tips <= 0:
+        raise ValueError("a type with zero tips cannot be selected")
+    if free < 0 or pending < 0:
+        raise ValueError("counts must be non-negative")
+    denom = tips * tips
+    p0 = (pending * pending) / denom
+    p1 = ((2 * pending + 1) * free) / denom
+    p2 = (free * free - free) / denom
+    return p0, p1, p2
+
+
+def expected_free_consumed(free, tips):
+    """Mean number of distinct free tips covered: 2*free/tips - free/tips**2."""
+    return 2 * free / tips - free / (tips * tips)
 
 
 # -- scalar reference oracle ---------------------------------------------------

@@ -2,7 +2,7 @@
 deposit-priced compliance control."""
 
 from .arrivals import ArrivalProcess
-from .agent import AgentTangle, AgentTangleSim, Site
+from .agent import AgentTangleSim
 from .reduced import ExtinctLedgerError, Injection, ReducedTangleSim
 from .trajectory import TrajectoryFrame
 from .fluid import (
@@ -32,7 +32,6 @@ from .harness import Scenario, parse_scenario, run_scenario, validate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentTangle",
     "AgentTangleSim",
     "ArrivalProcess",
     "ComplianceNetwork",
@@ -44,7 +43,6 @@ __all__ = [
     "ModeCheck",
     "ReducedTangleSim",
     "Scenario",
-    "Site",
     "SpectralRegion",
     "StaticSolution",
     "TrajectoryFrame",

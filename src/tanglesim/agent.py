@@ -8,255 +8,18 @@ ground-truth model the per-type counter simulation is validated against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, count, islice
 
 import numpy as np
 
-from .reduced import ExtinctLedgerError, _TangleSim, _fill_grid, _schedule
+from .reduced import ExtinctLedgerError, InvariantError, _TangleSim, _fill_grid, _schedule
+from .seeding import integer_stream
 from .trajectory import TrajectoryFrame, make_grid
 
 
-@dataclass(frozen=True, slots=True)
-class Site:
-    """One ledger transaction."""
-
-    id: int
-    created_at: float
-    attached_at: float
-    # None for genesis and for a seed placed before any site is interior
-    parents: tuple[int, int] | None
-    type_label: int  # 1-based
-
-
-class _IndexedSet:
-    """Set with O(1) add/discard and O(1) uniform indexing."""
-
-    __slots__ = ("items", "pos")
-
-    def __init__(self) -> None:
-        self.items: list[int] = []
-        self.pos: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.pos
-
-    def __getitem__(self, k: int) -> int:
-        return self.items[k]
-
-    def add(self, item: int) -> None:
-        if item not in self.pos:
-            self.pos[item] = len(self.items)
-            self.items.append(item)
-
-    def discard(self, item: int) -> bool:
-        k = self.pos.pop(item, None)
-        if k is None:
-            return False
-        last = self.items.pop()
-        if last != item:
-            self.items[k] = last
-            self.pos[last] = k
-        return True
-
-
-class AgentTangle:
-    """Mutable DAG state: sites, per-type tip sets, pending-selection marks."""
-
-    def __init__(self, types: int, delay: float):
-        if types < 1:
-            raise ValueError("need at least one conflict type")
-        if not delay > 0:
-            raise ValueError("attach delay must be positive")
-        self.d = types
-        self.delay = delay
-        self.sites: list[Site] = []
-        self.attached: list[bool] = []
-        self.children: list[list[int]] = []
-        self.tips: list[_IndexedSet] = [_IndexedSet() for _ in range(types)]
-        # outstanding selections per tip id; a tip with a mark is pending
-        self.pending_marks: dict[int, int] = {}
-        self.seed_ids: set[int] = set()
-        self.tip_count = [0] * types
-        self.pending_count = [0] * types
-        self.created = [0] * types
-        genesis = Site(0, 0.0, 0.0, None, 1)
-        self._register(genesis)
-        self.attached[0] = True
-        self.tips[0].add(0)
-        self.tip_count[0] = 1
-        self.created[0] = 1
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def _register(self, site: Site) -> None:
-        assert site.id == len(self.sites)
-        self.sites.append(site)
-        self.attached.append(False)
-        self.children.append([])
-
-    def free_count(self, i: int) -> int:
-        return self.tip_count[i] - self.pending_count[i]
-
-    @property
-    def free_counts(self) -> list[int]:
-        return [self.tip_count[i] - self.pending_count[i] for i in range(self.d)]
-
-    def _mark_pending(self, tip_id: int) -> None:
-        c = self.pending_marks.get(tip_id, 0)
-        self.pending_marks[tip_id] = c + 1
-        if c == 0:
-            self.pending_count[self.sites[tip_id].type_label - 1] += 1
-
-    def _unmark_pending(self, tip_id: int) -> None:
-        c = self.pending_marks[tip_id] - 1
-        if c:
-            self.pending_marks[tip_id] = c
-        else:
-            del self.pending_marks[tip_id]
-            i = self.sites[tip_id].type_label - 1
-            if tip_id in self.tips[i]:
-                self.pending_count[i] -= 1
-
-    def _drop_tip(self, tip_id: int) -> None:
-        i = self.sites[tip_id].type_label - 1
-        if self.tips[i].discard(tip_id):
-            self.tip_count[i] -= 1
-            if self.pending_marks.get(tip_id, 0):
-                self.pending_count[i] -= 1
-
-    # -- tip selection ----------------------------------------------------
-
-    def _draw_tip(self, rng: np.random.Generator) -> int:
-        total = sum(self.tip_count)
-        if total == 0:
-            raise ExtinctLedgerError("no tips anywhere in the ledger")
-        k = int(rng.integers(total))
-        for bucket in self.tips:
-            n = len(bucket)
-            if k < n:
-                return bucket[k]
-            k -= n
-        raise AssertionError("unreachable")
-
-    def select_tips(self, rng: np.random.Generator) -> tuple[int, int]:
-        """Two uniform with-replacement tip draws, redrawn until types match."""
-        while True:
-            a = self._draw_tip(rng)
-            b = self._draw_tip(rng)
-            if self.sites[a].type_label == self.sites[b].type_label:
-                return a, b
-
-    # -- operations -------------------------------------------------------
-
-    def create_transaction(self, t: float, rng: np.random.Generator) -> Site:
-        """Create (not yet attach) a transaction at time t; returns the site.
-
-        The caller is responsible for calling attach() at site.attached_at.
-        """
-        a, b = self.select_tips(rng)
-        return self._create(t, a, b, self.sites[a].type_label)
-
-    def create_forced(
-        self, t: float, type_label: int, rng: np.random.Generator
-    ) -> Site:
-        """Create a transaction that selects tips only within type_label."""
-        bucket = self.tips[type_label - 1]
-        if len(bucket) == 0:
-            raise ExtinctLedgerError(f"type {type_label} has no tips to select")
-        a = bucket[int(rng.integers(len(bucket)))]
-        b = bucket[int(rng.integers(len(bucket)))]
-        return self._create(t, a, b, type_label)
-
-    def _create(self, t: float, a: int, b: int, type_label: int) -> Site:
-        site = Site(len(self.sites), t, t + self.delay, (a, b), type_label)
-        self._register(site)
-        self._mark_pending(a)
-        self._mark_pending(b)
-        self.created[type_label - 1] += 1
-        return site
-
-    def attach(self, site: Site) -> None:
-        if self.attached[site.id]:
-            raise RuntimeError(f"site {site.id} attached twice")
-        assert site.parents is not None
-        a, b = site.parents
-        for p in (a, b) if a != b else (a,):
-            if not self.attached[p]:
-                raise RuntimeError("parent not attached before child")
-            if not self.sites[p].attached_at < site.attached_at:
-                raise RuntimeError("attach-time ordering violated (cycle risk)")
-            if self.sites[p].type_label != site.type_label:
-                raise RuntimeError("edge joins different conflict types")
-            self.children[p].append(site.id)
-        self.attached[site.id] = True
-        self._drop_tip(a)
-        if b != a:
-            self._drop_tip(b)
-        self._unmark_pending(a)
-        self._unmark_pending(b)
-        i = site.type_label - 1
-        self.tips[i].add(site.id)
-        self.tip_count[i] += 1
-
-    def add_seed(self, t: float, type_label: int) -> Site:
-        """Attach the seed tip of a conflicting type at time t.
-
-        The seed's parents are the two oldest interior (attached, non-tip)
-        sites, the one interior site twice when only one exists, and none
-        (a second root, like genesis) when there is none, so the seed
-        consumes no tip.  It conflicts by label, so its edges are exempt
-        from the same-type rule.
-        """
-        interior = list(islice((i for i, c in enumerate(self.children) if c), 2))
-        parents = (interior[0], interior[-1]) if interior else None
-        seed = Site(len(self.sites), t, t, parents, type_label)
-        self._register(seed)
-        self.seed_ids.add(seed.id)
-        self.attached[seed.id] = True
-        for p in dict.fromkeys(parents or ()):
-            self.children[p].append(seed.id)
-        i = type_label - 1
-        self.tips[i].add(seed.id)
-        self.tip_count[i] += 1
-        self.created[i] += 1
-        return seed
-
-    # -- invariants -------------------------------------------------------
-
-    def check(self) -> None:
-        """Recompute all derived state and compare with the counters."""
-        for i in range(self.d):
-            bucket = self.tips[i]
-            assert len(bucket) == self.tip_count[i]
-            w = sum(1 for sid in bucket.items if self.pending_marks.get(sid, 0))
-            assert w == self.pending_count[i], "pending count drifted"
-            assert self.free_count(i) >= 0
-            # conservation: a tip is exactly an attached site with no
-            # attached children
-            recount = sum(
-                1
-                for sid, s in enumerate(self.sites)
-                if s.type_label == i + 1
-                and self.attached[sid]
-                and not self.children[sid]
-            )
-            assert recount == self.tip_count[i], "tip conservation violated"
-        for sid, s in enumerate(self.sites):
-            if s.parents is None or not self.attached[sid]:
-                continue
-            for p in s.parents:
-                assert self.sites[p].attached_at < s.attached_at
-                if sid not in self.seed_ids:
-                    assert self.sites[p].type_label == s.type_label
-
-
 class AgentTangleSim(_TangleSim):
-    """Drives an AgentTangle through the creation schedule; built like the
-    reduced model, with the same interface."""
+    """Grows the explicit ledger graph along the creation schedule; built
+    like the reduced model, with the same interface."""
 
     def run(
         self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5
@@ -270,56 +33,188 @@ class AgentTangleSim(_TangleSim):
         """
         grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
         end = min(grid[-1], horizon)
-        tangle = AgentTangle(self.types, self.delay)
         arrivals = self.arrivals.times(horizon, rng)
         ct, blocks, seeds = _schedule(arrivals, self.injections, horizon)
-        n = int(np.searchsorted(ct, end, side="right"))
-        ct = ct[:n]
-        attach_times = ct + self.delay
-        # attaches that precede each creation; attaches win ties
-        attached = np.searchsorted(attach_times, ct, side="right").tolist()
-        times = ct.tolist()
-        typ = np.zeros(n, dtype=np.intp)
-        cov = np.zeros(n, dtype=np.uint8)
-        made: list[Site] = []
-        check = tangle.check if self.check_invariants else lambda: None
-        a = 0
-
-        def attach_upto(e: int) -> None:
-            nonlocal a
-            while a < e:
-                tangle.attach(made[a])
-                a += 1
-                check()
-
-        for start, stop, forced, seed in blocks:
-            if seed:
-                t = seeds[forced]
-                if t > end:
-                    break
-                attach_upto(int(np.searchsorted(attach_times, t, side="right")))
-                tangle.add_seed(t, forced + 1)
-                check()
-            for k in range(start, min(stop, n)):
-                attach_upto(attached[k])
-                w = sum(tangle.pending_count)
-                if forced < 0:
-                    site = tangle.create_transaction(times[k], rng)
-                else:
-                    site = tangle.create_forced(times[k], forced + 1, rng)
-                made.append(site)
-                typ[k] = site.type_label - 1
-                cov[k] = sum(tangle.pending_count) - w
-                check()
+        ct = ct[: int(np.searchsorted(ct, end, side="right"))]
+        typ, cov, live = _kernel(
+            ct, blocks, seeds, self.delay, self.types, end, rng, self.check_invariants
+        )
         frame = _fill_grid(grid, horizon, self.delay, ct, typ, cov, seeds, self.types)
-        if self.check_invariants:
-            # the attaches after the last creation, up to the last grid time
-            attach_upto(int(np.searchsorted(attach_times, end, side="right")))
-            for name, live in (
-                ("tips", tangle.tip_count),
-                ("free", tangle.free_counts),
-                ("pending", tangle.pending_count),
-                ("created", tangle.created),
-            ):
-                assert np.array_equal(getattr(frame, name)[-1], live), name
+        for name, counts in live.items():
+            if not np.array_equal(getattr(frame, name)[-1], counts):
+                raise InvariantError(f"the last grid row of {name} differs from the graph")
         return frame
+
+
+def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
+    """Grow the graph through the schedule; return each creation's 0-based
+    type and the number of tips it newly marks pending (0, 1 or 2).
+
+    Sites are indices into parallel lists: genesis is 0, then creations
+    and seeds in the order they are made.  A tip list drops an entry by
+    moving its last entry into the gap, and tip draws take the lists in
+    type order, so the draws are those of the object graph kept in the
+    tests.  The attach checks always run.  With ``check``, the counters are
+    checked after every event and the whole graph after the attaches up to
+    ``end``, and the third value holds the live counters to compare with
+    the frame's last row; without it, the third value is empty.
+    """
+    n = len(ct)
+    typ = np.zeros(n, dtype=np.intp)
+    cov = np.zeros(n, dtype=np.uint8)
+    times = ct.tolist()
+    attach_times = ct + delay
+    # attaches that precede each creation; attaches win ties
+    attached = np.searchsorted(attach_times, ct, side="right").tolist()
+    draw = integer_stream(rng)
+    # one slot per site that can be made: genesis, creations, seeds
+    size = 1 + n + len(seeds)
+    kind = [0] * size  # 0-based type of each site
+    pa = [-1] * size  # parents; -1 for genesis and for a seed made as a root
+    pb = [-1] * size
+    marks = [0] * size  # selections by creations not yet attached
+    att = [False] * size
+    at = [0.0] * size  # attach time
+    pos = [-1] * size  # index in its type's tip list; -1 when not a tip
+    kid = [False] * size  # has an attached child
+    att[0] = True
+    pos[0] = 0
+    tips = [[0]] + [[] for _ in range(types - 1)]
+    pend = [0] * types  # tips with a mark, per type
+    created = [1] + [0] * (types - 1)
+    seed_ids = set()
+    made = []  # site of each creation, in schedule order
+    sites = 1  # sites made so far
+    done = 0  # creations attached so far
+
+    def verify(i: int) -> None:
+        if not 0 <= pend[i] <= len(tips[i]):
+            raise InvariantError(f"type {i + 1}: {pend[i]} pending of {len(tips[i])} tips")
+
+    def attach_upto(e: int) -> None:
+        nonlocal done
+        while done < e:
+            s = made[done]
+            done += 1
+            if att[s]:
+                raise InvariantError(f"site {s} attached twice")
+            i, a, b, t = kind[s], pa[s], pb[s], at[s]
+            bucket = tips[i]
+            for p in (a, b) if a != b else (a,):
+                if not att[p]:
+                    raise InvariantError("parent not attached before child")
+                if not at[p] < t:
+                    raise InvariantError("attach-time ordering violated (cycle risk)")
+                if kind[p] != i:
+                    raise InvariantError("edge joins different conflict types")
+                kid[p] = True
+                k = pos[p]
+                if k >= 0:  # still a tip; this site's mark keeps it pending
+                    last = bucket.pop()
+                    if last != p:
+                        bucket[k] = last
+                        pos[last] = k
+                    pos[p] = -1
+                    pend[i] -= 1
+            marks[a] -= 1
+            marks[b] -= 1
+            att[s] = True
+            pos[s] = len(bucket)
+            bucket.append(s)
+            if check:
+                verify(i)
+
+    def add_site(i: int, a: int, b: int, t: float) -> int:
+        nonlocal sites
+        s = sites
+        sites += 1
+        kind[s] = i
+        pa[s] = a
+        pb[s] = b
+        at[s] = t
+        created[i] += 1
+        return s
+
+    for start, stop, forced, seed in blocks:
+        if seed:
+            t = seeds[forced]
+            if t > end:
+                break
+            attach_upto(int(np.searchsorted(attach_times, t, side="right")))
+            # under the two oldest interior sites, one twice, or none
+            interior = list(islice(compress(count(), kid), 2))
+            a, b = (interior[0], interior[-1]) if interior else (-1, -1)
+            s = add_site(forced, a, b, t)
+            att[s] = True
+            for p in {a, b} - {-1}:
+                kid[p] = True
+            pos[s] = len(tips[forced])
+            tips[forced].append(s)
+            seed_ids.add(s)
+            if check:
+                verify(forced)
+        for k in range(start, min(stop, n)):
+            if done < attached[k]:
+                attach_upto(attached[k])
+            if forced < 0 and types > 1:
+                total = sum(map(len, tips))
+                if total == 0:
+                    raise ExtinctLedgerError("no tips anywhere in the ledger")
+                while True:  # two picks over all tips, redrawn until types match
+                    r = draw(total)
+                    for bucket in tips:
+                        if r < len(bucket):
+                            break
+                        r -= len(bucket)
+                    a = bucket[r]
+                    r = draw(total)
+                    for bucket in tips:
+                        if r < len(bucket):
+                            break
+                        r -= len(bucket)
+                    b = bucket[r]
+                    i = kind[a]
+                    if kind[b] == i:
+                        break
+            else:  # one type: all tips are in one list, and picks match
+                i = max(forced, 0)
+                bucket = tips[i]
+                if not bucket:
+                    raise ExtinctLedgerError(f"type {i + 1} has no tips to select")
+                a = bucket[draw(len(bucket))]
+                b = bucket[draw(len(bucket))]
+            u = (marks[a] == 0) + (b != a and marks[b] == 0)
+            marks[a] += 1
+            marks[b] += 1
+            pend[i] += u
+            made.append(add_site(i, a, b, times[k] + delay))
+            typ[k] = i
+            cov[k] = u
+            if check:
+                verify(i)
+    if not check:
+        return typ, cov, {}
+    attach_upto(int(np.searchsorted(attach_times, end, side="right")))
+    for i, bucket in enumerate(tips):
+        for k, s in enumerate(bucket):
+            if pos[s] != k or kind[s] != i or not att[s] or kid[s]:
+                raise InvariantError(f"site {s} is listed as a type-{i + 1} tip but is not one")
+        if sum(1 for s in bucket if marks[s]) != pend[i]:
+            raise InvariantError(f"type {i + 1}: pending count drifted")
+    leaves = [0] * types
+    for s in compress(range(sites), att):
+        leaves[kind[s]] += not kid[s]
+        for p in {pa[s], pb[s]} - {-1}:
+            if not at[p] < at[s]:
+                raise InvariantError("attach-time ordering violated (cycle risk)")
+            if kind[p] != kind[s] and s not in seed_ids:
+                raise InvariantError("edge joins different conflict types")
+    if leaves != list(map(len, tips)):
+        raise InvariantError("tip conservation violated")
+    tip_counts = list(map(len, tips))
+    return typ, cov, {
+        "tips": tip_counts,
+        "free": [c - w for c, w in zip(tip_counts, pend)],
+        "pending": pend,
+        "created": created,
+    }

@@ -21,6 +21,7 @@ def _cmd_simulate(args) -> int:
         runs=args.runs,
         seed=args.seed,
         workers=args.workers,
+        check=args.check,
     )
     print(json.dumps(summary.to_dict(), indent=2))
     return 0
@@ -106,6 +107,9 @@ def main(argv=None) -> int:
     sim.add_argument("--seed", type=int, default=None, help="override master seed")
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--workers", type=int, default=1, help="parallel processes")
+    sim.add_argument(
+        "--check", action="store_true", help="check a tangle model's invariants (slower)"
+    )
     sim.set_defaults(func=_cmd_simulate)
 
     val = sub.add_parser(

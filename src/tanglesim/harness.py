@@ -185,7 +185,10 @@ def config_hash(scenario: Scenario) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _parse_tangle(top: _Block, kind: str) -> dict:
+_MAX_GRID_ROWS = 10**7
+
+
+def _parse_tangle(top: _Block, kind: str, horizon: float) -> dict:
     params = {
         "rate": top.number("rate"),
         "delay": top.number("delay"),
@@ -195,6 +198,9 @@ def _parse_tangle(top: _Block, kind: str) -> dict:
         "grid_dt": top.number("grid_dt", 0.5, positive=True),
         "injections": [],
     }
+    rows = horizon / params["grid_dt"]
+    if not rows <= _MAX_GRID_ROWS:
+        raise top.error("grid_dt", f"gives {rows:.3g} grid rows, more than {_MAX_GRID_ROWS:.0e}")
     for b in top.blocks("injections"):
         params["injections"].append(
             {"time": b.number("time"), "type": b.integer("type"), "count": b.integer("count")}
@@ -335,7 +341,7 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
     if not isinstance(per_run, bool):
         raise top.error("per_run", f"expected true or false, got {per_run!r}")
     if kind in ("tangle-reduced", "tangle-agent"):
-        params = _parse_tangle(top, kind)
+        params = _parse_tangle(top, kind, horizon)
     elif kind == "fluid":
         params = _parse_fluid(top, horizon)
     elif kind == "compliance-net":
@@ -409,7 +415,7 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
 
 # -- builders -----------------------------------------------------------------
 
-def build_tangle_sim(kind: str, params: dict):
+def build_tangle_sim(kind: str, params: dict, check: bool = False):
     arrivals = ArrivalProcess(
         rate=params["rate"],
         kind=params["arrival_kind"],
@@ -419,7 +425,7 @@ def build_tangle_sim(kind: str, params: dict):
         Injection(i["time"], i["type"], i["count"]) for i in params["injections"]
     )
     cls = ReducedTangleSim if kind == "tangle-reduced" else AgentTangleSim
-    return cls(arrivals, params["delay"], params["types"], injections)
+    return cls(arrivals, params["delay"], params["types"], injections, check)
 
 
 def build_network(params: dict) -> compliance.ComplianceNetwork:
@@ -506,16 +512,18 @@ def run_tangle_ensemble(
     seed: int,
     runs: int,
     workers: int = 1,
+    check: bool = False,
 ) -> dict:
     """Ensemble of counter trajectories: stats per variable per type.
 
     Returns {"times": (G,), "stats": VarStats of (4, G, d) arrays, the
     variables in TANGLE_VARS order, "members": every run's TrajectoryFrame
-    in run-index order}.
+    in run-index order}.  ``check`` runs every member with its model's
+    invariant checks.
     """
     _integer(runs, "runs", minimum=1)
     _integer(workers, "workers", minimum=1)
-    sim = build_tangle_sim(kind, params)
+    sim = build_tangle_sim(kind, params, check)
     member = functools.partial(sim.run, horizon, grid_dt=params["grid_dt"])
     members = list(seeded_runs(member, seed, runs, workers))
     stack = np.array([(m.tips, m.free, m.pending, m.created) for m in members])
@@ -580,11 +588,13 @@ def run_scenario(
     runs: int | None = None,
     seed: int | None = None,
     workers: int = 1,
+    check: bool = False,
 ) -> RunSummary:
     """Execute a scenario and write its CSV outputs plus a summary JSON.
 
     ``runs`` and ``seed`` override the scenario's values in a copy; the
-    caller's scenario is left as it was.
+    caller's scenario is left as it was.  ``check`` turns on a tangle
+    model's invariant checks; a violation raises ``InvariantError``.
     """
     overrides = {}
     if runs is not None:
@@ -592,6 +602,8 @@ def run_scenario(
     if seed is not None:
         overrides["seed"] = _integer(seed, "seed", minimum=0)
     _integer(workers, "workers", minimum=1)
+    if check and scenario.kind not in ("tangle-reduced", "tangle-agent"):
+        raise ScenarioError(f"invariant checks need a tangle scenario, not {scenario.kind!r}")
     scenario = replace(scenario, **overrides)
     out = Path(out_dir)
     stem = scenario.out_stem or scenario.name
@@ -612,7 +624,7 @@ def run_scenario(
 
     if scenario.kind in ("tangle-reduced", "tangle-agent"):
         ens = run_tangle_ensemble(
-            scenario.kind, p, scenario.horizon, scenario.seed, scenario.runs, workers
+            scenario.kind, p, scenario.horizon, scenario.seed, scenario.runs, workers, check
         )
         d = p["types"]
         header, columns = ["time"], [ens["times"]]

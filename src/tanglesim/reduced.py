@@ -26,6 +26,11 @@ class ExtinctLedgerError(RuntimeError):
     """Raised when a transaction must be created but no type has any tips."""
 
 
+class InvariantError(RuntimeError):
+    """A model's bookkeeping broke one of its invariants; unlike ``assert``,
+    this is raised under ``python -O`` too."""
+
+
 @dataclass(frozen=True)
 class Injection:
     """A burst of forced-type transactions created at one instant."""
@@ -174,8 +179,11 @@ def _kernel(ct, blocks, delay, types, horizon, rng, check):
 
     def verify() -> None:
         for i in range(types):
-            assert free[i] + pend[i] == tips[i], "free + pending != tips"
-            assert free[i] >= 0 and pend[i] >= 0 and tips[i] >= 0
+            if free[i] + pend[i] != tips[i] or min(free[i], pend[i]) < 0:
+                raise InvariantError(
+                    f"type {i + 1}: free {free[i]} + pending {pend[i]} != tips {tips[i]}"
+                    " or a count below 0"
+                )
 
     a = 0
     for start, stop, forced, seed in blocks:

@@ -1,13 +1,20 @@
 """DAG-ledger agent model tests.
 
-Graph structure is exercised through the low-level AgentTangle API so weights
-and invariants can be checked against hand-built ledgers.  `AgentTangleSim.run`
-is pinned against `event_loop_run`, the one-event-at-a-time loop kept here as
-the reference oracle: it merges arrivals, attaches and bursts itself, records
-through `GridRecorder`, and seeds a burst's type only when the graph holds no
-tip of it, with full invariant recomputation after every event.
+`AgentTangle` below is the agent as an object graph: sites, per-type tip
+sets, pending marks and a full structural self-check.  Graph structure is
+exercised through it, so weights and invariants can be checked against
+hand-built ledgers.  It is also the reference for the package's flat
+kernel: `graph_kernel` drives it through the creation schedule with scalar
+`rng.integers` draws and must give the kernel's types and coverages draw for
+draw, and `event_loop_run` drives it one event at a time (merging arrivals,
+attaches and bursts itself, recording through `GridRecorder`, seeding a
+burst's type only when the graph holds no tip of it, with full invariant
+recomputation after every event) and must give `AgentTangleSim.run`'s frame.
 """
+import copy
 from collections import deque
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,16 +22,256 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanglesim import (
-    AgentTangle,
     AgentTangleSim,
     ArrivalProcess,
     ExtinctLedgerError,
     Injection,
     ReducedTangleSim,
-    Site,
 )
+from tanglesim.agent import _kernel
+from tanglesim.reduced import _schedule
 from tanglesim.seeding import seed_stream
 from tanglesim.trajectory import GridRecorder, make_grid
+
+
+# -- the object graph -------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class Site:
+    """One ledger transaction."""
+
+    id: int
+    created_at: float
+    attached_at: float
+    # None for genesis and for a seed placed before any site is interior
+    parents: tuple[int, int] | None
+    type_label: int  # 1-based
+
+
+class _IndexedSet:
+    """Set with O(1) add/discard and O(1) uniform indexing."""
+
+    __slots__ = ("items", "pos")
+
+    def __init__(self) -> None:
+        self.items: list[int] = []
+        self.pos: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __contains__(self, item: int) -> bool:
+        return item in self.pos
+
+    def __getitem__(self, k: int) -> int:
+        return self.items[k]
+
+    def add(self, item: int) -> None:
+        if item not in self.pos:
+            self.pos[item] = len(self.items)
+            self.items.append(item)
+
+    def discard(self, item: int) -> bool:
+        k = self.pos.pop(item, None)
+        if k is None:
+            return False
+        last = self.items.pop()
+        if last != item:
+            self.items[k] = last
+            self.pos[last] = k
+        return True
+
+
+class AgentTangle:
+    """Mutable DAG state: sites, per-type tip sets, pending-selection marks."""
+
+    def __init__(self, types: int, delay: float):
+        if types < 1:
+            raise ValueError("need at least one conflict type")
+        if not delay > 0:
+            raise ValueError("attach delay must be positive")
+        self.d = types
+        self.delay = delay
+        self.sites: list[Site] = []
+        self.attached: list[bool] = []
+        self.children: list[list[int]] = []
+        self.tips: list[_IndexedSet] = [_IndexedSet() for _ in range(types)]
+        # outstanding selections per tip id; a tip with a mark is pending
+        self.pending_marks: dict[int, int] = {}
+        self.seed_ids: set[int] = set()
+        self.tip_count = [0] * types
+        self.pending_count = [0] * types
+        self.created = [0] * types
+        genesis = Site(0, 0.0, 0.0, None, 1)
+        self._register(genesis)
+        self.attached[0] = True
+        self.tips[0].add(0)
+        self.tip_count[0] = 1
+        self.created[0] = 1
+
+    # -- bookkeeping ------------------------------------------------------
+
+    def _register(self, site: Site) -> None:
+        assert site.id == len(self.sites)
+        self.sites.append(site)
+        self.attached.append(False)
+        self.children.append([])
+
+    def free_count(self, i: int) -> int:
+        return self.tip_count[i] - self.pending_count[i]
+
+    @property
+    def free_counts(self) -> list[int]:
+        return [self.tip_count[i] - self.pending_count[i] for i in range(self.d)]
+
+    def _mark_pending(self, tip_id: int) -> None:
+        c = self.pending_marks.get(tip_id, 0)
+        self.pending_marks[tip_id] = c + 1
+        if c == 0:
+            self.pending_count[self.sites[tip_id].type_label - 1] += 1
+
+    def _unmark_pending(self, tip_id: int) -> None:
+        c = self.pending_marks[tip_id] - 1
+        if c:
+            self.pending_marks[tip_id] = c
+        else:
+            del self.pending_marks[tip_id]
+            i = self.sites[tip_id].type_label - 1
+            if tip_id in self.tips[i]:
+                self.pending_count[i] -= 1
+
+    def _drop_tip(self, tip_id: int) -> None:
+        i = self.sites[tip_id].type_label - 1
+        if self.tips[i].discard(tip_id):
+            self.tip_count[i] -= 1
+            if self.pending_marks.get(tip_id, 0):
+                self.pending_count[i] -= 1
+
+    # -- tip selection ----------------------------------------------------
+
+    def _draw_tip(self, rng: np.random.Generator) -> int:
+        total = sum(self.tip_count)
+        if total == 0:
+            raise ExtinctLedgerError("no tips anywhere in the ledger")
+        k = int(rng.integers(total))
+        for bucket in self.tips:
+            n = len(bucket)
+            if k < n:
+                return bucket[k]
+            k -= n
+        raise AssertionError("unreachable")
+
+    def select_tips(self, rng: np.random.Generator) -> tuple[int, int]:
+        """Two uniform with-replacement tip draws, redrawn until types match."""
+        while True:
+            a = self._draw_tip(rng)
+            b = self._draw_tip(rng)
+            if self.sites[a].type_label == self.sites[b].type_label:
+                return a, b
+
+    # -- operations -------------------------------------------------------
+
+    def create_transaction(self, t: float, rng: np.random.Generator) -> Site:
+        """Create (not yet attach) a transaction at time t; returns the site.
+
+        The caller is responsible for calling attach() at site.attached_at.
+        """
+        a, b = self.select_tips(rng)
+        return self._create(t, a, b, self.sites[a].type_label)
+
+    def create_forced(
+        self, t: float, type_label: int, rng: np.random.Generator
+    ) -> Site:
+        """Create a transaction that selects tips only within type_label."""
+        bucket = self.tips[type_label - 1]
+        if len(bucket) == 0:
+            raise ExtinctLedgerError(f"type {type_label} has no tips to select")
+        a = bucket[int(rng.integers(len(bucket)))]
+        b = bucket[int(rng.integers(len(bucket)))]
+        return self._create(t, a, b, type_label)
+
+    def _create(self, t: float, a: int, b: int, type_label: int) -> Site:
+        site = Site(len(self.sites), t, t + self.delay, (a, b), type_label)
+        self._register(site)
+        self._mark_pending(a)
+        self._mark_pending(b)
+        self.created[type_label - 1] += 1
+        return site
+
+    def attach(self, site: Site) -> None:
+        if self.attached[site.id]:
+            raise RuntimeError(f"site {site.id} attached twice")
+        assert site.parents is not None
+        a, b = site.parents
+        for p in (a, b) if a != b else (a,):
+            if not self.attached[p]:
+                raise RuntimeError("parent not attached before child")
+            if not self.sites[p].attached_at < site.attached_at:
+                raise RuntimeError("attach-time ordering violated (cycle risk)")
+            if self.sites[p].type_label != site.type_label:
+                raise RuntimeError("edge joins different conflict types")
+            self.children[p].append(site.id)
+        self.attached[site.id] = True
+        self._drop_tip(a)
+        if b != a:
+            self._drop_tip(b)
+        self._unmark_pending(a)
+        self._unmark_pending(b)
+        i = site.type_label - 1
+        self.tips[i].add(site.id)
+        self.tip_count[i] += 1
+
+    def add_seed(self, t: float, type_label: int) -> Site:
+        """Attach the seed tip of a conflicting type at time t.
+
+        The seed's parents are the two oldest interior (attached, non-tip)
+        sites, the one interior site twice when only one exists, and none
+        (a second root, like genesis) when there is none, so the seed
+        consumes no tip.  It conflicts by label, so its edges are exempt
+        from the same-type rule.
+        """
+        interior = list(islice((i for i, c in enumerate(self.children) if c), 2))
+        parents = (interior[0], interior[-1]) if interior else None
+        seed = Site(len(self.sites), t, t, parents, type_label)
+        self._register(seed)
+        self.seed_ids.add(seed.id)
+        self.attached[seed.id] = True
+        for p in dict.fromkeys(parents or ()):
+            self.children[p].append(seed.id)
+        i = type_label - 1
+        self.tips[i].add(seed.id)
+        self.tip_count[i] += 1
+        self.created[i] += 1
+        return seed
+
+    # -- invariants -------------------------------------------------------
+
+    def check(self) -> None:
+        """Recompute all derived state and compare with the counters."""
+        for i in range(self.d):
+            bucket = self.tips[i]
+            assert len(bucket) == self.tip_count[i]
+            w = sum(1 for sid in bucket.items if self.pending_marks.get(sid, 0))
+            assert w == self.pending_count[i], "pending count drifted"
+            assert self.free_count(i) >= 0
+            # conservation: a tip is exactly an attached site with no
+            # attached children
+            recount = sum(
+                1
+                for sid, s in enumerate(self.sites)
+                if s.type_label == i + 1
+                and self.attached[sid]
+                and not self.children[sid]
+            )
+            assert recount == self.tip_count[i], "tip conservation violated"
+        for sid, s in enumerate(self.sites):
+            if s.parents is None or not self.attached[sid]:
+                continue
+            for p in s.parents:
+                assert self.sites[p].attached_at < s.attached_at
+                if sid not in self.seed_ids:
+                    assert self.sites[p].type_label == s.type_label
+
 
 
 # -- event-loop reference oracle -------------------------------------------------
@@ -96,6 +343,48 @@ def event_loop_run(sim, horizon, rng, grid_dt=0.5):
         tangle.pending_count,
         tangle.created,
     )
+
+
+def _scheduled(sim, horizon, rng, grid_dt):
+    """The schedule `AgentTangleSim.run` grows its graph through, cut at the
+    last grid time, and that time."""
+    grid = make_grid(horizon, grid_dt)
+    end = min(grid[-1], horizon)
+    ct, blocks, seeds = _schedule(sim.arrivals.times(horizon, rng), sim.injections, horizon)
+    return ct[: int(np.searchsorted(ct, end, side="right"))], blocks, seeds, end
+
+
+def graph_kernel(sim, ct, blocks, seeds, end, rng):
+    """Each creation's 0-based type and its newly pending tips, grown on
+    `AgentTangle` with scalar `rng.integers` draws; a site attaches before
+    any creation or seed at or after its attach time."""
+    tangle = AgentTangle(sim.types, sim.delay)
+    waiting = deque()
+    typ = np.zeros(len(ct), dtype=np.intp)
+    cov = np.zeros(len(ct), dtype=np.uint8)
+
+    def attach_upto(t):
+        while waiting and waiting[0].attached_at <= t:
+            tangle.attach(waiting.popleft())
+
+    for start, stop, forced, seed in blocks:
+        if seed:
+            if seeds[forced] > end:
+                break
+            attach_upto(seeds[forced])
+            tangle.add_seed(seeds[forced], forced + 1)
+        for k in range(start, min(stop, len(ct))):
+            t = float(ct[k])
+            attach_upto(t)
+            w = sum(tangle.pending_count)
+            if forced < 0:
+                site = tangle.create_transaction(t, rng)
+            else:
+                site = tangle.create_forced(t, forced + 1, rng)
+            waiting.append(site)
+            typ[k] = site.type_label - 1
+            cov[k] = sum(tangle.pending_count) - w
+    return typ, cov
 
 
 def _chain(n, delay=1.0):
@@ -412,6 +701,16 @@ def agent_configs(draw):
     }
 
 
+def _agent(config, check_invariants=False):
+    return AgentTangleSim(
+        ArrivalProcess(config["rate"], config["kind"], config["stop"]),
+        config["delay"],
+        types=config["types"],
+        injections=config["injections"],
+        check_invariants=check_invariants,
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(config=agent_configs(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(
@@ -441,18 +740,33 @@ def agent_configs(draw):
     seed=0,
 )
 def test_run_matches_event_loop_oracle(config, seed):
-    sim = AgentTangleSim(
-        ArrivalProcess(config["rate"], config["kind"], config["stop"]),
-        config["delay"],
-        types=config["types"],
-        injections=config["injections"],
-        check_invariants=True,
-    )
+    sim = _agent(config, check_invariants=True)
     horizon, grid_dt = config["horizon"], config["grid_dt"]
     want = event_loop_run(sim, horizon, np.random.default_rng(seed), grid_dt)
     got = sim.run(horizon, np.random.default_rng(seed), grid_dt)
     for name in ("times", "tips", "free", "pending", "created"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=agent_configs(), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       check=st.booleans())
+@example(
+    # about 9,000 tip draws: the kernel's raw words span several chunks
+    config={"types": 2, "horizon": 6.25, "rate": 500.0, "kind": "poisson",
+            "delay": 1.0, "stop": None, "grid_dt": 0.5,
+            "injections": (Injection(2.0, 2, 300), Injection(4.0, 2, 200))},
+    seed=3, check=False,
+)
+def test_kernel_matches_the_object_graph_draw_for_draw(config, seed, check):
+    sim = _agent(config)
+    rng = np.random.default_rng(seed)
+    ct, blocks, seeds, end = _scheduled(sim, config["horizon"], rng, config["grid_dt"])
+    twin = copy.deepcopy(rng)  # both sides draw tips after the arrivals
+    want = graph_kernel(sim, ct, blocks, seeds, end, rng)
+    typ, cov, live = _kernel(ct, blocks, seeds, sim.delay, sim.types, end, twin, check)
+    assert np.array_equal(typ, want[0]) and np.array_equal(cov, want[1])
+    assert bool(live) == check
 
 
 # -- one seed rule in both models -----------------------------------------------------

@@ -1,8 +1,14 @@
 """End-to-end CLI tests driven through main(argv)."""
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import tanglesim
 from tanglesim import AgentTangleSim
 from tanglesim.cli import main
 
@@ -317,6 +323,8 @@ _JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs":
         (_TANGLE, {"injections": [{"time": -1.0, "type": 2, "count": 5}]},
          "bad: injection time"),
         (_TANGLE, {"stop_arrivals_at": -1.0}, "bad: arrival stop time"),
+        # a grid no run could allocate
+        (_TANGLE, {"grid_dt": 1e-300}, "bad.grid_dt"),
         (_JUNCTION, {"controller": {"target": 1.5}}, "bad: target"),
         (_JUNCTION, {"config": {"slowdown": -1.0}}, "bad: slowdown"),
         # NaN and Infinity are JSON to Python's reader, but no field's value
@@ -357,3 +365,70 @@ def test_simulate_accepts_the_boundary_inputs(tmp_path, capsys):
     ):
         scenario = _write(tmp_path, f"{name}.json", payload)
         assert main(["simulate", scenario, "--out", str(tmp_path / name)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["tangle-reduced", "tangle-agent"])
+def test_check_keeps_every_csv_byte(tmp_path, capsys, kind):
+    scenario = _write(tmp_path, "small.json", {
+        **_TANGLE, "kind": kind, "per_run": True,
+        "injections": [{"time": 2.0, "type": 2, "count": 5}]})
+    for flags in ([], ["--check"]):
+        out = tmp_path / ("checked" if flags else "plain")
+        assert main(["simulate", scenario, "--out", str(out), *flags]) == 0
+    csvs = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+    assert len(csvs) == 4
+    for name in csvs:
+        assert (tmp_path / "checked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_check_needs_a_tangle_scenario(tmp_path, capsys):
+    scenario = _write(tmp_path, "ring.json", _RING)
+    assert main(["simulate", scenario, "--check", "--out", str(tmp_path / "res")]) == 2
+    assert "tangle scenario" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+# Each patch breaks one model's counters mid-run: the reduced model's
+# type-1 counters are reset to one free tip by a spurious seed half-way
+# through the schedule, and the agent's frame reports one pending tip too
+# many at the end.
+_CORRUPT = {
+    "tangle-reduced": ("free 1 + pending", """
+        from tanglesim import reduced
+        schedule = reduced._schedule
+        def corrupt(*args):
+            ct, blocks, seeds = schedule(*args)
+            start, stop, forced, seed = blocks[-1]
+            half = (start + stop) // 2
+            return ct, blocks[:-1] + [(start, half, forced, seed), (half, stop, 0, True)], seeds
+        reduced._schedule = corrupt
+    """),
+    "tangle-agent": ("the last grid row of pending differs", """
+        from tanglesim import agent
+        fill = agent._fill_grid
+        def corrupt(*args):
+            frame = fill(*args)
+            frame.pending[-1, 0] += 1
+            return frame
+        agent._fill_grid = corrupt
+    """),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CORRUPT))
+def test_check_reports_a_corrupted_counter_under_python_O(tmp_path, kind):
+    # ``python -O`` drops assert statements; the checks must still raise
+    scenario = _write(tmp_path, "small.json", {**_TANGLE, "kind": kind, "types": 1})
+    message, patch = _CORRUPT[kind]
+    script = textwrap.dedent(patch) + textwrap.dedent(f"""
+        import sys
+        from tanglesim.cli import main
+        sys.exit(main(["simulate", {scenario!r}, "--check", "--out", {str(tmp_path / "res")!r}]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(tanglesim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "res").exists()

@@ -323,13 +323,13 @@ _JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs":
         (_TANGLE, {"injections": [{"time": -1.0, "type": 2, "count": 5}]},
          "bad: injection time"),
         (_TANGLE, {"stop_arrivals_at": -1.0}, "bad: arrival stop time"),
-        # a grid no run could allocate
-        (_TANGLE, {"grid_dt": 1e-300}, "bad.grid_dt"),
         (_JUNCTION, {"controller": {"target": 1.5}}, "bad: target"),
         (_JUNCTION, {"config": {"slowdown": -1.0}}, "bad: slowdown"),
         # NaN and Infinity are JSON to Python's reader, but no field's value
         (_TANGLE, {"horizon": float("inf")}, "bad.horizon"),
         (_RING, {"initial_q_offset": float("nan")}, "bad.initial_q_offset"),
+        # a grid no run could allocate
+        (_TANGLE, {"grid_dt": 1e-300}, "bad.grid_dt"),
     ],
 )
 def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, change, field):

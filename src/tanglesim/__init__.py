@@ -13,16 +13,11 @@ from .fluid import (
     static_solution,
 )
 from .stability import (
-    ModeCheck,
     SpectralRegion,
     balanced_characteristic,
     check_sufficient_condition,
     compliance_matrix,
     count_roots,
-    find_x0,
-    mode_ratio,
-    ring_eigenvalues,
-    verify_unstable_mode,
 )
 from .compliance import ComplianceNetwork
 from .junction import ControllerParams, JunctionConfig, controller_step, run_ensemble
@@ -40,7 +35,6 @@ __all__ = [
     "FluidTrajectory",
     "Injection",
     "JunctionConfig",
-    "ModeCheck",
     "ReducedTangleSim",
     "Scenario",
     "SpectralRegion",
@@ -52,15 +46,11 @@ __all__ = [
     "constant_history",
     "controller_step",
     "count_roots",
-    "find_x0",
     "integrate",
-    "mode_ratio",
     "parse_scenario",
-    "ring_eigenvalues",
     "run_ensemble",
     "run_scenario",
     "seed_stream",
     "static_solution",
     "validate",
-    "verify_unstable_mode",
 ]

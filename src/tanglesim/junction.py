@@ -70,73 +70,23 @@ def controller_step(
     return new_cost, new_q
 
 
-@dataclass
-class JunctionState:
-    queues: np.ndarray  # (3,) int
-    phase: int = 0  # index of the green queue
-    unit: int = 0
-    phase_violations: int = 0  # incursions since the last switch
-    Q: float = 1.0
-    C: float = 0.0
-
-    @property
-    def vbar(self) -> float:
-        return float(self.queues.sum()) / 3.0
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    arrivals: int
-    violations: int
-    served: int
-
-
-def step(state: JunctionState, config: JunctionConfig, rng: np.random.Generator) -> StepRecord:
-    """Advance one time unit in place.
-
-    Order within the unit: arrivals, red-queue incursion attempts (at most
-    one per nonempty red queue, each with probability 1 - Q), green service
-    throttled by the incursions accumulated this phase, then the signal
-    switch check.  Vehicle conservation: arrivals - served = change in the
-    total queue length (incursions move no vehicles).
-    """
-    arrivals = int(rng.poisson(config.arrival_rate))
-    state.queues += rng.multinomial(arrivals, (1 / 3, 1 / 3, 1 / 3))
-    violations = 0
-    for r in range(3):
-        if r != state.phase and state.queues[r] > 0 and rng.random() < 1.0 - state.Q:
-            violations += 1
-    state.phase_violations += violations
-    cap = service_capacity(config, state.phase_violations)
-    served = min(int(state.queues[state.phase]), cap)
-    state.queues[state.phase] -= served
-    state.unit += 1
-    if state.unit % config.switch_period == 0:
-        state.phase = (state.phase + 1) % 3
-        state.phase_violations = 0
-    return StepRecord(arrivals, violations, served)
-
-
-@dataclass
-class JunctionRun:
-    times: np.ndarray  # (horizon+1,) integer units
-    vbar: np.ndarray
-    Q: np.ndarray
-    C: np.ndarray
-
-
 def run(
     config: JunctionConfig,
     horizon: int,
     rng: np.random.Generator,
     fixed_Q: float | None = None,
     controller: ControllerParams | None = None,
-) -> JunctionRun:
-    """Simulate one seeded junction run.
+) -> np.ndarray:
+    """Simulate one seeded junction run; returns the (3, horizon+1) rows
+    vbar, Q, C at the integer units 0..horizon.
 
-    Exactly one of fixed_Q / controller must be given.  Closed-loop runs
-    start from zero cost and compliance and apply the controller once per
-    time unit after the traffic update (the controller observes Q exactly).
+    Order within a unit: Poisson arrivals spread by one multinomial draw,
+    red-queue incursion attempts (one uniform per nonempty red queue, each
+    an incursion with probability 1 - Q), green service throttled by the
+    incursions since the last switch, the signal switch check, and then, in
+    closed loop, one controller update (the controller observes Q exactly).
+    Exactly one of fixed_Q / controller must be given; closed-loop runs
+    start from zero cost and compliance.
     """
     if (fixed_Q is None) == (controller is None):
         raise ValueError("give exactly one of fixed_Q or controller")
@@ -144,21 +94,27 @@ def run(
         raise ValueError("fixed_Q must lie in [0, 1]")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    q0 = fixed_Q if fixed_Q is not None else 0.0
-    state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=q0, C=0.0)
-    T = horizon + 1
-    vbar = np.zeros(T)
-    qs = np.zeros(T)
-    cs = np.zeros(T)
-    qs[0] = state.Q
-    for t in range(1, T):
-        step(state, config, rng)
+    poisson, multinomial, random = rng.poisson, rng.multinomial, rng.random
+    rate, period, thirds = config.arrival_rate, config.switch_period, (1 / 3, 1 / 3, 1 / 3)
+    queues = [0, 0, 0]
+    phase = strikes = 0  # green queue; incursions since the last switch
+    q = 0.0 if fixed_Q is None else fixed_Q
+    c = 0.0
+    rows = [(0.0, q, c)]
+    for unit in range(1, horizon + 1):
+        queues = [n + m for n, m in zip(queues, multinomial(poisson(rate), thirds).tolist())]
+        jump = 1.0 - q
+        for r in (0, 1, 2):
+            if r != phase and queues[r] > 0 and random() < jump:
+                strikes += 1
+        queues[phase] -= min(queues[phase], service_capacity(config, strikes))
+        if unit % period == 0:
+            phase = (phase + 1) % 3
+            strikes = 0
         if controller is not None:
-            state.C, state.Q = controller_step(state.C, state.Q, controller)
-        vbar[t] = state.vbar
-        qs[t] = state.Q
-        cs[t] = state.C
-    return JunctionRun(np.arange(T), vbar, qs, cs)
+            c, q = controller_step(c, q, controller)
+        rows.append((sum(queues) / 3.0, q, c))
+    return np.array(rows).T
 
 
 @dataclass
@@ -185,7 +141,7 @@ def run_ensemble(
     member = functools.partial(run, config, horizon, fixed_Q=fixed_Q, controller=controller)
     stack = np.empty((runs, 3, horizon + 1))  # vbar, Q, C per run
     for r, out in enumerate(seeded_runs(member, master_seed, runs, workers)):
-        stack[r] = out.vbar, out.Q, out.C
+        stack[r] = out
     mean = stack.mean(axis=0)
     return JunctionEnsemble(
         times=np.arange(horizon + 1),

@@ -1,100 +1,26 @@
 """Linear stability numerics.
 
-Covers both halves of the toolkit: the growth-rate root and unstable-mode
-check for the linearized fluid tip dynamics, a winding-number root counter
-for transcendental characteristic functions on rectangles, and the spectral
-sufficient condition for the delayed compliance network (with the ring
-closed form).
+Covers both halves of the toolkit: the characteristic function of aggregate
+tip perturbations in the fluid model, a winding-number root counter for
+transcendental characteristic functions on rectangles, and the spectral
+sufficient condition for the delayed compliance network.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+RE_POINTS, IM_POINTS = 41, 161  # spectral-scan grid: real-part rows x points per row
+MIN_MODULUS = 1e-9  # |f| at or below this on a contour is a root on the contour
+MAX_DEPTH = 48  # bisection depth limit of one contour segment
+POLE_GAP = 1e-12  # |z + E_i k_i| below this is a pole of the transfer matrix
+
 
 # -- fluid linearization ----------------------------------------------------
-
-def growth_gap(x: float) -> float:
-    """1 + x/2 - e^(-x) - x e^x - x^2 e^x; its positive root sets the
-    instability growth rate of unbalanced-type perturbations."""
-    ex = math.exp(x)
-    return 1.0 + 0.5 * x - math.exp(-x) - x * ex - x * x * ex
-
-
-def find_x0(tol: float = 1e-12) -> float:
-    """Positive root of growth_gap in (0, 1) by bisection to abs tol."""
-    lo, hi = 1e-6, 1.0
-    f_lo, f_hi = growth_gap(lo), growth_gap(hi)
-    if not (f_lo > 0 > f_hi):
-        raise RuntimeError("bisection bracket lost its sign change")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if growth_gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def mode_ratio(x0: float) -> float:
-    """Free-tip perturbation per unit tip perturbation: 1/2 - x0 e^x0."""
-    return 0.5 - x0 * math.exp(x0)
-
-
-@dataclass(frozen=True)
-class ModeCheck:
-    theta: np.ndarray
-    xi: np.ndarray
-    z: complex
-    residual: float
-
-
-def verify_unstable_mode(
-    d: int, delay: float, theta: Sequence[float] | None = None, r_offset: float = 0.0
-) -> ModeCheck:
-    """Substitute the zero-sum exponential mode into the linearized system.
-
-    The mode has growth rate z = x0/delay and free-tip amplitudes
-    xi_i = r0 theta_i for any zero-sum tip-perturbation vector theta.
-    Returns the max modulus of the defect of both linearized relations:
-
-        (1 + h z) xi_i = -theta_i/2 + mean(theta) + (theta_i - mean(theta)) e^(-zh)
-        h z theta_i    = (theta_i/2 - xi_i) e^(-zh)
-
-    r_offset shifts the amplitude ratio away from r0 (sanity probes).
-    """
-    if d < 2:
-        raise ValueError("the unbalanced mode needs at least two types")
-    if not delay > 0:
-        raise ValueError("delay must be positive")
-    if theta is None:
-        th = np.zeros(d)
-        th[0], th[1] = 1.0, -1.0
-    else:
-        th = np.asarray(theta, dtype=float)
-        if th.shape != (d,):
-            raise ValueError("theta must have length d")
-        if abs(th.sum()) > 1e-9 * max(np.abs(th).max(), 1.0):
-            raise ValueError("theta must sum to zero")
-        if np.abs(th).max() == 0.0:
-            raise ValueError("theta must be nonzero")
-    th = th / np.abs(th).max()  # unit max-norm
-    x0 = find_x0()
-    r0 = mode_ratio(x0) + r_offset
-    h = delay
-    z = x0 / h
-    xi = r0 * th
-    mean = th.mean()
-    ezh = cmath.exp(-z * h)
-    line1 = (1.0 + h * z) * xi - (-0.5 * th + mean + (th - mean) * ezh)
-    line2 = h * z * th - (0.5 * th - xi) * ezh
-    residual = float(max(np.abs(line1).max(), np.abs(line2).max()))
-    return ModeCheck(th, xi, z, residual)
-
 
 def balanced_characteristic(delay: float) -> Callable[[complex], complex]:
     """Characteristic function 1 + h z - e^(-zh)/2 of aggregate (nonzero-sum)
@@ -138,28 +64,27 @@ class SpectralRegion:
         ]
 
 
-def count_roots(
-    f: Callable[[complex], complex],
-    region: SpectralRegion,
-    min_modulus: float = 1e-9,
-    max_depth: int = 48,
-) -> int:
+def count_roots(f: Callable[[complex], complex], region: SpectralRegion) -> int:
     """Roots of f (with multiplicity) inside the rectangle, by winding number.
 
     The phase of f is accumulated along the boundary with adaptive bisection
-    keeping every phase step below pi/2; a contour value with modulus at or
-    below min_modulus, or a segment that cannot be refined to a small phase
-    step, raises ContourError (shrink or shift the region instead of trusting
-    a wrong count).
+    keeping every phase step below pi/2; a pole of f on the contour, a
+    contour value with modulus at or below MIN_MODULUS, or a segment that
+    cannot be refined to a small phase step within MAX_DEPTH halvings raises
+    ContourError (shrink or shift the region instead of trusting a wrong
+    count).
     """
     corners = region.corners()
     total = 0.0
 
     def fval(z: complex) -> complex:
-        v = f(z)
-        if abs(v) <= min_modulus:
+        try:
+            v = f(z)
+        except ZeroDivisionError as e:
+            raise ContourError(f"f has a pole on the contour: {e}") from e
+        if abs(v) <= MIN_MODULUS:
             raise ContourError(
-                f"|f| = {abs(v):.3g} <= {min_modulus:.3g} on the contour at {z:.6g}"
+                f"|f| = {abs(v):.3g} <= {MIN_MODULUS:.3g} on the contour at {z:.6g}"
             )
         return v
 
@@ -167,7 +92,7 @@ def count_roots(
         dphi = cmath.phase(vb / va)
         if abs(dphi) < 0.5 * math.pi:
             return dphi
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise ContourError(
                 f"phase step {dphi:.3f} not resolvable near {za:.6g} .. {zb:.6g}"
             )
@@ -193,31 +118,22 @@ def count_roots(
 
 # -- compliance-network spectrum ---------------------------------------------
 
-def compliance_matrix(z: complex, network) -> np.ndarray:
+def compliance_matrix(z, network) -> np.ndarray:
     """Delay-transfer matrix M(z): M_ij = D_ij e^(-z tau_ji) / (z + E_i k_i).
 
-    tau_ji is the lag from activity j to activity i; the network object must
-    expose coupling (n, n), lags_to (n, n) with lags_to[i, j] = tau_ji,
-    cost_sens E and ctrl_gain k.
+    z is one point or an array of points; the result stacks one (n, n)
+    matrix per point.  tau_ji is the lag from activity j to activity i; the
+    network object must expose coupling (n, n), lags_to (n, n) with
+    lags_to[i, j] = tau_ji, cost_sens E and ctrl_gain k.
     """
-    delta = network.cost_sens * network.ctrl_gain
-    z = complex(z)
-    denom = z + delta.astype(complex)
-    if np.any(np.abs(denom) < 1e-12):
-        raise ZeroDivisionError(f"z = {z:.6g} hits a pole of the transfer matrix")
-    phase = np.exp(-z * network.lags_to.astype(complex))
-    return (network.coupling * phase) / denom[:, None]
-
-
-def ring_eigenvalues(z: complex, n: int, coupling: float, lag: float, delta: float) -> np.ndarray:
-    """Closed-form eigenvalues of M(z) for the nearest-neighbor ring:
-    (D e^(-z tau) / (z + delta)) * 2 cos(2 pi a / n), a = 1..n."""
-    z = complex(z)
-    if abs(z + delta) < 1e-12:
-        raise ZeroDivisionError("z hits the ring transfer pole")
-    base = coupling * cmath.exp(-z * lag) / (z + delta)
-    a = np.arange(1, n + 1)
-    return base * 2.0 * np.cos(2.0 * np.pi * a / n)
+    z = np.asarray(z, dtype=complex)[..., None]
+    denom = z + (network.cost_sens * network.ctrl_gain).astype(complex)
+    near = np.abs(denom) < POLE_GAP
+    if near.any():
+        hit = z[near.any(axis=-1)][0, 0]
+        raise ZeroDivisionError(f"z = {hit:.6g} hits a pole of the transfer matrix")
+    phase = np.exp(-z[..., None] * network.lags_to.astype(complex))
+    return (network.coupling * phase) / denom[..., None]
 
 
 @dataclass
@@ -233,49 +149,43 @@ class SufficientConditionReport:
     notes: list[str] = field(default_factory=list)
 
 
-def check_sufficient_condition(
-    network,
-    re_max: float | None = None,
-    im_max: float | None = None,
-    re_points: int = 41,
-    im_points: int = 161,
-) -> SufficientConditionReport:
+def check_sufficient_condition(network) -> SufficientConditionReport:
     """Sample max |eig M(z)| over a right-half-plane rectangle.
 
     PASS means every sampled point stays below w/2, which keeps all windowed
-    feedback roots in the open left half plane.  Defaults: the rectangle
-    spans Re in [0, 10 max(E_i k_i)], |Im| <= 100/window (the eigenvalues
-    decay like 1/|z|, so far-field points cannot violate the bound).
+    feedback roots in the open left half plane.  The RE_POINTS x IM_POINTS
+    grid spans Re in [0, 10 max(E_i k_i)], |Im| <= 100/window (the
+    eigenvalues decay like 1/|z|, so far-field points cannot violate the
+    bound).  Each real-part row goes through one stacked eigensolve; grid
+    points on a pole of M are skipped and counted, and the witness is the
+    first maximum in row order.
     """
     delta = network.cost_sens * network.ctrl_gain
     w = network.window
-    if re_max is None:
-        re_max = 10.0 * float(delta.max())
-    if im_max is None:
-        im_max = 100.0 / w
     threshold = w / 2.0
+    ys = np.linspace(-100.0 / w, 100.0 / w, IM_POINTS)
+    zs = np.empty(IM_POINTS, dtype=complex)
     worst = -1.0
     witness = complex(0.0, 0.0)
     skipped = 0
-    for x in np.linspace(0.0, re_max, re_points):
-        for y in np.linspace(-im_max, im_max, im_points):
-            z = complex(x, y)
-            try:
-                m = compliance_matrix(z, network)
-            except ZeroDivisionError:
-                skipped += 1
-                continue
-            lam = float(np.abs(np.linalg.eigvals(m)).max())
-            if lam > worst:
-                worst = lam
-                witness = z
+    for x in np.linspace(0.0, 10.0 * float(delta.max()), RE_POINTS):
+        zs.real, zs.imag = x, ys
+        # poles -E_i k_i are real, so at most the row's point on the real
+        # axis can be one and the row is never empty
+        row = zs[~(np.abs(zs[:, None] + delta) < POLE_GAP).any(axis=1)]
+        skipped += IM_POINTS - len(row)
+        lam = np.abs(np.linalg.eigvals(compliance_matrix(row, network))).max(axis=1)
+        k = int(lam.argmax())
+        if lam[k] > worst:
+            worst = float(lam[k])
+            witness = complex(row[k])
     report = SufficientConditionReport(
         passed=worst < threshold,
         margin=threshold - worst,
         witness=witness,
         witness_modulus=worst,
         threshold=threshold,
-        grid_shape=(re_points, im_points),
+        grid_shape=(RE_POINTS, IM_POINTS),
         skipped_poles=skipped,
     )
     ring = getattr(network, "ring_params", None)

@@ -28,9 +28,6 @@ from tanglesim.stability import (
     balanced_characteristic,
     check_sufficient_condition,
     count_roots,
-    find_x0,
-    mode_ratio,
-    verify_unstable_mode,
 )
 from tanglesim.compliance import ComplianceNetwork, simulate
 from tanglesim.compliance import static_solution as compliance_static
@@ -46,6 +43,7 @@ from tanglesim.seeding import seed_stream
 from test_fluid import fluid_rhs  # the oracle's right-hand side
 from test_reduced import free_consumed_distribution, type_probabilities
 from test_junction import second_half_slope
+from unbalanced_mode import find_x0, mode_ratio, verify_unstable_mode
 
 
 def _report(capsys, tag: str, ok: bool, detail: str) -> None:
@@ -330,11 +328,11 @@ def test_a09_junction_degradation(capsys):
 
 def test_a10_controller_convergence(capsys):
     ctrl = ControllerParams(slope=0.6, memory=1.0, gain=0.1, target=0.95)
-    out = run(JunctionConfig(), 600, seed_stream(9, 0), controller=ctrl)
-    tail = out.times >= 500
-    q_dev = float(np.abs(out.Q[tail] - 0.95).max())
+    _, qs, cs = run(JunctionConfig(), 600, seed_stream(9, 0), controller=ctrl)
+    tail = np.arange(601) >= 500
+    q_dev = float(np.abs(qs[tail] - 0.95).max())
     c_star = 0.95 / 0.6
-    c_rel = float(np.abs(out.C[tail] - c_star).max()) / c_star
+    c_rel = float(np.abs(cs[tail] - c_star).max()) / c_star
     ok = q_dev <= 0.02 and c_rel <= 0.02
     _report(
         capsys,
@@ -412,9 +410,7 @@ def test_a11_property_bundle(capsys):
     )
     j1 = run(JunctionConfig(), 300, seed_stream(125, 0), fixed_Q=0.8)
     j2 = run(JunctionConfig(), 300, seed_stream(125, 0), fixed_Q=0.8)
-    rerun_ok = rerun_ok and all(
-        np.array_equal(getattr(j1, f), getattr(j2, f)) for f in ("vbar", "Q", "C")
-    )
+    rerun_ok = rerun_ok and np.array_equal(j1, j2)  # rows vbar, Q, C
 
     ok = cons_ok and events_ok and agent_ok and prob_ok and exact_ok and rerun_ok
     _report(

@@ -244,6 +244,19 @@ def test_roots_contour_error_is_reported(tmp_path, capsys):
     assert "contour" in capsys.readouterr().err
 
 
+def test_roots_pole_on_the_contour_is_reported(tmp_path, ring_scenario, capsys):
+    # the corner z = -1 is the ring's transfer pole -delta: exit 2 with no
+    # count (exit 1 would be a FAIL verdict), never a traceback
+    spec = _write(
+        tmp_path, "pole.json",
+        {"kind": "compliance-window", "network": "ring.json",
+         "region": {"re": [-1.0, 1.0], "im": [-1.0, 1.0], "samples": 2}},
+    )
+    assert main(["roots", spec]) == 2
+    err = capsys.readouterr().err
+    assert "no count reported" in err and "pole" in err
+
+
 @pytest.mark.parametrize(
     "region, field",
     [

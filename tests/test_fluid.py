@@ -28,7 +28,7 @@ from tanglesim.fluid import (
     static_solution,
 )
 from tanglesim.harness import parse_scenario, run_scenario
-from tanglesim.stability import find_x0, mode_ratio
+from unbalanced_mode import find_x0, mode_ratio
 
 
 # -- reference oracle -----------------------------------------------------------

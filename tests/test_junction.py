@@ -1,9 +1,14 @@
 """Traffic-junction Monte Carlo tests.
 
-The service law and controller map are pinned with hand-computed values; the
-step function is fuzzed for vehicle conservation; the closed-loop fixed
-point is matched against plain iteration of the controller map.
+The service law and controller map are pinned with hand-computed values.
+``run`` is one loop over plain ints and floats; its readable form, a queue
+state object advanced by ``step``, is kept here as the oracle: ``run`` must
+equal it bit for bit, and the oracle is fuzzed for vehicle conservation.
+The closed-loop fixed point is matched against plain iteration of the
+controller map.
 """
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +17,99 @@ from hypothesis import strategies as st
 from tanglesim.junction import (
     ControllerParams,
     JunctionConfig,
-    JunctionState,
     controller_step,
     run,
     run_ensemble,
     service_capacity,
-    step,
 )
 from tanglesim.seeding import seed_stream
+
+
+# -- reference oracle ----------------------------------------------------------------
+
+@dataclass
+class JunctionState:
+    queues: np.ndarray  # (3,) int
+    phase: int = 0  # index of the green queue
+    unit: int = 0
+    phase_violations: int = 0  # incursions since the last switch
+    Q: float = 1.0
+    C: float = 0.0
+
+    @property
+    def vbar(self) -> float:
+        return float(self.queues.sum()) / 3.0
+
+
+def step(state: JunctionState, config: JunctionConfig, rng: np.random.Generator):
+    """Advance one time unit in place; returns (arrivals, violations, served).
+
+    Order within the unit: arrivals, red-queue incursion attempts (at most
+    one per nonempty red queue, each with probability 1 - Q), green service
+    throttled by the incursions accumulated this phase, then the signal
+    switch check.  Vehicle conservation: arrivals - served = change in the
+    total queue length (incursions move no vehicles).
+    """
+    arrivals = int(rng.poisson(config.arrival_rate))
+    state.queues += rng.multinomial(arrivals, (1 / 3, 1 / 3, 1 / 3))
+    violations = 0
+    for r in range(3):
+        if r != state.phase and state.queues[r] > 0 and rng.random() < 1.0 - state.Q:
+            violations += 1
+    state.phase_violations += violations
+    cap = service_capacity(config, state.phase_violations)
+    served = min(int(state.queues[state.phase]), cap)
+    state.queues[state.phase] -= served
+    state.unit += 1
+    if state.unit % config.switch_period == 0:
+        state.phase = (state.phase + 1) % 3
+        state.phase_violations = 0
+    return arrivals, violations, served
+
+
+def oracle_run(config, horizon, rng, fixed_Q=None, controller=None) -> np.ndarray:
+    """``run`` through the state object: rows vbar, Q, C."""
+    q0 = fixed_Q if fixed_Q is not None else 0.0
+    state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=q0, C=0.0)
+    out = np.zeros((3, horizon + 1))
+    out[1, 0] = state.Q
+    for t in range(1, horizon + 1):
+        step(state, config, rng)
+        if controller is not None:
+            state.C, state.Q = controller_step(state.C, state.Q, controller)
+        out[:, t] = state.vbar, state.Q, state.C
+    return out
+
+
+_CONFIGS = st.builds(
+    JunctionConfig,
+    switch_period=st.integers(1, 12),
+    cross_time=st.floats(0.2, 3.0),
+    slowdown=st.floats(0.0, 2.0),
+    service_rate=st.integers(1, 5),
+    arrival_rate=st.floats(0.0, 4.0),
+)
+_CONTROLLERS = st.builds(
+    ControllerParams,
+    slope=st.floats(0.05, 5.0),
+    memory=st.floats(0.0, 1.2),
+    gain=st.floats(0.0, 1.0),
+    target=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_CONFIGS,
+       mode=st.one_of(st.sampled_from([0.0, 0.8, 1.0]), st.floats(0.0, 1.0), _CONTROLLERS),
+       horizon=st.integers(1, 120),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_matches_the_state_object_oracle(config, mode, horizon, seed):
+    kw = {"controller": mode} if isinstance(mode, ControllerParams) else {"fixed_Q": mode}
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = run(config, horizon, ours, **kw)
+    assert got.shape == (3, horizon + 1)
+    assert np.array_equal(got, oracle_run(config, horizon, theirs, **kw))
+    assert ours.random() == theirs.random()  # the same draws, no more
 
 
 def second_half_slope(times: np.ndarray, values: np.ndarray) -> float:
@@ -103,15 +193,15 @@ def test_full_compliance_never_violates():
     cfg = JunctionConfig()
     state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=1.0)
     rng = seed_stream(50, 0)
-    assert sum(step(state, cfg, rng).violations for _ in range(500)) == 0
+    assert sum(step(state, cfg, rng)[1] for _ in range(500)) == 0
 
 
 def test_zero_compliance_violates_whenever_a_red_queue_is_loaded():
     cfg = JunctionConfig(arrival_rate=30.0)  # keep every queue nonempty
     state = JunctionState(queues=np.full(3, 100, dtype=np.int64), Q=0.0)
     rng = seed_stream(51, 0)
-    rec = step(state, cfg, rng)
-    assert rec.violations == 2  # both red queues incur
+    _, violations, _ = step(state, cfg, rng)
+    assert violations == 2  # both red queues incur
 
 
 @settings(max_examples=25, deadline=None)
@@ -123,9 +213,9 @@ def test_vehicle_conservation_fuzz(seed, q):
     rng = np.random.default_rng(seed)
     for _ in range(40):
         before = int(state.queues.sum())
-        rec = step(state, cfg, rng)
+        arrivals, _, served = step(state, cfg, rng)
         after = int(state.queues.sum())
-        assert after - before == rec.arrivals - rec.served
+        assert after - before == arrivals - served
         assert np.all(state.queues >= 0)
 
 
@@ -148,7 +238,7 @@ def test_throttling_blocks_service_under_heavy_incursion():
     cfg = JunctionConfig(arrival_rate=0.0)
     state = JunctionState(queues=np.full(3, 50, dtype=np.int64), Q=0.0)
     rng = seed_stream(53, 0)
-    served = [step(state, cfg, rng).served for _ in range(9)]
+    served = [step(state, cfg, rng)[2] for _ in range(9)]
     assert served[0] == 1  # floor(3 / (1 + 2))
     assert all(s == 0 for s in served[2:])
 
@@ -168,27 +258,27 @@ def test_run_requires_exactly_one_mode():
 
 def test_fixed_mode_records_constant_q():
     cfg = JunctionConfig()
-    r = run(cfg, 50, seed_stream(55, 0), fixed_Q=0.8)
-    assert np.all(r.Q == 0.8)
-    assert np.all(r.C == 0.0)
+    vbar, q, c = run(cfg, 50, seed_stream(55, 0), fixed_Q=0.8)
+    assert np.all(q == 0.8)
+    assert np.all(c == 0.0)
     # the recorded mean queue is the state's after each unit on the same stream
     state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=0.8)
     rng = seed_stream(55, 0)
-    vbar = [state.vbar]
+    want = [state.vbar]
     for _ in range(50):
         step(state, cfg, rng)
-        vbar.append(state.vbar)
-    assert r.vbar.tolist() == vbar
+        want.append(state.vbar)
+    assert vbar.tolist() == want
 
 
 def test_closed_loop_q_tracks_the_deterministic_map():
     p = ControllerParams()
-    r = run(JunctionConfig(), 200, seed_stream(56, 0), controller=p)
+    _, qs, cs = run(JunctionConfig(), 200, seed_stream(56, 0), controller=p)
     c, q = 0.0, 0.0
     for k in range(1, 201):
         c, q = controller_step(c, q, p)
-    assert abs(r.Q[-1] - q) < 1e-12
-    assert abs(r.C[-1] - c) < 1e-12
+    assert abs(qs[-1] - q) < 1e-12
+    assert abs(cs[-1] - c) < 1e-12
 
 
 def test_ensemble_statistics_and_determinism():
@@ -204,7 +294,7 @@ def test_ensemble_statistics_and_determinism():
 
 def test_ensemble_members_are_the_seeded_runs_on_any_worker_count():
     cfg = JunctionConfig()
-    members = [run(cfg, 30, seed_stream(60, r), fixed_Q=0.8).vbar for r in range(5)]
+    members = [run(cfg, 30, seed_stream(60, r), fixed_Q=0.8)[0] for r in range(5)]
     for workers in (1, 2, 3):
         ens = run_ensemble(cfg, runs=5, horizon=30, master_seed=60, fixed_Q=0.8,
                            workers=workers)

@@ -2,30 +2,31 @@
 
 The growth-rate root is cross-checked with an independently coded Newton
 iteration, the winding-number counter against polynomials with known root
-sets, and the ring spectrum against dense eigensolves of the full transfer
-matrix.
+sets, and the ring spectrum's closed form against dense eigensolves of the
+full transfer matrix.  The row-batched spectral scan must equal the
+point-by-point scan kept here as its oracle, bit for bit.
 """
 import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanglesim import ComplianceNetwork
 from tanglesim.stability import (
+    IM_POINTS,
+    RE_POINTS,
     ContourError,
     SpectralRegion,
     balanced_characteristic,
     check_sufficient_condition,
     compliance_matrix,
     count_roots,
-    find_x0,
-    growth_gap,
-    mode_ratio,
-    ring_eigenvalues,
-    verify_unstable_mode,
     window_characteristic,
 )
+from unbalanced_mode import find_x0, growth_gap, mode_ratio, verify_unstable_mode
 
 
 def _newton_x0():
@@ -138,6 +139,12 @@ def test_root_on_the_contour_is_refused():
         count_roots(lambda z: z - 0.5j, region)  # root on the left edge
 
 
+def test_pole_on_the_contour_is_refused():
+    region = SpectralRegion(0.0, 1.0, -1.0, 1.0, samples_per_side=2)
+    with pytest.raises(ContourError, match="pole"):
+        count_roots(lambda z: 1.0 / (z - 1.0), region)  # pole at a corner
+
+
 def test_exponential_characteristic_with_known_root():
     # e^z - 2 has the single root log(2) in [0,1]x[-1,1] and spurious-free
     # repetitions at log(2) + 2 pi i k outside it
@@ -190,14 +197,32 @@ def test_compliance_matrix_pole_raises():
     net = _two_node_net()
     with pytest.raises(ZeroDivisionError):
         compliance_matrix(-0.5, net)  # z = -E_1 k_1
+    with pytest.raises(ZeroDivisionError, match="-2"):
+        compliance_matrix(np.array([0.5, -2.0, 1.0]), net)  # z = -E_2 k_2
+
+
+def test_compliance_matrix_stacks_one_matrix_per_point():
+    net = _two_node_net()
+    zs = np.array([[0.3 + 0.2j, 0.0], [1.5 - 2.0j, 4.0 + 1.0j]])
+    stack = compliance_matrix(zs, net)
+    assert stack.shape == (2, 2, 2, 2)
+    for idx in np.ndindex(zs.shape):
+        assert np.array_equal(stack[idx], compliance_matrix(complex(zs[idx]), net))
+
+
+def ring_eigenvalues(z: complex, n: int, coupling: float, lag: float, delta: float) -> np.ndarray:
+    """Closed-form eigenvalues of M(z) for the nearest-neighbor ring:
+    (D e^(-z tau) / (z + delta)) * 2 cos(2 pi a / n), a = 1..n."""
+    z = complex(z)
+    base = coupling * cmath.exp(-z * lag) / (z + delta)
+    a = np.arange(1, n + 1)
+    return base * 2.0 * np.cos(2.0 * np.pi * a / n)
 
 
 def test_ring_closed_form_matches_dense_eigensolve():
     net = ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0,
                                  target=0.9, baseline=0.5)
     for z in (0.0 + 0.0j, 0.4 + 2.0j, 1.3 - 0.8j):
-        if abs(z + 1.0) < 1e-9:
-            continue
         closed = np.sort_complex(ring_eigenvalues(z, 8, 0.1, 1.0, 1.0))
         dense = np.sort_complex(np.linalg.eigvals(compliance_matrix(z, net)))
         assert np.abs(np.sort(np.abs(closed)) - np.sort(np.abs(dense))).max() < 1e-10
@@ -212,6 +237,8 @@ def test_weakly_coupled_ring_passes_sufficient_condition():
     assert rep.threshold == 2.5
     # max |lambda| is attained at z = 0: 2 D / delta
     assert abs(rep.witness_modulus - 0.2) < 1e-9
+    assert rep.witness == 0j
+    assert abs(rep.witness_modulus - np.abs(ring_eigenvalues(0j, 8, 0.1, 1.0, 1.0)).max()) < 1e-15
     assert rep.margin == pytest.approx(2.3, abs=1e-9)
     assert rep.grid_shape == (41, 161)
 
@@ -223,6 +250,68 @@ def test_strongly_coupled_ring_fails_both_conditions():
     assert not rep.passed
     assert rep.ring_condition is False
     assert rep.witness_modulus > rep.threshold
+
+
+def oracle_scan(network):
+    """The sufficient-condition scan one grid point at a time: (witness
+    modulus, witness, skipped poles) over the same x-major grid."""
+    delta = network.cost_sens * network.ctrl_gain
+    worst, witness, skipped = -1.0, complex(0.0, 0.0), 0
+    for x in np.linspace(0.0, 10.0 * float(delta.max()), RE_POINTS):
+        for y in np.linspace(-100.0 / network.window, 100.0 / network.window, IM_POINTS):
+            z = complex(x, y)
+            try:
+                m = compliance_matrix(z, network)
+            except ZeroDivisionError:
+                skipped += 1
+                continue
+            lam = float(np.abs(np.linalg.eigvals(m)).max())
+            if lam > worst:
+                worst, witness = lam, z
+    return worst, witness, skipped
+
+
+def _tiny_delta_net():
+    # E_1 k_1 = 1e-14: the pole -1e-14 lies within 1e-12 of the grid point 0
+    return ComplianceNetwork.build(
+        targets=[0.9, 0.8], baselines=[0.4, 0.3], cost_sens=[1e-14, 2.0],
+        ctrl_gain=[1.0, 1.0], coupling=[[0.0, 0.2], [0.3, 0.0]],
+        lags=[[0.0, 1.5], [0.7, 0.0]], window=4.0,
+    )
+
+
+@st.composite
+def _networks(draw):
+    n = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    vec = lambda lo, hi: [draw(st.floats(lo, hi)) for _ in range(n)]
+    off = lambda hi: [[0.0 if i == j else draw(st.floats(0.0, hi)) for j in range(n)]
+                      for i in range(n)]
+    return ComplianceNetwork.build(
+        targets=vec(0.0, 1.0), baselines=vec(0.0, 0.5), cost_sens=vec(1e-3, 3.0),
+        ctrl_gain=vec(1e-3, 2.0), coupling=off(2.0), lags=off(3.0),
+        window=draw(st.floats(0.5, 8.0)),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(net=_networks())
+@example(net=_tiny_delta_net())
+@example(net=ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0,
+                                    target=0.9, baseline=0.5))
+def test_scan_matches_the_point_by_point_oracle(net):
+    rep = check_sufficient_condition(net)
+    worst, witness, skipped = oracle_scan(net)
+    assert rep.witness_modulus == worst
+    assert repr(rep.witness) == repr(witness)  # signed zeros included
+    assert rep.skipped_poles == skipped
+    assert rep.grid_shape == (RE_POINTS, IM_POINTS)
+    assert rep.margin == rep.threshold - worst
+
+
+def test_scan_skips_and_counts_a_pole_on_the_grid():
+    rep = check_sufficient_condition(_tiny_delta_net())
+    assert rep.skipped_poles == 1
+    assert rep.witness != 0j
 
 
 def test_window_characteristic_far_field_limit():

@@ -22,7 +22,8 @@ class AgentTangleSim(_TangleSim):
     like the reduced model, with the same interface."""
 
     def run(
-        self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5
+        self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5,
+        check: bool = False,
     ) -> TrajectoryFrame:
         """One ledger history up to ``horizon``, sampled every ``grid_dt``.
 
@@ -30,15 +31,15 @@ class AgentTangleSim(_TangleSim):
         graph decides each creation's type and the tips it newly marks
         pending, and the frame is filled from those.  Creations after the
         last grid time are not made, as no grid row would see them.
+        ``check`` checks the counters after every event and recounts the
+        graph at the end.
         """
         grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
         end = min(grid[-1], horizon)
         arrivals = self.arrivals.times(horizon, rng)
         ct, blocks, seeds = _schedule(arrivals, self.injections, horizon)
         ct = ct[: int(np.searchsorted(ct, end, side="right"))]
-        typ, cov, live = _kernel(
-            ct, blocks, seeds, self.delay, self.types, end, rng, self.check_invariants
-        )
+        typ, cov, live = _kernel(ct, blocks, seeds, self.delay, self.types, end, rng, check)
         frame = _fill_grid(grid, horizon, self.delay, ct, typ, cov, seeds, self.types)
         for name, counts in live.items():
             if not np.array_equal(getattr(frame, name)[-1], counts):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import compliance, harness, stability
@@ -23,7 +24,7 @@ def _cmd_simulate(args) -> int:
         workers=args.workers,
         check=args.check,
     )
-    print(json.dumps(summary.to_dict(), indent=2))
+    print(json.dumps(asdict(summary), indent=2))
     return 0
 
 
@@ -31,7 +32,7 @@ def _cmd_validate(args) -> int:
     agent = parse_scenario(args.agent_scenario)
     reduced = parse_scenario(args.reduced_scenario)
     report = harness.validate(agent, reduced, workers=args.workers)
-    payload = report.to_dict()
+    payload = asdict(report)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -45,7 +46,7 @@ def _cmd_stability(args) -> int:
     scenario = parse_scenario(args.network)
     if scenario.kind != "compliance-net":
         raise ScenarioError("stability expects a compliance-net scenario file")
-    net = harness.build_network(scenario.params)
+    net = scenario.model
     sol = compliance.static_solution(net)
     report = stability.check_sufficient_condition(net)
     passed = sol.feasible and report.passed

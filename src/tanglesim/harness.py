@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -138,11 +138,12 @@ def _integer(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _built(path: str, build, *args):
-    """``build(*args)``, with a ValueError of the model's constructor
-    reported against the file: the constructors own their value rules."""
+def _built(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError of the model's
+    constructor reported against the file: the constructors own their value
+    rules."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as e:
         raise ScenarioError(f"{path}: {e}") from None
 
@@ -166,29 +167,30 @@ class Scenario:
     params: dict  # normalized kind-specific block
     out_stem: str | None = None
     per_run: bool = False
-
-    def semantic_dict(self) -> dict:
-        """Everything that affects the numbers (not output naming)."""
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "runs": self.runs,
-            "horizon": self.horizon,
-            "params": self.params,
-        }
+    # built from params at parse time: the tangle sim, the ComplianceNetwork,
+    # a junction's (JunctionConfig, mode keywords), or None for fluid
+    model: Any = field(default=None, compare=False, repr=False)
 
 
 def config_hash(scenario: Scenario) -> str:
-    payload = json.dumps(
-        scenario.semantic_dict(), sort_keys=True, separators=(",", ":")
-    )
+    """Hash of everything that affects the numbers (not output naming)."""
+    semantic = {
+        "kind": scenario.kind,
+        "seed": scenario.seed,
+        "runs": scenario.runs,
+        "horizon": scenario.horizon,
+        "params": scenario.params,
+    }
+    payload = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 _MAX_GRID_ROWS = 10**7
 
 
-def _parse_tangle(top: _Block, kind: str, horizon: float) -> dict:
+def _parse_tangle(
+    top: _Block, kind: str, horizon: float
+) -> tuple[dict, ReducedTangleSim | AgentTangleSim]:
     params = {
         "rate": top.number("rate"),
         "delay": top.number("delay"),
@@ -206,23 +208,31 @@ def _parse_tangle(top: _Block, kind: str, horizon: float) -> dict:
             {"time": b.number("time"), "type": b.integer("type"), "count": b.integer("count")}
         )
         b.done()
-    _built(top.path, build_tangle_sim, kind, params)
-    return params
+    cls = ReducedTangleSim if kind == "tangle-reduced" else AgentTangleSim
+    sim = _built(top.path, lambda: cls(
+        ArrivalProcess(params["rate"], params["arrival_kind"], params["stop_arrivals_at"]),
+        params["delay"],
+        params["types"],
+        tuple(Injection(i["time"], i["type"], i["count"]) for i in params["injections"]),
+    ))
+    return params, sim
 
 
-def _parse_compliance(top: _Block) -> dict:
+def _parse_compliance(top: _Block) -> tuple[dict, compliance.ComplianceNetwork]:
+    ring = top.block("ring")
+    # a ring takes one value for all its activities
+    values = top.number if ring is not None else top.numbers
     params: dict[str, Any] = {
         "window": top.number("window"),
-        "targets": top.numbers("targets"),
-        "baselines": top.numbers("baselines"),
-        "cost_sens": top.numbers("cost_sens", 1.0),
-        "ctrl_gain": top.numbers("ctrl_gain", 1.0),
+        "targets": values("targets"),
+        "baselines": values("baselines"),
+        "cost_sens": values("cost_sens", 1.0),
+        "ctrl_gain": values("ctrl_gain", 1.0),
         "step": top.number("step", None, positive=True),
         "initial_q_offset": top.number("initial_q_offset", 0.0),
         # kept as written (it is hashed); its numbers are checked below
         "initial_costs": top.take("initial_costs", "static"),
     }
-    ring = top.block("ring")
     if ring is not None:
         params["ring"] = {
             "n": ring.integer("n"),
@@ -232,13 +242,22 @@ def _parse_compliance(top: _Block) -> dict:
         ring.done()
         if "coupling" in top.data or "lags" in top.data or "n" in top.data:
             raise ScenarioError(f"{top.path}: give either 'ring' or explicit matrices")
+        net = _built(
+            top.path, compliance.ComplianceNetwork.ring, **params["ring"],
+            window=params["window"], target=params["targets"], baseline=params["baselines"],
+            cost_sens=params["cost_sens"], ctrl_gain=params["ctrl_gain"],
+        )
     else:
         n = top.integer("n", minimum=1)
         params["n"] = n
         params["coupling"] = top.matrix("coupling", n)
         params["lags"] = top.matrix("lags", n)
+        net = _built(
+            top.path, compliance.ComplianceNetwork.build,
+            params["targets"], params["baselines"], params["cost_sens"], params["ctrl_gain"],
+            params["coupling"], params["lags"], params["window"],
+        )
     # what `simulate` would refuse at run time, refused before any output
-    net = _built(top.path, build_network, params)
     max_step = compliance.default_step(net)
     if params["step"] is not None and params["step"] > max_step + 1e-12:
         raise top.error("step", f"must be at most {max_step:.6g}, got {params['step']}")
@@ -250,7 +269,7 @@ def _parse_compliance(top: _Block) -> dict:
             raise top.error("initial_costs", f"expected {net.n} entries, got {len(costs)}")
         if any(c < 0 for c in costs):
             raise top.error("initial_costs", "must be non-negative")
-    return params
+    return params, net
 
 
 def _parse_fluid(top: _Block, horizon: float) -> dict:
@@ -281,7 +300,7 @@ def _parse_fluid(top: _Block, horizon: float) -> dict:
     return params
 
 
-def _parse_junction(top: _Block) -> dict:
+def _parse_junction(top: _Block) -> tuple[dict, tuple[junction.JunctionConfig, dict]]:
     cfg = top.block("config")
     config = {}
     if cfg is not None:
@@ -314,15 +333,18 @@ def _parse_junction(top: _Block) -> dict:
         params["controller"] = controller
     else:
         raise top.error("mode", "expected 'fixed' or 'closed-loop'")
-    _built(top.path, build_junction, params)
-    return params
+    built = _built(top.path, junction.JunctionConfig, **config)
+    mode_kw = ({"fixed_Q": params["Q"]} if mode == "fixed"
+               else {"controller": _built(top.path, junction.ControllerParams, **controller)})
+    return params, (built, mode_kw)
 
 
 def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenario:
     """Parse and strictly validate a scenario file (or pre-loaded dict).
 
-    Every model is built here once, so a value its constructor refuses
-    fails at parse time, before any run or output.
+    Every model is built here once and kept as ``Scenario.model``, so a
+    value its constructor refuses fails at parse time, before any run or
+    output, and every run uses the model built here.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -341,17 +363,17 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
     if not isinstance(per_run, bool):
         raise top.error("per_run", f"expected true or false, got {per_run!r}")
     if kind in ("tangle-reduced", "tangle-agent"):
-        params = _parse_tangle(top, kind, horizon)
+        params, model = _parse_tangle(top, kind, horizon)
     elif kind == "fluid":
-        params = _parse_fluid(top, horizon)
+        params, model = _parse_fluid(top, horizon), None
     elif kind == "compliance-net":
-        params = _parse_compliance(top)
+        params, model = _parse_compliance(top)
     else:
-        params = _parse_junction(top)
+        params, model = _parse_junction(top)
         if not horizon.is_integer():
             raise top.error("horizon", f"a junction runs whole steps, got {horizon}")
     top.done()
-    return Scenario(kind, name, seed, runs, horizon, params, out_stem, per_run)
+    return Scenario(kind, name, seed, runs, horizon, params, out_stem, per_run, model)
 
 
 def _parse_region(block: _Block | None, default) -> stability.SpectralRegion:
@@ -400,7 +422,7 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
         scenario = parse_scenario(path.parent / top.text("network"))
         if scenario.kind != "compliance-net":
             raise top.error("network", "must be a compliance-net scenario file")
-        net = build_network(scenario.params)
+        net = scenario.model
         f = stability.window_characteristic(net)
         delta = float((net.cost_sens * net.ctrl_gain).max())
         default = stability.SpectralRegion(
@@ -411,60 +433,6 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
     region = _parse_region(top.block("region", required=default is None), default)
     top.done()
     return kind, f, region
-
-
-# -- builders -----------------------------------------------------------------
-
-def build_tangle_sim(kind: str, params: dict, check: bool = False):
-    arrivals = ArrivalProcess(
-        rate=params["rate"],
-        kind=params["arrival_kind"],
-        stop=params["stop_arrivals_at"],
-    )
-    injections = tuple(
-        Injection(i["time"], i["type"], i["count"]) for i in params["injections"]
-    )
-    cls = ReducedTangleSim if kind == "tangle-reduced" else AgentTangleSim
-    return cls(arrivals, params["delay"], params["types"], injections, check)
-
-
-def build_network(params: dict) -> compliance.ComplianceNetwork:
-    if "ring" in params:
-        r = params["ring"]
-        targets = params["targets"]
-        baselines = params["baselines"]
-        if isinstance(targets, list) or isinstance(baselines, list):
-            raise ScenarioError("ring networks take scalar targets/baselines")
-        cs = params["cost_sens"]
-        cg = params["ctrl_gain"]
-        if isinstance(cs, list) or isinstance(cg, list):
-            raise ScenarioError("ring networks take scalar cost_sens/ctrl_gain")
-        return compliance.ComplianceNetwork.ring(
-            n=r["n"],
-            coupling=r["coupling"],
-            lag=r["lag"],
-            window=params["window"],
-            target=targets,
-            baseline=baselines,
-            cost_sens=cs,
-            ctrl_gain=cg,
-        )
-    return compliance.ComplianceNetwork.build(
-        targets=params["targets"],
-        baselines=params["baselines"],
-        cost_sens=params["cost_sens"],
-        ctrl_gain=params["ctrl_gain"],
-        coupling=params["coupling"],
-        lags=params["lags"],
-        window=params["window"],
-    )
-
-
-def build_junction(params: dict) -> tuple[junction.JunctionConfig, dict]:
-    config = junction.JunctionConfig(**params["config"])
-    if params["mode"] == "fixed":
-        return config, {"fixed_Q": params["Q"]}
-    return config, {"controller": junction.ControllerParams(**params["controller"])}
 
 
 # -- ensemble statistics ------------------------------------------------------
@@ -506,8 +474,8 @@ TANGLE_VARS = ("L", "X", "W", "N")  # tips, free tips, pending, created
 
 
 def run_tangle_ensemble(
-    kind: str,
-    params: dict,
+    sim: ReducedTangleSim | AgentTangleSim,
+    grid_dt: float,
     horizon: float,
     seed: int,
     runs: int,
@@ -523,8 +491,7 @@ def run_tangle_ensemble(
     """
     _integer(runs, "runs", minimum=1)
     _integer(workers, "workers", minimum=1)
-    sim = build_tangle_sim(kind, params, check)
-    member = functools.partial(sim.run, horizon, grid_dt=params["grid_dt"])
+    member = functools.partial(sim.run, horizon, grid_dt=grid_dt, check=check)
     members = list(seeded_runs(member, seed, runs, workers))
     stack = np.array([(m.tips, m.free, m.pending, m.created) for m in members])
     return {"times": members[0].times, "stats": ensemble_stats(stack), "members": members}
@@ -570,17 +537,6 @@ class RunSummary:
     outputs: list[str] = field(default_factory=list)
     verdict: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "runs": self.runs,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-            "verdict": self.verdict,
-        }
-
 
 def run_scenario(
     scenario: Scenario,
@@ -624,7 +580,8 @@ def run_scenario(
 
     if scenario.kind in ("tangle-reduced", "tangle-agent"):
         ens = run_tangle_ensemble(
-            scenario.kind, p, scenario.horizon, scenario.seed, scenario.runs, workers, check
+            scenario.model, p["grid_dt"], scenario.horizon, scenario.seed, scenario.runs,
+            workers, check,
         )
         d = p["types"]
         header, columns = ["time"], [ens["times"]]
@@ -648,7 +605,7 @@ def run_scenario(
             columns += [x, l, w]
         emit("fluid", header, columns)
     elif scenario.kind == "compliance-net":
-        net = build_network(p)
+        net = scenario.model
         sol = compliance.static_solution(net)
         if p["initial_costs"] == "static":
             if not sol.feasible:
@@ -670,7 +627,7 @@ def run_scenario(
             [traj.times] + [col for _, a in series for col in a.T],
         )
     else:  # junction
-        config, mode_kw = build_junction(p)
+        config, mode_kw = scenario.model
         ens = junction.run_ensemble(
             config,
             runs=scenario.runs,
@@ -686,12 +643,15 @@ def run_scenario(
         )
     summary.wall_time_s = time.perf_counter() - started
     summary_path = out / f"{stem}_summary.json"
-    summary_path.write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
+    summary_path.write_text(json.dumps(asdict(summary), indent=2) + "\n")
     summary.outputs.append(str(summary_path))
     return summary
 
 
 # -- agent-vs-reduced validation ----------------------------------------------
+
+VALIDATION_THRESHOLD = 0.05  # a PASS needs every relative gap below this
+
 
 @dataclass
 class ValidationReport:
@@ -702,19 +662,7 @@ class ValidationReport:
     per_type_X: list[float]
     compared_from: float
     compared_points: int
-    threshold: float = 0.05
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_rel_L": self.max_rel_L,
-            "max_rel_X": self.max_rel_X,
-            "per_type_L": self.per_type_L,
-            "per_type_X": self.per_type_X,
-            "compared_from": self.compared_from,
-            "compared_points": self.compared_points,
-            "threshold": self.threshold,
-        }
+    threshold: float = VALIDATION_THRESHOLD
 
 
 def validate(
@@ -728,7 +676,7 @@ def validate(
     output grid mismatch).  Physical parameters (rate, delay) may differ;
     that simply yields an honest FAIL, which is what negative controls use.
     PASS iff the pointwise relative difference after the transient
-    (t > 5 * max delay) stays below 5%.
+    (t > 5 * max delay) stays below ``VALIDATION_THRESHOLD``.
     """
     if agent_scenario.kind != "tangle-agent":
         raise ScenarioError("first scenario must have kind 'tangle-agent'")
@@ -744,7 +692,7 @@ def validate(
     # mean L and X of each model, (2, G, d); the agent ensemble's members
     # are freed before the reduced ensemble runs
     ma, mr = (
-        run_tangle_ensemble(sc.kind, sc.params, sc.horizon, sc.seed, sc.runs, workers)
+        run_tangle_ensemble(sc.model, sc.params["grid_dt"], sc.horizon, sc.seed, sc.runs, workers)
         ["stats"].mean[:2]
         for sc in (agent_scenario, reduced_scenario)
     )
@@ -755,7 +703,7 @@ def validate(
     per_L, per_X = rel.tolist()
     max_L, max_X = max(per_L), max(per_X)
     return ValidationReport(
-        passed=max(max_L, max_X) < 0.05,
+        passed=max(max_L, max_X) < VALIDATION_THRESHOLD,
         max_rel_L=max_L,
         max_rel_X=max_X,
         per_type_L=per_L,

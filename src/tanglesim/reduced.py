@@ -61,7 +61,6 @@ class _TangleSim:
         delay: float,
         types: int = 1,
         injections: tuple[Injection, ...] = (),
-        check_invariants: bool = False,
     ):
         if not delay > 0:
             raise ValueError(f"attach delay must be positive, got {delay}")
@@ -76,7 +75,6 @@ class _TangleSim:
         self.delay = delay
         self.types = types
         self.injections = tuple(sorted(injections, key=lambda i: i.time))
-        self.check_invariants = check_invariants
 
 
 class ReducedTangleSim(_TangleSim):
@@ -95,19 +93,19 @@ class ReducedTangleSim(_TangleSim):
     """
 
     def run(
-        self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5
+        self, horizon: float, rng: np.random.Generator, grid_dt: float = 0.5,
+        check: bool = False,
     ) -> TrajectoryFrame:
         """One ledger history up to ``horizon``, sampled every ``grid_dt``.
 
         The arrival times are drawn from ``rng`` first; the uniforms of the
         creations then come from the same stream in fixed-size chunks.
+        ``check`` checks every type's counters after every event.
         """
         grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
         arrivals = self.arrivals.times(horizon, rng)
         ct, blocks, seeds = _schedule(arrivals, self.injections, horizon)
-        typ, cov = _kernel(
-            ct, blocks, self.delay, self.types, horizon, rng, self.check_invariants
-        )
+        typ, cov = _kernel(ct, blocks, self.delay, self.types, horizon, rng, check)
         return _fill_grid(grid, horizon, self.delay, ct, typ, cov, seeds, self.types)
 
 

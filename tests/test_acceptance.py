@@ -59,12 +59,12 @@ def steady_sweep():
     """Steady tip-count means for delays 1,3,5,7 (rate 60, 100 seeds)."""
     means = {}
     for h in (1.0, 3.0, 5.0, 7.0):
-        params = parse_scenario(
+        sim = parse_scenario(
             {"kind": "tangle-reduced", "rate": 60.0, "delay": h, "horizon": 100.0}
-        ).params
+        ).model
         stats = run_tangle_ensemble(
-            "tangle-reduced",
-            params,
+            sim,
+            grid_dt=0.5,
             horizon=100.0,
             seed=11,
             runs=100,
@@ -354,9 +354,8 @@ def test_a11_property_bundle(capsys):
         delay=3.0,
         types=2,
         injections=(Injection(50.0, 2, 40),),
-        check_invariants=True,
     )
-    frame = sim.run(170.0, seed_stream(21, 5))
+    frame = sim.run(170.0, seed_stream(21, 5), check=True)
     created = float(frame.created[-1].sum())
     cons_ok = bool(np.array_equal(frame.free + frame.pending, frame.tips))
     events_ok = created >= 5_000.0  # creates alone; attach events double it
@@ -368,9 +367,8 @@ def test_a11_property_bundle(capsys):
         delay=3.0,
         types=2,
         injections=(Injection(20.0, 2, 30),),
-        check_invariants=True,
     )
-    aframe = asim.run(40.0, seed_stream(22, 0))
+    aframe = asim.run(40.0, seed_stream(22, 0), check=True)
     agent_ok = bool(aframe.tips[-1].sum() > 0)
 
     # selection probabilities sum to one over fuzzed tip vectors

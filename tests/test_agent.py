@@ -641,9 +641,9 @@ def test_rerun_bit_identical():
 def test_full_invariant_recheck_after_every_event(seed):
     sim = AgentTangleSim(
         ArrivalProcess(25.0), 1.0, types=2,
-        injections=(Injection(1.5, 2, 5),), check_invariants=True,
+        injections=(Injection(1.5, 2, 5),),
     )
-    frame = sim.run(6.0, np.random.default_rng(seed))
+    frame = sim.run(6.0, np.random.default_rng(seed), check=True)
     assert np.array_equal(frame.free + frame.pending, frame.tips)
 
 
@@ -701,13 +701,12 @@ def agent_configs(draw):
     }
 
 
-def _agent(config, check_invariants=False):
+def _agent(config):
     return AgentTangleSim(
         ArrivalProcess(config["rate"], config["kind"], config["stop"]),
         config["delay"],
         types=config["types"],
         injections=config["injections"],
-        check_invariants=check_invariants,
     )
 
 
@@ -740,10 +739,10 @@ def _agent(config, check_invariants=False):
     seed=0,
 )
 def test_run_matches_event_loop_oracle(config, seed):
-    sim = _agent(config, check_invariants=True)
+    sim = _agent(config)
     horizon, grid_dt = config["horizon"], config["grid_dt"]
     want = event_loop_run(sim, horizon, np.random.default_rng(seed), grid_dt)
-    got = sim.run(horizon, np.random.default_rng(seed), grid_dt)
+    got = sim.run(horizon, np.random.default_rng(seed), grid_dt, check=True)
     for name in ("times", "tips", "free", "pending", "created"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import tanglesim
-from tanglesim import AgentTangleSim
+from tanglesim import AgentTangleSim, ComplianceNetwork, JunctionConfig
 from tanglesim.cli import main
+from tanglesim.reduced import _TangleSim
 
 
 def _write(tmp_path, name, payload):
@@ -343,6 +344,8 @@ _JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs":
         (_RING, {"initial_q_offset": float("nan")}, "bad.initial_q_offset"),
         # a grid no run could allocate
         (_TANGLE, {"grid_dt": 1e-300}, "bad.grid_dt"),
+        # a ring takes one value for all its activities
+        (_RING, {"targets": [0.9, 0.9, 0.9, 0.9]}, "bad.targets: expected a number, got [0.9"),
     ],
 )
 def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, change, field):
@@ -392,6 +395,40 @@ def test_check_keeps_every_csv_byte(tmp_path, capsys, kind):
     assert len(csvs) == 4
     for name in csvs:
         assert (tmp_path / "checked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):
+    # parse_scenario builds the model, and the command runs that object
+    built = []
+
+    def count(owner, attr, name):
+        original = getattr(owner, attr)
+
+        def counted(self, *args, **kwargs):
+            built.append(name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(_TangleSim, "__init__", "tangle")
+    count(ComplianceNetwork, "__post_init__", "network")
+    count(JunctionConfig, "__post_init__", "junction")
+    ring = _write(tmp_path, "ring.json", _RING)
+    out = str(tmp_path / "res")
+    commands = [
+        (["simulate", _write(tmp_path, "tangle.json", _TANGLE), "--out", out], ["tangle"]),
+        (["simulate", ring, "--out", out], ["network"]),
+        (["simulate", _write(tmp_path, "junction.json", _JUNCTION), "--out", out], ["junction"]),
+        (["stability", ring], ["network"]),
+        (["roots", _write(tmp_path, "win.json",
+                          {"kind": "compliance-window", "network": "ring.json"})], ["network"]),
+        (["validate", _write(tmp_path, "agent.json", {**_TANGLE, "kind": "tangle-agent"}),
+          _write(tmp_path, "reduced.json", _TANGLE)], ["tangle", "tangle"]),
+    ]
+    for argv, want in commands:
+        built.clear()
+        assert main(argv) in (0, 1), argv  # validate may give a FAIL verdict
+        assert built == want, argv
 
 
 def test_check_needs_a_tangle_scenario(tmp_path, capsys):

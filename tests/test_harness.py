@@ -30,9 +30,9 @@ def _reduced_dict(**over):
     return base
 
 
-def _reduced_params(**over) -> dict:
-    """Parsed tangle params: the builders take nothing else."""
-    return parse_scenario(_reduced_dict(**over)).params
+def _reduced_sim(**over) -> ReducedTangleSim:
+    """The model a parsed scenario carries; its grid_dt is the default 0.5."""
+    return parse_scenario(_reduced_dict(**over)).model
 
 
 # -- parsing --------------------------------------------------------------------
@@ -254,9 +254,9 @@ def test_ensemble_stats_against_manual_numpy():
 
 
 def test_workers_do_not_change_results():
-    params = _reduced_params(rate=40.0, delay=1.0)
-    serial = run_tangle_ensemble("tangle-reduced", params, 10.0, 3, 6, workers=1)
-    pooled = run_tangle_ensemble("tangle-reduced", params, 10.0, 3, 6, workers=3)
+    sim = _reduced_sim(rate=40.0, delay=1.0)
+    serial = run_tangle_ensemble(sim, 0.5, 10.0, 3, 6, workers=1)
+    pooled = run_tangle_ensemble(sim, 0.5, 10.0, 3, 6, workers=3)
     for stat in ("mean", "std", "p5", "p95"):
         assert np.array_equal(getattr(serial["stats"], stat), getattr(pooled["stats"], stat))
 
@@ -264,9 +264,9 @@ def test_workers_do_not_change_results():
 def test_ensemble_stats_are_the_per_variable_per_type_stats():
     # one call over the (runs, 4, G, d) stack gives what a call per
     # variable and type over its (runs, G) slice gives, bit for bit
-    params = _reduced_params(rate=40.0, delay=1.0, types=2,
-                             injections=[{"time": 3.0, "type": 2, "count": 10}])
-    ens = run_tangle_ensemble("tangle-reduced", params, 10.0, 4, 7)
+    sim = _reduced_sim(rate=40.0, delay=1.0, types=2,
+                       injections=[{"time": 3.0, "type": 2, "count": 10}])
+    ens = run_tangle_ensemble(sim, 0.5, 10.0, 4, 7)
     assert ens["stats"].mean.shape == (4, 21, 2)
     for v, attr in enumerate(("tips", "free", "pending", "created")):
         for i in range(2):
@@ -395,11 +395,11 @@ def test_run_scenario_rejects_bad_overrides_before_any_work(tmp_path, override):
 
 
 def test_run_tangle_ensemble_rejects_empty_or_workerless_ensembles():
-    params = _reduced_params(rate=40.0, delay=1.0)
+    sim = _reduced_sim(rate=40.0, delay=1.0)
     with pytest.raises(ScenarioError, match="runs"):
-        run_tangle_ensemble("tangle-reduced", params, 5.0, 0, 0)
+        run_tangle_ensemble(sim, 0.5, 5.0, 0, 0)
     with pytest.raises(ScenarioError, match="workers"):
-        run_tangle_ensemble("tangle-reduced", params, 5.0, 0, 2, workers=0)
+        run_tangle_ensemble(sim, 0.5, 5.0, 0, 2, workers=0)
 
 
 _WORKER_SCENARIOS = {
@@ -442,8 +442,7 @@ def test_per_run_csvs_come_from_the_ensemble_members(tmp_path, monkeypatch, work
     if workers == 1:  # pool members run in other processes
         assert len(calls) == sc.runs
     for r in range(sc.runs):
-        frame = run(harness.build_tangle_sim(sc.kind, sc.params), 10.0,
-                    seed_stream(sc.seed, r), grid_dt=0.5)
+        frame = run(sc.model, 10.0, seed_stream(sc.seed, r), grid_dt=0.5)
         rows = _read_csv(tmp_path / f"perrun_run{r:04d}.csv")
         assert rows[0] == ["time", "type", "tips", "free", "pending", "created"]
         # one row per grid time and type, in that order, with 1-based

@@ -393,11 +393,10 @@ def test_kernel_matches_scalar_oracle(config, seed):
         config["delay"],
         types=config["types"],
         injections=config["injections"],
-        check_invariants=True,
     )
     horizon, grid_dt = config["horizon"], config["grid_dt"]
     want = scalar_run(sim, horizon, np.random.default_rng(seed), grid_dt)
-    got = sim.run(horizon, np.random.default_rng(seed), grid_dt)
+    got = sim.run(horizon, np.random.default_rng(seed), grid_dt, check=True)
     for name in ("times", "tips", "free", "pending", "created"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -415,10 +414,10 @@ def test_reruns_are_bit_identical():
 # -- steady state ---------------------------------------------------------------
 
 def test_steady_tip_count_tracks_twice_rate_times_delay():
-    sim = ReducedTangleSim(ArrivalProcess(60.0), 3.0, check_invariants=True)
+    sim = ReducedTangleSim(ArrivalProcess(60.0), 3.0)
     means = []
     for r in range(20):
-        frame = sim.run(60.0, seed_stream(11, r))
+        frame = sim.run(60.0, seed_stream(11, r), check=True)
         sel = frame.times >= 30.0
         means.append(frame.tips[sel, 0].mean())
     assert abs(np.mean(means) / 360.0 - 1.0) < 0.05
@@ -496,12 +495,12 @@ def test_injection_validation():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_counter_conservation_fuzz(seed):
-    # check_invariants asserts free + pending == tips after every event
+    # check=True checks free + pending == tips after every event
     sim = ReducedTangleSim(
         ArrivalProcess(80.0), 1.5, types=2,
-        injections=(Injection(2.0, 2, 10),), check_invariants=True,
+        injections=(Injection(2.0, 2, 10),),
     )
-    frame = sim.run(12.0, np.random.default_rng(seed))
+    frame = sim.run(12.0, np.random.default_rng(seed), check=True)
     assert np.array_equal(frame.free + frame.pending, frame.tips)
     assert np.all(frame.tips >= 0)
 
@@ -509,9 +508,8 @@ def test_counter_conservation_fuzz(seed):
 def test_ten_thousand_event_conservation_run():
     # ~60*150 = 9000 creations plus matching attaches
     sim = ReducedTangleSim(ArrivalProcess(60.0), 3.0, types=2,
-                           injections=(Injection(50.0, 2, 100),),
-                           check_invariants=True)
-    frame = sim.run(150.0, seed_stream(21, 0))
+                           injections=(Injection(50.0, 2, 100),))
+    frame = sim.run(150.0, seed_stream(21, 0), check=True)
     assert frame.created[-1].sum() > 8000
     assert np.array_equal(frame.free + frame.pending, frame.tips)
 

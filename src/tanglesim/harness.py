@@ -411,7 +411,8 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
             raise top.error("coefficients", f"expected a non-empty list, got {coeffs!r}")
         cs = [complex(c) for c in coeffs]
 
-        def f(z: complex) -> complex:
+        def f(z: np.ndarray) -> np.ndarray:
+            # Horner's rule, elementwise over an array of points
             acc = 0.0 + 0.0j
             for c in reversed(cs):
                 acc = acc * z + c
@@ -536,6 +537,7 @@ class RunSummary:
     wall_time_s: float
     outputs: list[str] = field(default_factory=list)
     verdict: str | None = None
+    checks: str = "off"  # "passed" after a run with invariant checks
 
 
 def run_scenario(
@@ -570,6 +572,8 @@ def run_scenario(
         seed=scenario.seed,
         runs=scenario.runs,
         wall_time_s=0.0,
+        # a violated invariant raises before the summary is written
+        checks="passed" if check else "off",
     )
     p = scenario.params
 

@@ -16,19 +16,21 @@ import numpy as np
 
 RE_POINTS, IM_POINTS = 41, 161  # spectral-scan grid: real-part rows x points per row
 MIN_MODULUS = 1e-9  # |f| at or below this on a contour is a root on the contour
-MAX_DEPTH = 48  # bisection depth limit of one contour segment
+MAX_DEPTH = 48  # bisection levels of the contour walk
+CHUNK_POINTS = 128  # contour points per call of the characteristic function
 POLE_GAP = 1e-12  # |z + E_i k_i| below this is a pole of the transfer matrix
 
 
 # -- fluid linearization ----------------------------------------------------
 
-def balanced_characteristic(delay: float) -> Callable[[complex], complex]:
+def balanced_characteristic(delay: float) -> Callable[[np.ndarray], np.ndarray]:
     """Characteristic function 1 + h z - e^(-zh)/2 of aggregate (nonzero-sum)
-    tip perturbations; all its roots sit in the open left half plane."""
+    tip perturbations, elementwise over an array of points; all its roots
+    sit in the open left half plane."""
     h = float(delay)
 
-    def f(z: complex) -> complex:
-        return 1.0 + h * z - 0.5 * cmath.exp(-z * h)
+    def f(z: np.ndarray) -> np.ndarray:
+        return 1.0 + h * z - 0.5 * np.exp(-z * h)
 
     return f
 
@@ -64,52 +66,87 @@ class SpectralRegion:
         ]
 
 
-def count_roots(f: Callable[[complex], complex], region: SpectralRegion) -> int:
-    """Roots of f (with multiplicity) inside the rectangle, by winding number.
+def _values(f: Callable[[np.ndarray], np.ndarray], zs: np.ndarray) -> np.ndarray:
+    """f at every point of zs, fed to f in chunks of CHUNK_POINTS points.
 
-    The phase of f is accumulated along the boundary with adaptive bisection
-    keeping every phase step below pi/2; a pole of f on the contour, a
-    contour value with modulus at or below MIN_MODULUS, or a segment that
-    cannot be refined to a small phase step within MAX_DEPTH halvings raises
-    ContourError (shrink or shift the region instead of trusting a wrong
-    count).
+    The first point in contour order where f is not finite, or where |f| is
+    at or below MIN_MODULUS, raises ContourError, as does a pole that f
+    reports by raising ZeroDivisionError.
     """
-    corners = region.corners()
-    total = 0.0
-
-    def fval(z: complex) -> complex:
+    vals = np.empty(len(zs), dtype=complex)
+    for a in range(0, len(zs), CHUNK_POINTS):
+        b = a + CHUNK_POINTS
         try:
-            v = f(z)
+            vals[a:b] = f(zs[a:b])
         except ZeroDivisionError as e:
             raise ContourError(f"f has a pole on the contour: {e}") from e
-        if abs(v) <= MIN_MODULUS:
-            raise ContourError(
-                f"|f| = {abs(v):.3g} <= {MIN_MODULUS:.3g} on the contour at {z:.6g}"
-            )
-        return v
+        bad = ~np.isfinite(vals[a:b]) | (np.abs(vals[a:b]) <= MIN_MODULUS)
+        if bad.any():
+            i = a + int(bad.argmax())
+            raise _refusal(f, complex(zs[i]), complex(vals[i]))
+    return vals
 
-    def walk(za: complex, va: complex, zb: complex, vb: complex, depth: int) -> float:
-        dphi = cmath.phase(vb / va)
-        if abs(dphi) < 0.5 * math.pi:
-            return dphi
-        if depth >= MAX_DEPTH:
-            raise ContourError(
-                f"phase step {dphi:.3f} not resolvable near {za:.6g} .. {zb:.6g}"
-            )
-        zm = 0.5 * (za + zb)
-        vm = fval(zm)
-        return walk(za, va, zm, vm, depth + 1) + walk(zm, vm, zb, vb, depth + 1)
 
+def _refusal(f, z: complex, v: complex) -> ContourError:
+    """The error for the contour value v = f(z); a non-finite value is
+    evaluated once more to tell a pole (division by zero) from an overflow."""
+    if cmath.isfinite(v):
+        return ContourError(
+            f"|f| = {abs(v):.3g} <= {MIN_MODULUS:.3g} on the contour at {z:.6g}"
+        )
+    flags: set[str] = set()
+    with np.errstate(all="call", call=lambda kind, _: flags.add(kind)):
+        f(np.array([z]))
+    cause = "a pole (division by zero)" if "divide by zero" in flags else "an overflow"
+    return ContourError(f"f = {v} is not finite at {z:.6g} on the contour: {cause}")
+
+
+def count_roots(f: Callable[[np.ndarray], np.ndarray], region: SpectralRegion) -> int:
+    """Roots of f (with multiplicity) inside the rectangle, by winding number.
+
+    f maps an array of points to the array of its values.  The
+    4 * samples_per_side + 1 boundary points go to f first; then, level by
+    level, every segment whose phase step is still at least pi/2 is halved
+    and all of the level's midpoints go to f together.  A contour value
+    that is not finite or has modulus at or below MIN_MODULUS, or a segment
+    still unresolved after MAX_DEPTH levels, raises ContourError (shrink or
+    shift the region instead of trusting a wrong count).  The pi/2 rule
+    cannot see a full turn of the phase between two samples, so the
+    samples must resolve the phase.
+    """
+    n = region.samples_per_side
+    corners = region.corners()
+    k = np.arange(n, dtype=float)
+    zs = np.empty(4 * n + 1, dtype=complex)
     for side in range(4):
         za, zb = corners[side], corners[(side + 1) % 4]
-        pts = [
-            za + (zb - za) * k / region.samples_per_side
-            for k in range(region.samples_per_side + 1)
-        ]
-        vals = [fval(z) for z in pts]
-        for k in range(region.samples_per_side):
-            total += walk(pts[k], vals[k], pts[k + 1], vals[k + 1], 0)
-    count = total / (2.0 * math.pi)
+        zs.real[side * n:(side + 1) * n] = za.real + (zb.real - za.real) * k / n
+        zs.imag[side * n:(side + 1) * n] = za.imag + (zb.imag - za.imag) * k / n
+    zs[-1] = corners[0]
+    steps = []
+    with np.errstate(all="ignore"):
+        vs = _values(f, zs)
+        za, va, zb, vb = zs[:-1], vs[:-1], zs[1:], vs[1:]
+        for depth in range(MAX_DEPTH + 1):
+            dphi = np.angle(vb / va)
+            wide = ~(np.abs(dphi) < 0.5 * math.pi)  # a nan step is wide too
+            steps.append(dphi[~wide])
+            if not wide.any():
+                break
+            if depth == MAX_DEPTH:
+                i = int(wide.argmax())
+                raise ContourError(
+                    f"phase step {dphi[i]:.3f} not resolvable near "
+                    f"{complex(za[i]):.6g} .. {complex(zb[i]):.6g}"
+                )
+            za, va, zb, vb = za[wide], va[wide], zb[wide], vb[wide]
+            zm = 0.5 * (za + zb)
+            vm = _values(f, zm)
+            # the halves (za, zm) and (zm, zb) of every segment, in contour order
+            za, va, zb, vb = (
+                np.column_stack(pair).ravel() for pair in ((za, zm), (va, vm), (zm, zb), (vm, vb))
+            )
+    count = math.fsum(np.concatenate(steps).tolist()) / (2.0 * math.pi)
     nearest = round(count)
     if abs(count - nearest) > 1e-6:
         raise ContourError(f"winding number {count:.8f} is not close to an integer")
@@ -200,14 +237,15 @@ def check_sufficient_condition(network) -> SufficientConditionReport:
     return report
 
 
-def window_characteristic(network) -> Callable[[complex], complex]:
-    """det((1 - e^(-wz)) M(z) - w I): its right-half-plane roots are exactly
-    the unstable modes of the linearized windowed feedback loop."""
+def window_characteristic(network) -> Callable[[np.ndarray], np.ndarray]:
+    """det((1 - e^(-wz)) M(z) - w I) at every point of an array, through one
+    stacked M(z) and one stacked determinant: its right-half-plane roots are
+    exactly the unstable modes of the linearized windowed feedback loop."""
     w = network.window
-    n = network.n
+    eye = np.eye(network.n)
 
-    def g(z: complex) -> complex:
+    def g(z: np.ndarray) -> np.ndarray:
         m = compliance_matrix(z, network)
-        return complex(np.linalg.det((1.0 - cmath.exp(-w * z)) * m - w * np.eye(n)))
+        return np.linalg.det((1.0 - np.exp(-w * z))[..., None, None] * m - w * eye)
 
     return g

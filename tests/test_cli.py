@@ -259,6 +259,24 @@ def test_roots_pole_on_the_contour_is_reported(tmp_path, ring_scenario, capsys):
 
 
 @pytest.mark.parametrize(
+    "spec, where, cause",
+    [
+        # e^(-3z) overflows at Re z = -400 (it used to escape as OverflowError)
+        ({"kind": "tip-characteristic", "delay": 3.0,
+          "region": {"re": [-400.0, 1.0], "im": [-1.0, 1.0]}}, "-400-1j", "overflow"),
+        # z^2 overflows at |z| = 1e300 (it used to read "phase step nan")
+        ({"kind": "polynomial", "coefficients": [1.0, 2.0, 3.0],
+          "region": {"re": [-1e300, 1e300], "im": [-1e300, 1e300]}}, "-1e+300-1e+300j", "overflow"),
+    ],
+)
+def test_roots_non_finite_values_are_reported(tmp_path, capsys, spec, where, cause):
+    assert main(["roots", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert "no count reported" in err and "not finite" in err
+    assert f"at {where} on the contour: an {cause}" in err
+
+
+@pytest.mark.parametrize(
     "region, field",
     [
         ({"re": [-1], "im": [-1.0, 1.0]}, "re"),
@@ -395,6 +413,23 @@ def test_check_keeps_every_csv_byte(tmp_path, capsys, kind):
     assert len(csvs) == 4
     for name in csvs:
         assert (tmp_path / "checked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_summary_schema_records_the_check_status(tmp_path, capsys):
+    types = {"kind": str, "config_hash": str, "seed": int, "runs": int,
+             "wall_time_s": float, "outputs": list, "verdict": type(None), "checks": str}
+    for name, payload, flags, checks in (
+        ("tangle", _TANGLE, [], "off"),
+        ("tangle", _TANGLE, ["--check"], "passed"),
+        ("tangle", {**_TANGLE, "kind": "tangle-agent"}, ["--check"], "passed"),
+        ("ring", _RING, [], "off"),
+    ):
+        out = tmp_path / f"{payload['kind']}{len(flags)}"
+        scenario = _write(tmp_path, f"{name}.json", payload)
+        assert main(["simulate", scenario, "--out", str(out), *flags]) == 0
+        summary = json.loads((out / f"{name}_summary.json").read_text())
+        assert {k: type(v) for k, v in summary.items()} == types
+        assert summary["checks"] == checks
 
 
 def test_each_command_builds_each_model_once(tmp_path, capsys, monkeypatch):

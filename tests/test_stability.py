@@ -4,7 +4,9 @@ The growth-rate root is cross-checked with an independently coded Newton
 iteration, the winding-number counter against polynomials with known root
 sets, and the ring spectrum's closed form against dense eigensolves of the
 full transfer matrix.  The row-batched spectral scan must equal the
-point-by-point scan kept here as its oracle, bit for bit.
+point-by-point scan kept here as its oracle, bit for bit, and the batched
+contour walk must give the count of the point-by-point recursive walk kept
+here as its oracle.
 """
 import cmath
 import math
@@ -16,7 +18,10 @@ from hypothesis import strategies as st
 
 from tanglesim import ComplianceNetwork
 from tanglesim.stability import (
+    CHUNK_POINTS,
     IM_POINTS,
+    MAX_DEPTH,
+    MIN_MODULUS,
     RE_POINTS,
     ContourError,
     SpectralRegion,
@@ -149,7 +154,53 @@ def test_exponential_characteristic_with_known_root():
     # e^z - 2 has the single root log(2) in [0,1]x[-1,1] and spurious-free
     # repetitions at log(2) + 2 pi i k outside it
     region = SpectralRegion(0.0, 1.0, -1.0, 1.0)
-    assert count_roots(lambda z: cmath.exp(z) - 2.0, region) == 1
+    assert count_roots(lambda z: np.exp(z) - 2.0, region) == 1
+
+
+def test_f_gets_every_boundary_point_once_in_bounded_chunks():
+    seen = []
+
+    def f(z):
+        seen.append(np.array(z))
+        return z - 0.25
+
+    n = 3 * CHUNK_POINTS // 4 + 1  # 4n + 1 points: not a multiple of the chunk
+    region = SpectralRegion(0.0, 1.0, -1.0, 1.0, samples_per_side=n)
+    assert count_roots(f, region) == 1
+    assert all(0 < len(z) <= CHUNK_POINTS for z in seen)
+    points = np.concatenate(seen)
+    assert len(points) == 4 * n + 1
+    assert points[0] == points[-1] == region.corners()[0]
+    for side, corner in enumerate(region.corners()):
+        assert points[side * n] == corner
+
+
+def test_pole_in_a_later_chunk_is_named():
+    # the pole sits on the right edge, past the first chunk of points
+    region = SpectralRegion(0.0, 1.0, -1.0, 1.0, samples_per_side=200)
+    with pytest.raises(ContourError, match=r"at 1\+0j .*pole"):
+        count_roots(lambda z: 1.0 / (z - 1.0), region)
+
+
+def test_phase_aliasing_goes_unseen():
+    # z^20 - 1 winds 20 times around [-1.5, 1.5]^2, but 2 samples per side
+    # cannot resolve it: the pi/2 rule refines where it sees a large step
+    # and still counts 4, as the recursive oracle does; dense samples give 20
+    f = lambda z: z**20 - 1.0
+    coarse = SpectralRegion(-1.5, 1.5, -1.5, 1.5, samples_per_side=2)
+    assert count_roots(f, coarse) == oracle_count_roots(f, coarse) == 4
+    dense = SpectralRegion(-1.5, 1.5, -1.5, 1.5, samples_per_side=64)
+    assert count_roots(f, dense) == oracle_count_roots(f, dense) == 20
+
+
+def test_unresolvable_phase_jump_reaches_max_depth():
+    # a phase jump of pi at Re z = 0.3 with |f| = 1: no halving resolves it
+    f = lambda z: np.where(np.real(z) < 0.3, 1.0, -1.0) + 0j
+    region = SpectralRegion(0.0, 1.0, -1.0, 1.0, samples_per_side=4)
+    with pytest.raises(ContourError, match="not resolvable"):
+        count_roots(f, region)
+    with pytest.raises(ContourError, match="not resolvable"):
+        oracle_count_roots(f, region)
 
 
 def test_region_validation():
@@ -327,3 +378,135 @@ def test_window_characteristic_no_unstable_roots_for_weak_ring():
     g = window_characteristic(net)
     region = SpectralRegion(1e-4, 3.0, -6.0, 6.0, samples_per_side=200)
     assert count_roots(g, region) == 0
+
+
+# -- batched contour walk against the point-by-point oracle ------------------------
+
+def oracle_count_roots(f, region: SpectralRegion) -> int:
+    """The winding-number walk one point at a time: each side's samples,
+    then a depth-first bisection of every segment whose phase step is at
+    least pi/2, at most MAX_DEPTH halvings deep."""
+    corners = region.corners()
+    total = 0.0
+
+    def fval(z: complex) -> complex:
+        try:
+            v = f(z)
+        except ZeroDivisionError as e:
+            raise ContourError(f"f has a pole on the contour: {e}") from e
+        if abs(v) <= MIN_MODULUS:
+            raise ContourError(
+                f"|f| = {abs(v):.3g} <= {MIN_MODULUS:.3g} on the contour at {z:.6g}"
+            )
+        return v
+
+    def walk(za: complex, va: complex, zb: complex, vb: complex, depth: int) -> float:
+        dphi = cmath.phase(vb / va)
+        if abs(dphi) < 0.5 * math.pi:
+            return dphi
+        if depth >= MAX_DEPTH:
+            raise ContourError(
+                f"phase step {dphi:.3f} not resolvable near {za:.6g} .. {zb:.6g}"
+            )
+        zm = 0.5 * (za + zb)
+        vm = fval(zm)
+        return walk(za, va, zm, vm, depth + 1) + walk(zm, vm, zb, vb, depth + 1)
+
+    for side in range(4):
+        za, zb = corners[side], corners[(side + 1) % 4]
+        pts = [
+            za + (zb - za) * k / region.samples_per_side
+            for k in range(region.samples_per_side + 1)
+        ]
+        vals = [fval(z) for z in pts]
+        for k in range(region.samples_per_side):
+            total += walk(pts[k], vals[k], pts[k + 1], vals[k + 1], 0)
+    count = total / (2.0 * math.pi)
+    nearest = round(count)
+    if abs(count - nearest) > 1e-6:
+        raise ContourError(f"winding number {count:.8f} is not close to an integer")
+    return int(nearest)
+
+
+def _outcome(count, f, region):
+    """The count, or "refused" when the walk raises ContourError."""
+    try:
+        with np.errstate(all="ignore"):
+            return count(f, region)
+    except ContourError:
+        return "refused"
+
+
+def _product(roots):
+    def f(z):
+        acc = 1.0 + 0.0j
+        for r in roots:
+            acc = acc * (z - r)
+        return acc
+
+    return f
+
+
+_samples = st.integers(2, 2 * CHUNK_POINTS + 37)
+
+
+@st.composite
+def _regions(draw, samples=_samples):
+    re_min = draw(st.floats(-3.0, 2.0))
+    im_min = draw(st.floats(-3.0, 2.0))
+    return SpectralRegion(
+        re_min, re_min + draw(st.floats(0.1, 4.0)), im_min, im_min + draw(st.floats(0.1, 4.0)),
+        samples_per_side=draw(samples),
+    )
+
+
+@st.composite
+def _polynomial_cases(draw):
+    region = draw(_regions())
+    point = lambda: complex(draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0)))
+    roots = [point() for _ in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        # a root just off a random edge of the contour
+        t, gap = draw(st.floats(0.0, 1.0)), draw(st.sampled_from([1e-2, 1e-4, 1e-7, -1e-4]))
+        side = draw(st.integers(0, 3))
+        za, zb = region.corners()[side], region.corners()[(side + 1) % 4]
+        inward = (zb - za) / abs(zb - za) * 1j
+        roots.append(za + (zb - za) * t + gap * inward)
+    return _product(roots), region
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_polynomial_cases())
+@example(case=(_product([0.5 + 0.5j, 0.3 - 0.2j]),
+               SpectralRegion(0.0, 1.0, -1.0, 1.0, samples_per_side=CHUNK_POINTS + 5)))
+@example(case=(_product([0.5 + 1e-7j, 1.5 + 1.5j]), SpectralRegion(0.0, 2.0, 0.0, 1.0, 7)))
+def test_polynomial_count_matches_the_oracle(case):
+    f, region = case
+    assert _outcome(count_roots, f, region) == _outcome(oracle_count_roots, f, region)
+
+
+@settings(max_examples=25, deadline=None)
+@given(delay=st.floats(0.05, 10.0), region=_regions())
+def test_tip_characteristic_count_matches_the_oracle(delay, region):
+    f = balanced_characteristic(delay)
+    assert _outcome(count_roots, f, region) == _outcome(oracle_count_roots, f, region)
+
+
+@st.composite
+def _small_networks(draw):
+    n = draw(st.integers(1, 6))
+    vec = lambda lo, hi: [draw(st.floats(lo, hi)) for _ in range(n)]
+    off = lambda hi: [[0.0 if i == j else draw(st.floats(0.0, hi)) for j in range(n)]
+                      for i in range(n)]
+    return ComplianceNetwork.build(
+        targets=vec(0.0, 1.0), baselines=vec(0.0, 0.5), cost_sens=vec(0.1, 3.0),
+        ctrl_gain=vec(0.1, 2.0), coupling=off(3.0), lags=off(3.0),
+        window=draw(st.floats(0.5, 8.0)),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(net=_small_networks(), region=_regions(st.integers(2, CHUNK_POINTS + 40)))
+def test_window_characteristic_count_matches_the_oracle(net, region):
+    g = window_characteristic(net)
+    assert _outcome(count_roots, g, region) == _outcome(oracle_count_roots, g, region)

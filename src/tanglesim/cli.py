@@ -137,9 +137,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except stability.ContourError as e:
         print(f"error: contour failure, no count reported: {e}", file=sys.stderr)
         return 2

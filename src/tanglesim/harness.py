@@ -425,7 +425,8 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
             raise top.error("network", "must be a compliance-net scenario file")
         net = scenario.model
         f = stability.window_characteristic(net)
-        delta = float((net.cost_sens * net.ctrl_gain).max())
+        rates = net.cost_sens * net.ctrl_gain  # M(z) has its poles at -rates
+        delta = float(rates.max())
         default = stability.SpectralRegion(
             1e-6, 10.0 * delta, -100.0 / net.window, 100.0 / net.window
         )
@@ -433,6 +434,12 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
         raise top.error("kind", f"unknown equation kind {kind!r}")
     region = _parse_region(top.block("region", required=default is None), default)
     top.done()
+    if kind == "compliance-window" and region.im_min < 0.0 < region.im_max:
+        # a pole on the contour is left to the walk, which refuses it
+        inside = [-float(r) for r in rates if region.re_min < -r < region.re_max]
+        if inside:
+            raise top.error("region", f"contains the transfer pole z = {inside[0]:.6g}, "
+                            "so a winding number would count zeros minus poles")
     return kind, f, region
 
 
@@ -474,6 +481,11 @@ def ensemble_stats(stack: np.ndarray) -> VarStats:
 TANGLE_VARS = ("L", "X", "W", "N")  # tips, free tips, pending, created
 
 
+def _counters(run: Callable[[np.random.Generator], TrajectoryFrame], rng) -> np.ndarray:
+    frame = run(rng)
+    return np.stack((frame.tips, frame.free, frame.pending, frame.created))
+
+
 def run_tangle_ensemble(
     sim: ReducedTangleSim | AgentTangleSim,
     grid_dt: float,
@@ -482,20 +494,17 @@ def run_tangle_ensemble(
     runs: int,
     workers: int = 1,
     check: bool = False,
-) -> dict:
-    """Ensemble of counter trajectories: stats per variable per type.
-
-    Returns {"times": (G,), "stats": VarStats of (4, G, d) arrays, the
-    variables in TANGLE_VARS order, "members": every run's TrajectoryFrame
-    in run-index order}.  ``check`` runs every member with its model's
-    invariant checks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble of counter trajectories: the grid times (G,) and the
+    ``seeded_runs`` stack (runs, 4, G, d) of every run's counters, the
+    variables in TANGLE_VARS order.  ``check`` runs every member with its
+    model's invariant checks.
     """
     _integer(runs, "runs", minimum=1)
     _integer(workers, "workers", minimum=1)
-    member = functools.partial(sim.run, horizon, grid_dt=grid_dt, check=check)
-    members = list(seeded_runs(member, seed, runs, workers))
-    stack = np.array([(m.tips, m.free, m.pending, m.created) for m in members])
-    return {"times": members[0].times, "stats": ensemble_stats(stack), "members": members}
+    run = functools.partial(sim.run, horizon, grid_dt=grid_dt, check=check)
+    stack = seeded_runs(functools.partial(_counters, run), seed, runs, workers)
+    return make_grid(horizon, grid_dt), stack
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -517,14 +526,13 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             writer.writerows(zip(*(c[a:a + 512].tolist() for c in columns)))
 
 
-def member_columns(frame: TrajectoryFrame) -> tuple[list[str], list[np.ndarray]]:
-    """Header and columns of one ensemble member's CSV: a row per grid time
-    and type, in that order, with 1-based type labels."""
-    d, g = frame.types, len(frame.times)
+def member_columns(times: np.ndarray, counters: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns of one member's CSV from its (4, G, d) counters:
+    a row per grid time and type, in that order, with 1-based type labels."""
+    g, d = counters.shape[1:]
     return (
         ["time", "type", "tips", "free", "pending", "created"],
-        [np.repeat(frame.times, d), np.tile(np.arange(1, d + 1), g)]
-        + [a.ravel() for a in (frame.tips, frame.free, frame.pending, frame.created)],
+        [np.repeat(times, d), np.tile(np.arange(1, d + 1), g)] + [a.ravel() for a in counters],
     )
 
 
@@ -536,7 +544,6 @@ class RunSummary:
     runs: int
     wall_time_s: float
     outputs: list[str] = field(default_factory=list)
-    verdict: str | None = None
     checks: str = "off"  # "passed" after a run with invariant checks
 
 
@@ -583,21 +590,21 @@ def run_scenario(
         summary.outputs.append(str(path))
 
     if scenario.kind in ("tangle-reduced", "tangle-agent"):
-        ens = run_tangle_ensemble(
+        times, stack = run_tangle_ensemble(
             scenario.model, p["grid_dt"], scenario.horizon, scenario.seed, scenario.runs,
             workers, check,
         )
-        d = p["types"]
-        header, columns = ["time"], [ens["times"]]
-        for i in range(d):
+        stats = ensemble_stats(stack)
+        header, columns = ["time"], [times]
+        for i in range(p["types"]):
             for v, var in enumerate(TANGLE_VARS):
                 for stat in ("mean", "std", "p5", "p95"):
                     header.append(f"{var}{i + 1}_{stat}")
-                    columns.append(getattr(ens["stats"], stat)[v, :, i])
+                    columns.append(getattr(stats, stat)[v, :, i])
         emit("ensemble", header, columns)
         if scenario.per_run:
-            for r, frame in enumerate(ens["members"]):
-                emit(f"run{r:04d}", *member_columns(frame))
+            for r, counters in enumerate(stack):
+                emit(f"run{r:04d}", *member_columns(times, counters))
     elif scenario.kind == "fluid":
         hx, hl = fluid.constant_history(p["x0"], p["l0"])
         traj = fluid.integrate(
@@ -693,11 +700,11 @@ def validate(
         raise ScenarioError("horizons differ; trajectories are not comparable")
     if pa["grid_dt"] != pr["grid_dt"]:
         raise ScenarioError("output grids differ; trajectories are not comparable")
-    # mean L and X of each model, (2, G, d); the agent ensemble's members
-    # are freed before the reduced ensemble runs
+    # mean L and X of each model, (2, G, d); the agent ensemble's stack
+    # is freed before the reduced ensemble runs
     ma, mr = (
         run_tangle_ensemble(sc.model, sc.params["grid_dt"], sc.horizon, sc.seed, sc.runs, workers)
-        ["stats"].mean[:2]
+        [1][:, :2].mean(axis=0)
         for sc in (agent_scenario, reduced_scenario)
     )
     t_min = 5.0 * max(pa["delay"], pr["delay"])

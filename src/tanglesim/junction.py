@@ -139,9 +139,7 @@ def run_ensemble(
     """Ensemble statistics over independent seeded runs on ``workers``
     processes (see ``seeding.seeded_runs``)."""
     member = functools.partial(run, config, horizon, fixed_Q=fixed_Q, controller=controller)
-    stack = np.empty((runs, 3, horizon + 1))  # vbar, Q, C per run
-    for r, out in enumerate(seeded_runs(member, master_seed, runs, workers)):
-        stack[r] = out
+    stack = seeded_runs(member, master_seed, runs, workers)  # vbar, Q, C per run
     mean = stack.mean(axis=0)
     return JunctionEnsemble(
         times=np.arange(horizon + 1),

@@ -1,10 +1,11 @@
 """Deterministic per-run random streams and the seeded ensemble driver."""
 from __future__ import annotations
 
+import contextlib
 import functools
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -78,17 +79,18 @@ def seeded_runs(
     master_seed: int,
     runs: int,
     workers: int = 1,
-) -> Iterator:
-    """Iterate over ``member(seed_stream(master_seed, r))`` for r in range(runs).
+) -> np.ndarray:
+    """The float64 ``(runs, ...)`` stack whose row r is
+    ``member(seed_stream(master_seed, r))``; every member returns an array
+    (or a number) of one shape.
 
-    Members come in run-index order whatever the worker count, so what a
-    caller builds from them does not depend on it.  With one worker they
-    run in this process as they are consumed.  With more, they run in a
-    process pool of ``min(workers, runs)`` processes (``member`` must
-    pickle), one run per task: the pool's result thread receives each
-    task's result whole, in memory the caller's thread does not reuse, so
-    a few large blocks of runs raise the caller's peak memory by about the
-    size of a block.
+    Rows are in run-index order whatever the worker count, so what a caller
+    builds from the stack does not depend on it.  Each result is copied
+    into its row as it arrives and then dropped, so no list of results is
+    kept.  With one worker the members run in this process; with more, in
+    a process pool of ``min(workers, runs)`` processes (``member`` must
+    pickle), one run per task: the pool receives each task's result whole,
+    so tasks of several runs would raise peak memory by about a task.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -96,11 +98,10 @@ def seeded_runs(
         raise ValueError("workers must be at least 1")
     seeded = functools.partial(_seeded_member, member, master_seed)
     workers = min(workers, runs)
-    if workers == 1:
-        return map(seeded, range(runs))
-    return _pooled(seeded, runs, workers)
-
-
-def _pooled(seeded: Callable[[int], Any], runs: int, workers: int) -> Iterator:
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(seeded, range(runs))
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = pool.map(seeded, range(runs)) if pool else map(seeded, range(runs))
+        for r, out in enumerate(results):
+            if r == 0:
+                stack = np.empty((runs,) + np.shape(out))
+            stack[r] = out
+    return stack

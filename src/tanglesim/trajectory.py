@@ -21,10 +21,6 @@ class TrajectoryFrame:
     pending: np.ndarray
     created: np.ndarray
 
-    @property
-    def types(self) -> int:
-        return self.tips.shape[1]
-
 
 def make_grid(horizon: float, dt: float) -> np.ndarray:
     if not dt > 0:

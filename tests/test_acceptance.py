@@ -62,7 +62,7 @@ def steady_sweep():
         sim = parse_scenario(
             {"kind": "tangle-reduced", "rate": 60.0, "delay": h, "horizon": 100.0}
         ).model
-        stats = run_tangle_ensemble(
+        times, stack = run_tangle_ensemble(
             sim,
             grid_dt=0.5,
             horizon=100.0,
@@ -70,8 +70,8 @@ def steady_sweep():
             runs=100,
             workers=4,
         )
-        mask = stats["times"] >= 50.0
-        means[h] = float(stats["stats"].mean[0][mask, 0].mean())  # L of type 1
+        mask = times >= 50.0
+        means[h] = float(stack[:, 0].mean(axis=0)[mask, 0].mean())  # L of type 1
     return means
 
 

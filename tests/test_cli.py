@@ -258,6 +258,29 @@ def test_roots_pole_on_the_contour_is_reported(tmp_path, ring_scenario, capsys):
     assert "no count reported" in err and "pole" in err
 
 
+_TWO_NODE = {"kind": "compliance-net", "horizon": 20.0, "window": 4.0, "n": 2,
+             "targets": [0.9, 0.8], "baselines": [0.4, 0.3],
+             "cost_sens": [1.0, 2.0], "ctrl_gain": [0.5, 1.0],
+             "coupling": [[0.0, 0.2], [0.3, 0.0]], "lags": [[0.0, 1.5], [0.7, 0.0]]}
+
+
+@pytest.mark.parametrize("im, inside", [([-0.1, 0.1], True), ([0.05, 0.1], False)])
+def test_roots_region_around_a_transfer_pole_is_refused(tmp_path, capsys, im, inside):
+    # the poles -E_i k_i = -0.5, -2 are real: a region holds one only if
+    # its imaginary range straddles 0, and then the walk would print
+    # zeros minus poles (a count of -1 here)
+    _write(tmp_path, "two.json", _TWO_NODE)
+    spec = _write(tmp_path, "spec.json", {"kind": "compliance-window", "network": "two.json",
+                                          "region": {"re": [-0.51, -0.49], "im": im}})
+    if inside:
+        assert main(["roots", spec]) == 2
+        err = capsys.readouterr().err
+        assert "spec.region" in err and "pole z = -0.5" in err
+    else:
+        assert main(["roots", spec]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 0
+
+
 @pytest.mark.parametrize(
     "spec, where, cause",
     [
@@ -417,7 +440,7 @@ def test_check_keeps_every_csv_byte(tmp_path, capsys, kind):
 
 def test_summary_schema_records_the_check_status(tmp_path, capsys):
     types = {"kind": str, "config_hash": str, "seed": int, "runs": int,
-             "wall_time_s": float, "outputs": list, "verdict": type(None), "checks": str}
+             "wall_time_s": float, "outputs": list, "checks": str}
     for name, payload, flags, checks in (
         ("tangle", _TANGLE, [], "off"),
         ("tangle", _TANGLE, ["--check"], "passed"),

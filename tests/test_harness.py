@@ -2,6 +2,7 @@
 import csv
 import functools
 import json
+from dataclasses import asdict
 from operator import methodcaller
 from pathlib import Path
 
@@ -255,30 +256,47 @@ def test_ensemble_stats_against_manual_numpy():
 
 def test_workers_do_not_change_results():
     sim = _reduced_sim(rate=40.0, delay=1.0)
-    serial = run_tangle_ensemble(sim, 0.5, 10.0, 3, 6, workers=1)
-    pooled = run_tangle_ensemble(sim, 0.5, 10.0, 3, 6, workers=3)
-    for stat in ("mean", "std", "p5", "p95"):
-        assert np.array_equal(getattr(serial["stats"], stat), getattr(pooled["stats"], stat))
+    times, serial = run_tangle_ensemble(sim, 0.5, 10.0, 3, 6, workers=1)
+    pooled = run_tangle_ensemble(sim, 0.5, 10.0, 3, 6, workers=3)[1]
+    assert np.array_equal(times, np.arange(21) * 0.5)
+    assert np.array_equal(serial, pooled)
 
 
 def test_ensemble_stats_are_the_per_variable_per_type_stats():
-    # one call over the (runs, 4, G, d) stack gives what a call per
-    # variable and type over its (runs, G) slice gives, bit for bit
+    # row r holds run r's (tips, free, pending, created), and one stats
+    # call over the stack gives what a call per variable and type over its
+    # (runs, G) slice gives, bit for bit
     sim = _reduced_sim(rate=40.0, delay=1.0, types=2,
                        injections=[{"time": 3.0, "type": 2, "count": 10}])
-    ens = run_tangle_ensemble(sim, 0.5, 10.0, 4, 7)
-    assert ens["stats"].mean.shape == (4, 21, 2)
+    times, stack = run_tangle_ensemble(sim, 0.5, 10.0, 4, 7)
+    assert stack.shape == (7, 4, 21, 2)
+    frames = [sim.run(10.0, seed_stream(4, r), grid_dt=0.5) for r in range(7)]
+    for r, frame in enumerate(frames):
+        assert np.array_equal(frame.times, times)
+        assert np.array_equal(stack[r], [frame.tips, frame.free, frame.pending, frame.created])
+    stats = ensemble_stats(stack)
     for v, attr in enumerate(("tips", "free", "pending", "created")):
         for i in range(2):
-            one = ensemble_stats(np.stack([getattr(m, attr)[:, i] for m in ens["members"]]))
+            one = ensemble_stats(np.stack([getattr(f, attr)[:, i] for f in frames]))
             for stat in ("mean", "std", "p5", "p95"):
-                assert np.array_equal(getattr(one, stat), getattr(ens["stats"], stat)[v, :, i])
+                assert np.array_equal(getattr(one, stat), getattr(stats, stat)[v, :, i])
+
+
+def _int_block(rng: np.random.Generator) -> np.ndarray:
+    """A (2, 3) integer member: stacking must convert it to float64."""
+    return rng.integers(0, 100, size=(2, 3))
 
 
 @pytest.mark.parametrize("runs, workers", [(1, 1), (1, 2), (5, 2), (5, 3), (4, 6)])
 def test_seeded_runs_yields_the_members_in_run_index_order(runs, workers):
     want = [seed_stream(7, r).random() for r in range(runs)]
-    assert list(seeded_runs(methodcaller("random"), 7, runs, workers)) == want
+    stack = seeded_runs(methodcaller("random"), 7, runs, workers)
+    assert stack.shape == (runs,) and stack.dtype == np.float64
+    assert stack.tolist() == want
+    arrays = seeded_runs(_int_block, 7, runs, workers)
+    assert arrays.shape == (runs, 2, 3) and arrays.dtype == np.float64
+    assert np.array_equal(arrays, [_int_block(seed_stream(7, r)) for r in range(runs)])
+    assert np.array_equal(arrays, seeded_runs(_int_block, 7, runs, 1))
 
 
 @pytest.mark.parametrize("runs, workers", [(0, 1), (3, 0)])
@@ -406,6 +424,7 @@ _WORKER_SCENARIOS = {
     "junction": {"kind": "junction", "horizon": 40.0, "mode": "closed-loop", "seed": 3},
     "injected": _reduced_dict(types=2, horizon=12.0, seed=5, per_run=True,
                               injections=[{"time": 4.0, "type": 2, "count": 30}]),
+    "agent": _reduced_dict(kind="tangle-agent", horizon=12.0, seed=8, per_run=True),
 }
 
 
@@ -598,6 +617,13 @@ def test_validation_passes_for_one_injected_burst():
     rep = validate(a, r, workers=2)
     assert rep.passed
     assert rep.max_rel_L < 0.05 and rep.max_rel_X < 0.05
+
+
+def test_validation_report_is_identical_for_any_worker_count():
+    a, r = _val_pair(runs=5)
+    a.runs = 5
+    reports = [json.dumps(asdict(validate(a, r, workers=w))) for w in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_validation_fails_honestly_for_different_physics():

@@ -37,7 +37,8 @@ def test_row_iter_uses_one_based_type_labels(tmp_path):
     rec = GridRecorder(make_grid(1.0, 1.0), 2)
     frame = rec.finish([5.0, 6.0], [3.0, 4.0], [2.0, 2.0], [8, 9])
     path = tmp_path / "m.csv"
-    write_csv(path, *member_columns(frame))
+    counters = np.stack((frame.tips, frame.free, frame.pending, frame.created))
+    write_csv(path, *member_columns(frame.times, counters))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["time", "type", "tips", "free", "pending", "created"]

@@ -12,7 +12,7 @@ from itertools import compress, count, islice
 
 import numpy as np
 
-from .reduced import ExtinctLedgerError, InvariantError, _TangleSim, _fill_grid, _schedule
+from .reduced import ExtinctLedgerError, InvariantError, _TangleSim, _schedule
 from .seeding import integer_stream
 from .trajectory import TrajectoryFrame, make_grid
 
@@ -27,9 +27,9 @@ class AgentTangleSim(_TangleSim):
     ) -> TrajectoryFrame:
         """One ledger history up to ``horizon``, sampled every ``grid_dt``.
 
-        Runs on the reduced model's creation schedule and grid fill: the
-        graph decides each creation's type and the tips it newly marks
-        pending, and the frame is filled from those.  Creations after the
+        Runs on the reduced model's creation schedule: the graph decides
+        each creation's type and the tips it newly marks pending, and
+        ``_fill_grid`` fills the frame from those.  Creations after the
         last grid time are not made, as no grid row would see them.
         ``check`` checks the counters after every event and recounts the
         graph at the end.
@@ -219,3 +219,32 @@ def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
         "pending": pend,
         "created": created,
     }
+
+
+def _fill_grid(grid, horizon, delay, ct, typ, cov, seeds, types) -> TrajectoryFrame:
+    """Counters at each grid time, counting every event at or before it.
+
+    Events after ``horizon`` do not count (a fixed arrival lattice can
+    overshoot it by an ulp), so grid times past it see the state at the
+    horizon.
+    """
+    g = np.minimum(grid, horizon)
+    shape = (len(grid), types)
+    tips, free, pend, created = (np.zeros(shape) for _ in range(4))
+    for i in range(types):
+        if i == 0:
+            base = np.ones(len(g), dtype=np.intp)
+        elif i in seeds:
+            base = (g >= seeds[i]).astype(np.intp)
+        else:
+            continue
+        mine = typ == i
+        cti = ct[mine]
+        cum = np.concatenate(([0], np.cumsum(cov[mine], dtype=np.intp)))
+        nc = np.searchsorted(cti, g, side="right")
+        na = np.searchsorted(cti + delay, g, side="right")
+        created[:, i] = base + nc
+        free[:, i] = base + na - cum[nc]
+        pend[:, i] = cum[nc] - cum[na]
+        tips[:, i] = base + na - cum[na]
+    return TrajectoryFrame(grid, tips, free, pend, created)

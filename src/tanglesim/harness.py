@@ -24,8 +24,8 @@ from . import compliance, fluid, junction, stability
 from .agent import AgentTangleSim
 from .arrivals import ArrivalProcess
 from .reduced import Injection, ReducedTangleSim
-from .seeding import seeded_runs
-from .trajectory import TrajectoryFrame, make_grid
+from .seeding import seeded_runs, worker_pool
+from .trajectory import make_grid
 
 KINDS = ("tangle-reduced", "tangle-agent", "fluid", "compliance-net", "junction")
 
@@ -481,11 +481,6 @@ def ensemble_stats(stack: np.ndarray) -> VarStats:
 TANGLE_VARS = ("L", "X", "W", "N")  # tips, free tips, pending, created
 
 
-def _counters(run: Callable[[np.random.Generator], TrajectoryFrame], rng) -> np.ndarray:
-    frame = run(rng)
-    return np.stack((frame.tips, frame.free, frame.pending, frame.created))
-
-
 def run_tangle_ensemble(
     sim: ReducedTangleSim | AgentTangleSim,
     grid_dt: float,
@@ -494,16 +489,18 @@ def run_tangle_ensemble(
     runs: int,
     workers: int = 1,
     check: bool = False,
+    pool=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble of counter trajectories: the grid times (G,) and the
     ``seeded_runs`` stack (runs, 4, G, d) of every run's counters, the
-    variables in TANGLE_VARS order.  ``check`` runs every member with its
-    model's invariant checks.
+    variables in TANGLE_VARS order, filled block by block from the model's
+    ``run_block``.  ``check`` runs every member with its model's invariant
+    checks; ``pool`` is a ``seeding.worker_pool`` to run the blocks on.
     """
     _integer(runs, "runs", minimum=1)
     _integer(workers, "workers", minimum=1)
-    run = functools.partial(sim.run, horizon, grid_dt=grid_dt, check=check)
-    stack = seeded_runs(functools.partial(_counters, run), seed, runs, workers)
+    member = functools.partial(sim.run_block, horizon, grid_dt=grid_dt, check=check)
+    stack = seeded_runs(member, seed, runs, workers, block=True, pool=pool)
     return make_grid(horizon, grid_dt), stack
 
 
@@ -701,12 +698,13 @@ def validate(
     if pa["grid_dt"] != pr["grid_dt"]:
         raise ScenarioError("output grids differ; trajectories are not comparable")
     # mean L and X of each model, (2, G, d); the agent ensemble's stack
-    # is freed before the reduced ensemble runs
-    ma, mr = (
-        run_tangle_ensemble(sc.model, sc.params["grid_dt"], sc.horizon, sc.seed, sc.runs, workers)
-        [1][:, :2].mean(axis=0)
-        for sc in (agent_scenario, reduced_scenario)
-    )
+    # is freed before the reduced ensemble runs, and both run on one pool
+    with worker_pool(workers) as pool:
+        ma, mr = (
+            run_tangle_ensemble(sc.model, sc.params["grid_dt"], sc.horizon, sc.seed, sc.runs,
+                                workers, pool=pool)[1][:, :2].mean(axis=0)
+            for sc in (agent_scenario, reduced_scenario)
+        )
     t_min = 5.0 * max(pa["delay"], pr["delay"])
     mask = make_grid(agent_scenario.horizon, pa["grid_dt"]) > t_min
     ma, mr = ma[:, mask], mr[:, mask]

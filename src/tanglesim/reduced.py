@@ -12,9 +12,8 @@ left-limit counter values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul
 
 import numpy as np
 
@@ -53,7 +52,8 @@ class Injection:
 class _TangleSim:
     """What both tangle models are built from, checked once here: the
     arrival process, the attach delay, the number of conflict types and the
-    bursts.  Each model's ``run`` is defined in its own class."""
+    bursts.  Each model defines its own ``run``; ``run_block`` runs a block
+    of members, here one ``run`` after another."""
 
     def __init__(
         self,
@@ -76,6 +76,20 @@ class _TangleSim:
         self.types = types
         self.injections = tuple(sorted(injections, key=lambda i: i.time))
 
+    def run_block(
+        self, horizon: float, rngs, grid_dt: float = 0.5, check: bool = False,
+    ) -> np.ndarray:
+        """The float64 ``(len(rngs), 4, G, d)`` counters (tips, free,
+        pending, created) of one history per generator, each as ``run``
+        gives it."""
+        out = None
+        for j, rng in enumerate(rngs):
+            frame = self.run(horizon, rng, grid_dt, check)
+            if out is None:
+                out = np.empty((len(rngs), 4) + frame.tips.shape)
+            out[j] = frame.tips, frame.free, frame.pending, frame.created
+        return out
+
 
 class ReducedTangleSim(_TangleSim):
     """Simulation of the per-type counter model.
@@ -87,9 +101,10 @@ class ReducedTangleSim(_TangleSim):
     immediately (the forced branch point), so the remaining burst members
     have a tip to select.
 
-    Attach times are fixed at creation, so ``run`` builds the whole creation
-    schedule up front, draws each creation's type and coverage in one loop
-    over creations, and fills the output grid from the draws afterwards.
+    Attach times are fixed at creation, so each member's creation schedule
+    is built up front, and ``run_block`` draws the creations of a block of
+    members in lockstep: one step per creation index, each a few numpy
+    operations across the block.  ``run`` is that block on one generator.
     """
 
     def run(
@@ -99,14 +114,42 @@ class ReducedTangleSim(_TangleSim):
         """One ledger history up to ``horizon``, sampled every ``grid_dt``.
 
         The arrival times are drawn from ``rng`` first; the uniforms of the
-        creations then come from the same stream in fixed-size chunks.
-        ``check`` checks every type's counters after every event.
+        creations then come from the same stream.  ``check`` checks the
+        counters at every event.
+        """
+        counters = self.run_block(horizon, [rng], grid_dt, check)[0]
+        return TrajectoryFrame(make_grid(horizon, grid_dt), *counters)
+
+    def run_block(
+        self, horizon: float, rngs, grid_dt: float = 0.5, check: bool = False,
+    ) -> np.ndarray:
+        """The float64 ``(len(rngs), 4, G, d)`` counters (tips, free,
+        pending, created) of one history per generator; row j is what
+        ``run`` gives on ``rngs[j]``, whatever the other members.
+
+        The members run in lockstep groups of near-equal size holding about
+        ``_CAP`` creations between them, by the expected creation count.
         """
         grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
-        arrivals = self.arrivals.times(horizon, rng)
-        ct, blocks, seeds = _schedule(arrivals, self.injections, horizon)
-        typ, cov = _kernel(ct, blocks, self.delay, self.types, horizon, rng, check)
-        return _fill_grid(grid, horizon, self.delay, ct, typ, cov, seeds, self.types)
+        g = np.minimum(grid, horizon)
+        out = np.zeros((len(rngs), 4, len(grid), self.types))
+        stop = self.arrivals.stop
+        end = horizon if stop is None else min(stop, horizon)
+        expected = self.arrivals.rate * max(end, 0.0) + sum(
+            inj.count for inj in self.injections if inj.time <= horizon
+        )
+        groups = min(len(rngs), max(1, math.ceil(len(rngs) * expected / _CAP)))
+        cuts = [len(rngs) * q // groups for q in range(groups + 1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            members = [_member(self, horizon, g, rng) for rng in rngs[lo:hi]]
+            seeds = np.full((hi - lo, self.types), np.inf)  # never seeded
+            seeds[:, 0] = -np.inf
+            for m, mem in enumerate(members):
+                seeds[m, list(mem.seeds)] = list(mem.seeds.values())
+            ends = _lockstep(members, self.types, check, out[lo:hi])
+            del members  # before the grid fill and the next group
+            _fill(seeds, g, horizon, ends, check, out[lo:hi])
+        return out
 
 
 def _schedule(arrivals: np.ndarray, injections, horizon: float):
@@ -148,123 +191,273 @@ def _schedule(arrivals: np.ndarray, injections, horizon: float):
     return ct, blocks, seeds
 
 
-_CHUNK = 1024  # uniforms per Generator.random call
+_CAP = 1 << 20  # creations held by one lockstep group, summed over its members
+_CHUNK = 256  # creation indices whose inputs are gathered at once
 
 
-def _kernel(ct, blocks, delay, types, horizon, rng, check):
-    """Draw each creation's type and free-tip coverage, in schedule order.
+@dataclass
+class _Member:
+    """What the lockstep reads of one member's schedule."""
 
-    Every attach at or before a creation's time is applied before it
-    (attaches are FIFO: the attach time is creation time + delay).  Returns
-    per-creation 0-based types and coverages (0, 1 or 2).  The counters are
-    exact Python ints, which give the same draws as integral floats.
-    """
-    tips = [0] * types
-    free = [0] * types
-    pend = [0] * types
-    tips[0] = free[0] = 1
-    seeded = 1
-    n = len(ct)
-    typ = np.zeros(n, dtype=np.intp)
-    cov = np.zeros(n, dtype=np.uint8)
-    typ_v = memoryview(typ)
-    cov_v = memoryview(cov)
-    attach_times = ct + delay
+    rng: np.random.Generator
+    n: int  # creations
+    # attaches between each creation and the one before, in the smallest
+    # unsigned type that holds them
+    steps: np.ndarray
+    lag: int  # the most creations made but not attached at a creation
+    # (start, stop, forced type or -1, draws a type uniform, seeds its type)
+    segments: list
+    seeds: dict  # {0-based type: seed time}
+    # creations made by each grid time, then attaches made by it (2, G),
+    # and all creations and the attaches made by the horizon
+    reads: np.ndarray
+    last: tuple[int, int]
+
+
+def _member(sim: ReducedTangleSim, horizon: float, g: np.ndarray, rng) -> _Member:
+    arrivals = sim.arrivals.times(horizon, rng)
+    ct, blocks, seeds = _schedule(arrivals, sim.injections, horizon)
+    attach = ct + sim.delay
     # attaches that precede each creation; attaches win ties
-    attached = memoryview(np.searchsorted(attach_times, ct, side="right"))
-    # Generator.random(k) yields the doubles of k scalar random() calls
-    draw = chain.from_iterable(iter(lambda: rng.random(_CHUNK).tolist(), None)).__next__
-
-    def verify() -> None:
-        for i in range(types):
-            if free[i] + pend[i] != tips[i] or min(free[i], pend[i]) < 0:
-                raise InvariantError(
-                    f"type {i + 1}: free {free[i]} + pending {pend[i]} != tips {tips[i]}"
-                    " or a count below 0"
-                )
-
-    a = 0
+    att = np.searchsorted(attach, ct, side="right")
+    n = len(ct)
+    steps = np.diff(att, prepend=0)
+    lag = int((np.arange(n) - att).max(initial=0))
+    segments, seeded = [], 1
     for start, stop, forced, seed in blocks:
-        if seed:
-            tips[forced] = free[forced] = 1
-            seeded += 1
-            if check:
-                verify()
-        pick = forced < 0 and seeded > 1
-        i = forced if forced >= 0 else 0
-        for k in range(start, stop):
-            e = attached[k]
-            while a < e:
-                j = typ_v[a]
-                u = cov_v[a]
-                tips[j] += 1 - u
-                free[j] += 1
-                pend[j] -= u
-                a += 1
+        seeded += seed
+        segments.append((start, stop, forced, forced < 0 and seeded > 1, seed))
+    reads = np.stack((np.searchsorted(ct, g, side="right"), np.searchsorted(attach, g, side="right")))
+    last = (n, int(np.searchsorted(attach, horizon, side="right")))
+    steps = steps.astype(np.min_scalar_type(steps.max(initial=0)))
+    return _Member(rng, n, steps, lag, segments, seeds, reads.astype(np.int32), last)
+
+
+def _violation(i: int, free, pend, tips) -> InvariantError:
+    return InvariantError(
+        f"type {i + 1}: free {int(free)} + pending {int(pend)} != tips {int(tips)}"
+        " or a count below 0"
+    )
+
+
+def _lockstep(members: list[_Member], d: int, check, out) -> np.ndarray:
+    """Draw the members' creations in lockstep, gather the prefixes the
+    grid reads into ``out`` (len(members), 4, G, d) for ``_fill``, and
+    return those at each member's ``last`` reads.
+
+    Each type keeps two prefix sums over the creation sequence: C, its
+    creations, and U, the free tips they covered.  Before creation k, with
+    A attaches made and ``base`` 1 once the type is seeded, type i holds
+    tips = base + C[A] - U[A], free = base + C[A] - U[k] and pending =
+    U[k] - U[A].  The prefixes live in a ring deeper than any attach lag;
+    after each chunk of steps, the values the grid reads are copied from
+    the ring into ``out``.  Up to the first seed in the group every
+    creation is honest and of type 1, and a step handles that one type;
+    from there on a step also draws the type.  A member past its last
+    creation steps on with every transaction attached, type 1 and uniform
+    0, which covers one of its free tips and leaves its counters as they
+    are.
+    """
+    nb = len(members)
+    cols = np.arange(nb)
+    K = max(m.n for m in members)
+    first = min((s[0] for m in members for s in m.segments if s[4]), default=K)
+    # a seed check reads one creation further back than a step does
+    depth = 1 << (max(max(m.lag for m in members) + 2, _CHUNK) - 1).bit_length()
+    mask = depth - 1
+    reads = np.stack([m.reads for m in members])  # (nb, 2, G)
+    last = np.array([m.last for m in members])  # (nb, 2)
+    # out[:, 0..3] holds U at the attaches read, U at the creations read,
+    # then C at each, until _fill turns them into the counters
+    got = out.reshape(nb, 2, 2, out.shape[2], d)
+    ends = np.zeros((nb, 2, 2 * d), dtype=np.int32)  # U then C at `last`
+    A = np.empty((_CHUNK, nb))
+    R2 = np.empty((_CHUNK, nb))
+    at = np.empty((_CHUNK, nb), dtype=np.intp)  # A's row in the flat ring
+    prev = np.zeros(nb)  # A of the step before the chunk
+
+    def chunk(k0: int, k1: int, R1=None, F=None) -> int:
+        c = k1 - k0
+        _inputs(members, k0, k1, prev, A, R2, R1, F)
+        np.copyto(at[:c], A[:c], casting="unsafe")
+        at[:c] &= mask
+        at[:c] *= nb
+        at[:c] += cols
+        return c
+
+    def gather(ring, k0: int, k1: int) -> None:
+        """Copy the prefixes at the reads in k0+1..k1 (U[0] = C[0] = 0)."""
+        m, h, q = np.nonzero((reads > k0) & (reads <= k1))
+        e, x = np.nonzero((last > k0) & (last <= k1))
+        if ring.ndim == 2:  # U of type 1 only
+            got[m, 0, 1 - h, q, 0] = ring[reads[m, h, q] & mask, m]
+            ends[e, x, 0] = ring[last[e, x] & mask, e]
+        else:
+            got[m, :, 1 - h, q] = ring[reads[m, h, q] & mask, m].reshape(-1, 2, d)
+            ends[e, x] = ring[last[e, x] & mask, e]
+
+    # -- type 1 only, up to the first seed
+    ring = np.zeros((depth, nb), dtype=np.int32)
+    flat = ring.ravel()
+    uk = np.zeros(nb)
+    for k0 in range(0, first, _CHUNK):
+        c = chunk(k0, min(k0 + _CHUNK, first))
+        prev[:] = A[c - 1]
+        A[:c] += 1.0  # the attached transactions and genesis
+        for j in range(c):
+            ua = flat.take(at[j])
+            x = A[j] - uk
+            w = uk - ua
+            t = x + w
+            den = t * t
+            p0 = w * w / den
+            s = p0 + (w + w + 1.0) * x / den
+            r = R2[j]
+            nxt = uk + (r >= p0) + (r >= s)
+            if check and ((x < nxt - uk).any() or (w < 0).any()):
+                m = int(np.argmax((x < nxt - uk) | (w < 0)))
+                raise _violation(0, x[m] - nxt[m] + uk[m], w[m] + nxt[m] - uk[m], t[m])
+            uk = nxt
+            row = ((k0 + j + 1) & mask) * nb
+            flat[row:row + nb] = uk
+        gather(ring, k0, k0 + c)
+    # C of type 1 is the creation count itself up to the first seed
+    got[:, 1, :, :, 0] = np.where(reads <= first, reads, 0)[:, ::-1]
+    ends[:, :, d] = np.where(last <= first, last, 0)
+
+    # -- every type, from the first seed on
+    if first < K:
+        multi = np.zeros((depth, nb, 2 * d), dtype=np.int32)
+        multi[:, :, 0] = ring
+        # row q last held the prefixes after creation first - ((first - q) mod depth)
+        multi[:, :, d] = (first - (first - np.arange(depth)) % depth)[:, None]
+        del ring, flat
+        mflat = multi.reshape(depth * nb, 2 * d)
+        state = multi[first & mask].astype(float)  # U then C after the last step
+        sflat = state.ravel()
+        base = np.zeros((nb, d))
+        base[:, 0] = 1.0
+        offs = cols * (2 * d)
+        offd = cols * d
+        R1 = np.empty((_CHUNK, nb))
+        F = np.empty((_CHUNK, nb), dtype=np.int8)
+    for k0 in range(first, K, _CHUNK):
+        c = chunk(k0, min(k0 + _CHUNK, K), R1, F)
+        forced = F[:c] >= 0
+        seeded = {}
+        for m, mem in enumerate(members):
+            for start, _, i, _, seed in mem.segments:
+                if seed and k0 <= start < k0 + c:
+                    seeded.setdefault(start - k0, []).append((m, i))
+        for j in range(c):
+            both = mflat.take(at[j], axis=0)  # U then C of each type at A
+            if j in seeded:
                 if check:
-                    verify()
-            if pick:
-                # type i with probability tips[i]**2 / sum(tips**2); types
-                # not yet seeded have no tips and so are never picked
-                r = draw() * sum(map(mul, tips, tips))
-                i = 0
-                acc = tips[0] * tips[0]
-                while r > acc:
-                    i += 1
-                    acc += tips[i] * tips[i]
-            x = free[i]
-            w = pend[i]
-            t = tips[i]
-            denom = t * t
-            p0 = w * w / denom
-            r = draw()
-            if r < p0:
-                u = 0
-            elif r < p0 + (2 * w + 1) * x / denom:
-                u = 1
+                    _check_seeds(seeded[j], A[j - 1] if j else prev, state, multi, mask)
+                for m, i in seeded[j]:
+                    base[m, i] = 1.0
+            tips = base + both[:, d:] - both[:, :d]
+            # the type: i with probability tips[i]**2 / sum(tips**2)
+            cum = np.add.accumulate(tips * tips, axis=1)
+            r = R1[j] * cum[:, -1]
+            i = np.where(forced[j], F[j], np.add.reduce(r[:, None] > cum[:, :-1], axis=1))
+            fu = offs + i
+            t = tips.ravel().take(offd + i)
+            uk = sflat.take(fu)
+            w = uk - both.ravel().take(fu)
+            x = t - w
+            den = t * t
+            p0 = w * w / den
+            s = p0 + (w + w + 1.0) * x / den
+            r = R2[j]
+            nxt = uk + (r >= p0) + (r >= s)
+            if check and ((x < nxt - uk).any() or (w < 0).any()):
+                m = int(np.argmax((x < nxt - uk) | (w < 0)))
+                raise _violation(int(i[m]), x[m] - nxt[m] + uk[m], w[m] + nxt[m] - uk[m], t[m])
+            sflat[fu] = nxt
+            sflat[fu + d] += 1.0
+            multi[(k0 + j + 1) & mask] = state
+        gather(multi, k0, k0 + c)
+        prev[:] = A[c - 1]
+    return ends
+
+
+def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R2, R1=None, F=None) -> None:
+    """Fill rows 0..k1-k0-1 of the chunk inputs with creations k0..k1-1 of
+    every member: the attaches before each (A, counted on from ``prev``,
+    those before creation k0-1), its coverage uniform (R2), and with
+    ``F``, its type uniform (R1, 0 when it draws none) and its forced type
+    (F, -1 when honest).  Without ``F`` every creation is honest and of
+    type 1.  A member's uniforms come from one draw per chunk and are
+    handed out in creation order, so they are the doubles of its scalar
+    draws (``Generator.random(n)`` yields those of n scalar calls).
+    """
+    c = k1 - k0
+    for m, mem in enumerate(members):
+        hi = min(max(mem.n, k0), k1)
+        if hi < k1:
+            # past the last creation: all attached, type 1, uniform 0
+            A[hi - k0:c, m] = np.arange(hi, k1)
+            R2[hi - k0:c, m] = 0.0
+            if F is not None:
+                R1[hi - k0:c, m] = 0.0
+                F[hi - k0:c, m] = 0
+        if hi == k0:
+            continue
+        A[:hi - k0, m] = np.cumsum(mem.steps[k0:hi]) + prev[m]
+        if F is None:
+            R2[:hi - k0, m] = mem.rng.random(hi - k0)
+            continue
+        spans = [(max(s, k0), min(e, hi), f, p) for s, e, f, p, _ in mem.segments
+                 if s < hi and e > k0]
+        u = mem.rng.random(sum((b - a) * (1 + p) for a, b, _, p in spans))
+        pos = 0
+        for a, b, f, p in spans:
+            rows = slice(a - k0, b - k0)
+            F[rows, m] = f
+            if p:
+                pair = u[pos:pos + 2 * (b - a)].reshape(-1, 2)
+                R1[rows, m] = pair[:, 0]
+                R2[rows, m] = pair[:, 1]
             else:
-                u = 2
-            free[i] = x - u
-            pend[i] = w + u
-            typ_v[k] = i
-            cov_v[k] = u
-            if check:
-                verify()
+                R1[rows, m] = 0.0
+                R2[rows, m] = u[pos:pos + b - a]
+            pos += (b - a) * (1 + p)
+
+
+def _check_seeds(seeds, before, state, multi, mask) -> None:
+    """The check of each seed of a type at creation k, as the
+    one-member-at-a-time loop makes it: the seed sets the type's tips and
+    free tips to 1 and keeps its pending count, which holds the attaches
+    ``before`` creation k-1, so free + pending == tips fails unless that
+    count is 0."""
+    for m, i in seeds:
+        w = state[m, i] - multi[int(before[m]) & mask, m, i]
+        if w != 0:
+            raise _violation(i, 1, w, 1)
+
+
+def _fill(seeds, g, horizon, ends, check, out) -> None:
+    """Turn the prefixes gathered in ``out`` into the counters at each grid
+    time, in place: tips = base + C[na] - U[na], free = base + C[na] -
+    U[nc], pending = tips - free and created = base + C[nc], with nc the
+    creations and na the attaches at or before the grid time and ``base``
+    1 from a type's seed time (``seeds``, -inf for type 1) on.  Events
+    after ``horizon`` do not count (a fixed arrival lattice can overshoot
+    it by an ulp), so grid times past it see the state at the horizon."""
+    d = seeds.shape[1]
     if check:
         # the attaches after the last creation, up to the horizon
-        end = int(np.searchsorted(attach_times, horizon, side="right"))
-        for j, u in zip(typ[a:end].tolist(), cov[a:end].tolist()):
-            tips[j] += 1 - u
-            free[j] += 1
-            pend[j] -= u
-            verify()
-    return typ, cov
-
-
-def _fill_grid(grid, horizon, delay, ct, typ, cov, seeds, types) -> TrajectoryFrame:
-    """Counters at each grid time, counting every event at or before it.
-
-    Events after ``horizon`` do not count (a fixed arrival lattice can
-    overshoot it by an ulp), so grid times past it see the state at the
-    horizon.
-    """
-    g = np.minimum(grid, horizon)
-    shape = (len(grid), types)
-    tips, free, pend, created = (np.zeros(shape) for _ in range(4))
-    for i in range(types):
-        if i == 0:
-            base = np.ones(len(g), dtype=np.intp)
-        elif i in seeds:
-            base = (g >= seeds[i]).astype(np.intp)
-        else:
-            continue
-        mine = typ == i
-        cti = ct[mine]
-        cum = np.concatenate(([0], np.cumsum(cov[mine], dtype=np.intp)))
-        nc = np.searchsorted(cti, g, side="right")
-        na = np.searchsorted(cti + delay, g, side="right")
-        created[:, i] = base + nc
-        free[:, i] = base + na - cum[nc]
-        pend[:, i] = cum[nc] - cum[na]
-        tips[:, i] = base + na - cum[na]
-    return TrajectoryFrame(grid, tips, free, pend, created)
+        u, c = ends[..., :d], ends[..., d:]
+        free = (horizon >= seeds) + c[:, 1] - u[:, 0]
+        pend = u[:, 0] - u[:, 1]
+        bad = (free < 0) | (pend < 0)
+        if bad.any():
+            m, i = np.argwhere(bad)[0]
+            raise _violation(int(i), free[m, i], pend[m, i], free[m, i] + pend[m, i])
+    base = g[:, None] >= seeds[:, None, :]
+    for v in (0, 1):
+        np.subtract(out[:, 2], out[:, v], out=out[:, v])
+        out[:, v] += base
+    np.subtract(out[:, 0], out[:, 1], out=out[:, 2])
+    out[:, 3] += base

@@ -5,7 +5,7 @@ import contextlib
 import functools
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -70,38 +70,67 @@ def integer_stream(rng: np.random.Generator) -> Callable[[int], int]:
     return draw
 
 
-def _seeded_member(member: Callable[[np.random.Generator], Any], master_seed: int, index: int):
-    return member(seed_stream(master_seed, index))
+def worker_pool(workers: int):
+    """A process pool of ``workers`` processes for ``seeded_runs`` to share
+    across ensembles, or a context holding None for one worker."""
+    return ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
+
+
+def _seeded_block(member: Callable, block: bool, master_seed: int, span: tuple[int, int]) -> np.ndarray:
+    """The stacked results of runs ``span[0]..span[1]-1``."""
+    rngs = [seed_stream(master_seed, r) for r in range(*span)]
+    if block:
+        return member(rngs)
+    out = None
+    for j, rng in enumerate(rngs):
+        result = member(rng)
+        if out is None:
+            out = np.empty((len(rngs),) + np.shape(result))
+        out[j] = result
+    return out
 
 
 def seeded_runs(
-    member: Callable[[np.random.Generator], Any],
+    member: Callable,
     master_seed: int,
     runs: int,
     workers: int = 1,
+    block: bool = False,
+    pool: ProcessPoolExecutor | None = None,
 ) -> np.ndarray:
-    """The float64 ``(runs, ...)`` stack whose row r is
-    ``member(seed_stream(master_seed, r))``; every member returns an array
-    (or a number) of one shape.
+    """The float64 ``(runs, ...)`` stack whose row r is run r's result
+    from ``seed_stream(master_seed, r)``.
 
-    Rows are in run-index order whatever the worker count, so what a caller
-    builds from the stack does not depend on it.  Each result is copied
-    into its row as it arrives and then dropped, so no list of results is
-    kept.  With one worker the members run in this process; with more, in
-    a process pool of ``min(workers, runs)`` processes (``member`` must
-    pickle), one run per task: the pool receives each task's result whole,
-    so tasks of several runs would raise peak memory by about a task.
+    ``member(rng)`` gives one run's result, an array (or a number) of one
+    shape for every run.  With ``block``, ``member(rngs)`` gives the
+    stacked results of a block of consecutive runs at once, one row per
+    generator, which lets a model step the runs of a block together; the
+    runs are then cut into contiguous blocks of ``ceil(runs / workers)``
+    runs (the last one shorter), at most one per worker.  Without it each
+    run is a block of its own: a task's rows come back whole, so a task of
+    several runs would raise peak memory by about a task.  With one worker
+    the blocks run in this process; with more, one task per block on
+    ``pool`` (or on a pool made for this call), so ``member`` must pickle.
+    A block's rows do not depend on the other runs in it, and the blocks
+    land in run-index order, so the stack does not depend on the worker
+    count.  Each block is copied into its rows as it arrives and then
+    dropped; a single block is the stack itself.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    seeded = functools.partial(_seeded_member, member, master_seed)
     workers = min(workers, runs)
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = pool.map(seeded, range(runs)) if pool else map(seeded, range(runs))
-        for r, out in enumerate(results):
-            if r == 0:
-                stack = np.empty((runs,) + np.shape(out))
-            stack[r] = out
+    size = -(-runs // workers) if block else 1
+    spans = [(start, min(start + size, runs)) for start in range(0, runs, size)]
+    task = functools.partial(_seeded_block, member, block, master_seed)
+    if len(spans) == 1:
+        return np.asarray(task(spans[0]), dtype=float)
+    if workers > 1 and pool is None:
+        with ProcessPoolExecutor(workers) as pool:
+            return seeded_runs(member, master_seed, runs, workers, block, pool)
+    for (start, stop), rows in zip(spans, pool.map(task, spans) if workers > 1 else map(task, spans)):
+        if start == 0:
+            stack = np.empty((runs,) + rows.shape[1:])
+        stack[start:stop] = rows
     return stack

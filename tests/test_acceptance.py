@@ -39,6 +39,7 @@ from tanglesim.junction import (
 )
 from tanglesim.harness import parse_scenario, run_tangle_ensemble, validate
 from tanglesim.seeding import seed_stream
+from tanglesim.trajectory import make_grid
 
 from test_fluid import fluid_rhs  # the oracle's right-hand side
 from test_reduced import free_consumed_distribution, type_probabilities
@@ -84,16 +85,10 @@ def attack_runs():
         types=2,
         injections=(Injection(100.0, 2, 200),),
     )
-    end2 = np.empty(100)
-    peak2 = np.empty(100)
-    low2 = np.empty(100)
-    for r in range(100):
-        frame = sim.run(200.0, seed_stream(404, r))
-        burst = frame.times >= 100.0
-        end2[r] = frame.tips[-1, 1]
-        peak2[r] = frame.tips[burst, 1].max()
-        low2[r] = frame.tips[burst, 1].min()
-    return end2, peak2, low2
+    # row r of the block is sim.run(200.0, seed_stream(404, r))
+    tips2 = sim.run_block(200.0, [seed_stream(404, r) for r in range(100)])[:, 0, :, 1]
+    burst = make_grid(200.0, 0.5) >= 100.0
+    return tips2[:, -1], tips2[:, burst].max(axis=1), tips2[:, burst].min(axis=1)
 
 
 # -- tip-count dynamics -------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tanglesim
-from tanglesim import AgentTangleSim, ComplianceNetwork, JunctionConfig
+from tanglesim import AgentTangleSim, ComplianceNetwork, JunctionConfig, reduced, seeding
 from tanglesim.cli import main
 from tanglesim.reduced import _TangleSim
 
@@ -540,3 +540,51 @@ def test_check_reports_a_corrupted_counter_under_python_O(tmp_path, kind):
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "res").exists()
+
+
+def test_check_exits_2_on_one_corrupted_member_of_a_block(tmp_path, capsys, monkeypatch):
+    # only the second of four members gets the spurious type-1 seed of
+    # _CORRUPT; the four run as one lockstep block
+    schedule = reduced._schedule
+    made = []
+
+    def corrupt(*args):
+        ct, blocks, seeds = schedule(*args)
+        made.append(1)
+        if len(made) % 4 != 2:
+            return ct, blocks, seeds
+        start, stop, forced, seed = blocks[-1]
+        half = (start + stop) // 2
+        return ct, blocks[:-1] + [(start, half, forced, seed), (half, stop, 0, True)], seeds
+
+    monkeypatch.setattr(reduced, "_schedule", corrupt)
+    scenario = _write(tmp_path, "small.json", {**_TANGLE, "types": 1, "runs": 4})
+    assert main(["simulate", scenario, "--out", str(tmp_path / "plain")]) == 0
+    assert main(["simulate", scenario, "--check", "--out", str(tmp_path / "res")]) == 2
+    assert "free 1 + pending" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_each_command_starts_at_most_one_process_pool(tmp_path, capsys, monkeypatch):
+    made = []
+
+    class Counted(seeding.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(seeding, "ProcessPoolExecutor", Counted)
+    agent = _write(tmp_path, "agent.json", {**_TANGLE, "kind": "tangle-agent"})
+    pair = [agent, _write(tmp_path, "reduced.json", _TANGLE)]
+    reports = []
+    for workers in ("1", "2"):
+        made.clear()
+        assert main(["validate", *pair, "--workers", workers]) in (0, 1)
+        reports.append(capsys.readouterr().out)
+        assert len(made) == (workers == "2")
+    # both ensembles of one validate share its pool, and the report is the same
+    assert made == [(2,)]
+    assert reports[0] == reports[1]
+    made.clear()
+    assert main(["simulate", pair[1], "--workers", "3", "--out", str(tmp_path / "res")]) == 0
+    assert made == [(3,)]

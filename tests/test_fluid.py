@@ -295,15 +295,14 @@ def test_rescaled_ensemble_tracks_fluid_density():
     from tanglesim.arrivals import ArrivalProcess
     from tanglesim.reduced import ReducedTangleSim
     from tanglesim.seeding import seed_stream
+    from tanglesim.trajectory import make_grid
 
     lam = 600.0
     sim = ReducedTangleSim(arrivals=ArrivalProcess(rate=lam), delay=H)
-    stack = []
-    for r in range(10):
-        frame = sim.run(60.0, seed_stream(17, r))
-        stack.append(frame.tips[:, 0])
-    times = frame.times
-    mean = np.mean(stack, axis=0) / lam
+    # row r of the block is sim.run(60.0, seed_stream(17, r))
+    block = sim.run_block(60.0, [seed_stream(17, r) for r in range(10)])
+    times = make_grid(60.0, 0.5)
+    mean = np.mean(block[:, 0, :, 0], axis=0) / lam
 
     st = static_solution(1, H)
     traj = integrate(*constant_history(st.x, st.l), delay=H, horizon=60.0)

@@ -22,7 +22,7 @@ from tanglesim.harness import (
     validate,
     write_csv,
 )
-from tanglesim.seeding import seed_stream, seeded_runs
+from tanglesim.seeding import seed_stream, seeded_runs, worker_pool
 
 
 def _reduced_dict(**over):
@@ -299,6 +299,21 @@ def test_seeded_runs_yields_the_members_in_run_index_order(runs, workers):
     assert np.array_equal(arrays, seeded_runs(_int_block, 7, runs, 1))
 
 
+def _int_rows(rngs) -> np.ndarray:
+    """A block member: the stacked ``_int_block`` of each generator."""
+    return np.stack([_int_block(rng) for rng in rngs])
+
+
+@pytest.mark.parametrize("runs, workers", [(1, 1), (5, 1), (5, 2), (5, 3), (4, 6)])
+def test_seeded_runs_hands_block_members_contiguous_blocks(runs, workers):
+    want = [_int_block(seed_stream(7, r)) for r in range(runs)]
+    stack = seeded_runs(_int_rows, 7, runs, workers, block=True)
+    assert stack.dtype == np.float64 and np.array_equal(stack, want)
+    with worker_pool(workers) as pool:  # one pool serves several ensembles
+        for _ in range(2):
+            assert np.array_equal(seeded_runs(_int_rows, 7, runs, workers, True, pool), want)
+
+
 @pytest.mark.parametrize("runs, workers", [(0, 1), (3, 0)])
 def test_seeded_runs_rejects_empty_or_workerless_ensembles(runs, workers):
     with pytest.raises(ValueError, match="runs" if runs < 1 else "workers"):
@@ -449,17 +464,17 @@ def test_per_run_csvs_come_from_the_ensemble_members(tmp_path, monkeypatch, work
         name="perrun",
     )
     calls = []
-    run = ReducedTangleSim.run
+    run, run_block = ReducedTangleSim.run, ReducedTangleSim.run_block
 
-    @functools.wraps(run)  # a pooled member pickles as getattr(sim, "run")
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return run(self, *args, **kwargs)
+    @functools.wraps(run_block)  # a pooled block pickles as getattr(sim, "run_block")
+    def counted(self, horizon, rngs, *args, **kwargs):
+        calls.extend(rngs)
+        return run_block(self, horizon, rngs, *args, **kwargs)
 
-    monkeypatch.setattr(ReducedTangleSim, "run", counted)
+    monkeypatch.setattr(ReducedTangleSim, "run_block", counted)
     run_scenario(sc, out_dir=tmp_path, workers=workers)
     if workers == 1:  # pool members run in other processes
-        assert len(calls) == sc.runs
+        assert len(calls) == sc.runs  # one history per member, none rerun
     for r in range(sc.runs):
         frame = run(sc.model, 10.0, seed_stream(sc.seed, r), grid_dt=0.5)
         rows = _read_csv(tmp_path / f"perrun_run{r:04d}.csv")

@@ -1,16 +1,20 @@
 """Counter-model unit tests.
 
-The selection pmf is checked exactly in rational arithmetic.  The
-schedule-first kernel of `ReducedTangleSim.run` is pinned against two
-references kept here: an independently written untyped counter loop (with
-a single conflict type both must consume the random stream identically),
-and the scalar event loop `scalar_run`, which merges arrivals, attaches and
-injections one event at a time and draws one uniform per call; the kernel
-must reproduce its frames bit for bit for every type count and injection
-set.
+The selection pmf is checked exactly in rational arithmetic.  The lockstep
+kernel of `ReducedTangleSim.run_block` (and `run`, a block of one) is
+pinned against three references kept here: an independently written
+untyped counter loop (with a single conflict type both must consume the
+random stream identically); the scalar event loop `scalar_run`, which
+merges arrivals, attaches and injections one event at a time and draws one
+uniform per call; and `kernel_run`, the per-member schedule-first loop
+over creations that the lockstep replaced.  Every block, whatever its size
+or split, must reproduce their frames bit for bit for every type count and
+injection set.
 """
 from collections import deque
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 import numpy as np
 import pytest
@@ -22,7 +26,10 @@ from tanglesim import (
     ExtinctLedgerError,
     Injection,
     ReducedTangleSim,
+    reduced,
 )
+from tanglesim.agent import _fill_grid
+from tanglesim.reduced import InvariantError, _schedule
 from tanglesim.seeding import seed_stream
 from tanglesim.trajectory import GridRecorder, make_grid
 
@@ -169,6 +176,108 @@ def scalar_run(sim: ReducedTangleSim, horizon, rng, grid_dt=0.5):
             i = sample_type(tips, rng)
             create(i, t_arr)
     return recorder.finish(tips, free, pend, created)
+
+
+# -- per-member oracle: the schedule-first loop over creations -----------------
+
+def kernel_run(sim: ReducedTangleSim, horizon, rng, grid_dt=0.5, check=False):
+    """One member on the shared schedule: `_kernel` draws each creation's
+    type and coverage, and the agent's grid fill turns those into a frame."""
+    grid = make_grid(horizon, grid_dt)
+    arrivals = sim.arrivals.times(horizon, rng)
+    ct, blocks, seeds = _schedule(arrivals, sim.injections, horizon)
+    typ, cov = _kernel(ct, blocks, sim.delay, sim.types, horizon, rng, check)
+    return _fill_grid(grid, horizon, sim.delay, ct, typ, cov, seeds, sim.types)
+
+
+def _kernel(ct, blocks, delay, types, horizon, rng, check):
+    """Draw each creation's type and free-tip coverage, in schedule order.
+
+    Every attach at or before a creation's time is applied before it
+    (attaches are FIFO: the attach time is creation time + delay).  Returns
+    per-creation 0-based types and coverages (0, 1 or 2).  The counters are
+    exact Python ints, which give the same draws as integral floats.
+    """
+    tips = [0] * types
+    free = [0] * types
+    pend = [0] * types
+    tips[0] = free[0] = 1
+    seeded = 1
+    n = len(ct)
+    typ = np.zeros(n, dtype=np.intp)
+    cov = np.zeros(n, dtype=np.uint8)
+    typ_v = memoryview(typ)
+    cov_v = memoryview(cov)
+    attach_times = ct + delay
+    # attaches that precede each creation; attaches win ties
+    attached = memoryview(np.searchsorted(attach_times, ct, side="right"))
+    # Generator.random(k) yields the doubles of k scalar random() calls
+    draw = chain.from_iterable(iter(lambda: rng.random(1024).tolist(), None)).__next__
+
+    def verify() -> None:
+        for i in range(types):
+            if free[i] + pend[i] != tips[i] or min(free[i], pend[i]) < 0:
+                raise InvariantError(
+                    f"type {i + 1}: free {free[i]} + pending {pend[i]} != tips {tips[i]}"
+                    " or a count below 0"
+                )
+
+    a = 0
+    for start, stop, forced, seed in blocks:
+        if seed:
+            tips[forced] = free[forced] = 1
+            seeded += 1
+            if check:
+                verify()
+        pick = forced < 0 and seeded > 1
+        i = forced if forced >= 0 else 0
+        for k in range(start, stop):
+            e = attached[k]
+            while a < e:
+                j = typ_v[a]
+                u = cov_v[a]
+                tips[j] += 1 - u
+                free[j] += 1
+                pend[j] -= u
+                a += 1
+                if check:
+                    verify()
+            if pick:
+                # type i with probability tips[i]**2 / sum(tips**2); types
+                # not yet seeded have no tips and so are never picked
+                r = draw() * sum(map(mul, tips, tips))
+                i = 0
+                acc = tips[0] * tips[0]
+                while r > acc:
+                    i += 1
+                    acc += tips[i] * tips[i]
+            x = free[i]
+            w = pend[i]
+            t = tips[i]
+            denom = t * t
+            p0 = w * w / denom
+            r = draw()
+            if r < p0:
+                u = 0
+            elif r < p0 + (2 * w + 1) * x / denom:
+                u = 1
+            else:
+                u = 2
+            free[i] = x - u
+            pend[i] = w + u
+            typ_v[k] = i
+            cov_v[k] = u
+            if check:
+                verify()
+    if check:
+        # the attaches after the last creation, up to the horizon
+        end = int(np.searchsorted(attach_times, horizon, side="right"))
+        for j, u in zip(typ[a:end].tolist(), cov[a:end].tolist()):
+            tips[j] += 1 - u
+            free[j] += 1
+            pend[j] -= u
+            verify()
+    return typ, cov
 
 
 # -- selection pmf -------------------------------------------------------------
@@ -336,7 +445,7 @@ def test_single_type_run_is_bit_identical_to_untyped_loop():
     assert np.array_equal(frame.created[:, 0], out[:, 3])
 
 
-# -- schedule-first kernel vs the scalar oracle ----------------------------------
+# -- lockstep kernel vs the oracles ------------------------------------------------
 
 @st.composite
 def reduced_configs(draw):
@@ -401,6 +510,87 @@ def test_kernel_matches_scalar_oracle(config, seed):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def _counters(frame) -> np.ndarray:
+    return np.stack((frame.tips, frame.free, frame.pending, frame.created))
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=reduced_configs(), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       data=st.data())
+def test_blocks_match_the_per_member_oracles(config, seed, data):
+    # 1-6 runs cut into blocks of any sizes (a block of one is `run`), with
+    # checks on or off: row r is run r's frame from both oracles
+    sim = ReducedTangleSim(
+        ArrivalProcess(config["rate"], config["kind"], config["stop"]),
+        config["delay"],
+        types=config["types"],
+        injections=config["injections"],
+    )
+    horizon, grid_dt = config["horizon"], config["grid_dt"]
+    runs = data.draw(st.integers(1, 6), label="runs")
+    cuts = data.draw(st.sets(st.integers(1, runs - 1)), label="cuts") if runs > 1 else set()
+    edges = [0, *sorted(cuts), runs]
+    check = data.draw(st.booleans(), label="check")
+    rows = np.concatenate([
+        sim.run_block(horizon, [seed_stream(seed, r) for r in range(a, b)], grid_dt, check)
+        for a, b in zip(edges, edges[1:])
+    ])
+    for r in range(runs):
+        want = _counters(kernel_run(sim, horizon, seed_stream(seed, r), grid_dt))
+        assert np.array_equal(rows[r], want)
+        assert np.array_equal(rows[r], _counters(scalar_run(sim, horizon, seed_stream(seed, r), grid_dt)))
+        assert np.array_equal(rows[r], _counters(sim.run(horizon, seed_stream(seed, r), grid_dt)))
+
+
+def test_blocks_span_chunks_and_attach_lags_deeper_than_a_chunk():
+    # a burst of 700 puts more creations in flight than a chunk holds, a
+    # second burst lands on a seeded type, a third type is seeded late, and
+    # the members differ in creation count
+    sim = ReducedTangleSim(
+        ArrivalProcess(40.0), 1.5, types=3,
+        injections=(Injection(3.0, 2, 700), Injection(5.0, 3, 40), Injection(6.0, 2, 300)),
+    )
+    rngs = lambda: [seed_stream(8, r) for r in range(5)]
+    block = sim.run_block(12.0, rngs(), grid_dt=0.25, check=True)
+    assert len(set(block[:, 3, -1].sum(axis=1).tolist())) > 1
+    assert np.array_equal(block, sim.run_block(12.0, rngs(), grid_dt=0.25))
+    for r, rng in enumerate(rngs()):
+        assert np.array_equal(block[r], _counters(kernel_run(sim, 12.0, rng, 0.25)))
+
+
+@pytest.mark.parametrize("cap", [1, 2000, 1 << 40])
+def test_any_lockstep_grouping_gives_the_same_stack(monkeypatch, cap):
+    # the cap on a group's creations only changes how the members are
+    # grouped: one member per group, a few, or all in one
+    sim = ReducedTangleSim(ArrivalProcess(60.0), 3.0, types=2,
+                           injections=(Injection(10.0, 2, 50),))
+    want = np.stack([_counters(kernel_run(sim, 20.0, seed_stream(2, r))) for r in range(7)])
+    monkeypatch.setattr(reduced, "_CAP", cap)
+    assert np.array_equal(sim.run_block(20.0, [seed_stream(2, r) for r in range(7)]), want)
+
+
+class _Overdrawn:
+    """A generator whose uniforms are 1.5, past [0, 1): every creation
+    covers two free tips, more than a type with one free tip holds."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def exponential(self, *args, **kwargs):
+        return self.rng.exponential(*args, **kwargs)
+
+    def random(self, n):
+        return np.full(n, 1.5)
+
+
+def test_check_finds_a_corrupted_member_inside_a_block():
+    sim = ReducedTangleSim(ArrivalProcess(20.0), 1.0)
+    rngs = [seed_stream(3, 0), _Overdrawn(seed_stream(3, 1)), seed_stream(3, 2)]
+    # the first creation of the middle member leaves free -1 + pending 2
+    with pytest.raises(InvariantError, match="type 1: free -1 "):
+        sim.run_block(10.0, rngs, check=True)
+
+
 def test_reruns_are_bit_identical():
     sim = ReducedTangleSim(ArrivalProcess(60.0), 3.0, types=2,
                            injections=(Injection(5.0, 2, 20),))
@@ -415,11 +605,9 @@ def test_reruns_are_bit_identical():
 
 def test_steady_tip_count_tracks_twice_rate_times_delay():
     sim = ReducedTangleSim(ArrivalProcess(60.0), 3.0)
-    means = []
-    for r in range(20):
-        frame = sim.run(60.0, seed_stream(11, r), check=True)
-        sel = frame.times >= 30.0
-        means.append(frame.tips[sel, 0].mean())
+    block = sim.run_block(60.0, [seed_stream(11, r) for r in range(20)], check=True)
+    sel = make_grid(60.0, 0.5) >= 30.0
+    means = block[:, 0, sel, 0].mean(axis=1)
     assert abs(np.mean(means) / 360.0 - 1.0) < 0.05
 
 
@@ -469,11 +657,9 @@ def test_attack_decays_but_single_tip_floor_remains():
     sim = ReducedTangleSim(
         ArrivalProcess(60.0), 3.0, types=2, injections=(Injection(100.0, 2, 200),)
     )
-    ends = []
-    for r in range(10):
-        frame = sim.run(200.0, seed_stream(404, r))
-        assert np.all(frame.tips[frame.times >= 100.0, 1] >= 1)
-        ends.append(frame.tips[-1, 1])
+    tips2 = sim.run_block(200.0, [seed_stream(404, r) for r in range(10)])[:, 0, :, 1]
+    assert np.all(tips2[:, make_grid(200.0, 0.5) >= 100.0] >= 1)
+    ends = tips2[:, -1]
     assert max(ends) < 60  # decayed well below the ~199 peak
     assert min(ends) >= 1
 

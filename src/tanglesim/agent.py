@@ -12,7 +12,7 @@ from itertools import compress, count, islice
 
 import numpy as np
 
-from .reduced import ExtinctLedgerError, InvariantError, _TangleSim, _schedule
+from .reduced import ExtinctLedgerError, InvariantError, _TangleSim, _fill, _schedule
 from .seeding import integer_stream
 from .trajectory import TrajectoryFrame, make_grid
 
@@ -222,29 +222,18 @@ def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
 
 
 def _fill_grid(grid, horizon, delay, ct, typ, cov, seeds, types) -> TrajectoryFrame:
-    """Counters at each grid time, counting every event at or before it.
-
-    Events after ``horizon`` do not count (a fixed arrival lattice can
-    overshoot it by an ulp), so grid times past it see the state at the
-    horizon.
+    """Counters at each grid time, counting every event at or before it,
+    as the reduced model fills them: each type's prefix sums of coverage
+    and of creations, read at the attaches and at the creations made by
+    the grid time.  ``make_grid`` rounds, so the last grid time can pass
+    ``horizon``; grid times past it see the state at the horizon.
     """
     g = np.minimum(grid, horizon)
-    shape = (len(grid), types)
-    tips, free, pend, created = (np.zeros(shape) for _ in range(4))
-    for i in range(types):
-        if i == 0:
-            base = np.ones(len(g), dtype=np.intp)
-        elif i in seeds:
-            base = (g >= seeds[i]).astype(np.intp)
-        else:
-            continue
-        mine = typ == i
-        cti = ct[mine]
-        cum = np.concatenate(([0], np.cumsum(cov[mine], dtype=np.intp)))
-        nc = np.searchsorted(cti, g, side="right")
-        na = np.searchsorted(cti + delay, g, side="right")
-        created[:, i] = base + nc
-        free[:, i] = base + na - cum[nc]
-        pend[:, i] = cum[nc] - cum[na]
-        tips[:, i] = base + na - cum[na]
-    return TrajectoryFrame(grid, tips, free, pend, created)
+    mine = typ[:, None] == np.arange(types)
+    prefix = np.zeros((2, len(ct) + 1, types))  # U then C
+    np.cumsum(mine * cov[:, None], axis=0, out=prefix[0, 1:])
+    np.cumsum(mine, axis=0, out=prefix[1, 1:])
+    reads = [np.searchsorted(ct + delay, g, side="right"), np.searchsorted(ct, g, side="right")]
+    out = prefix[:, reads].reshape(1, 4, len(g), types)
+    _fill([seeds], g, horizon, None, False, out)
+    return TrajectoryFrame(grid, *out[0])

@@ -38,8 +38,8 @@ class ArrivalProcess:
             return np.empty(0)
         if self.kind == "fixed":
             gap = 1.0 / self.rate
-            n = int(np.floor(end / gap))
-            return gap * np.arange(1, n + 1)
+            times = gap * np.arange(1, int(np.floor(end / gap)) + 1)
+            return times[times <= end]
         out: list[np.ndarray] = []
         t = 0.0
         block = max(64, int(self.rate * end * 1.1) + 16)

@@ -76,29 +76,13 @@ class FluidTrajectory:
 
 
 def _sum_squares(v: list) -> float:
-    """sum of v_i^2, added in the order numpy's ``(v * v).sum()`` uses.
-
-    Below eight terms that is left to right.  From eight on it is numpy's
-    pairwise scheme: eight running sums over blocks of eight, a fixed tree
-    over those sums, then the leftover terms in order; runs longer than 128
-    are split in two (at a multiple of eight) and the halves added.
-    """
-    n = len(v)
-    if n < 8:
-        total = 0.0
-        for a in v:
-            total += a * a
-        return total
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _sum_squares(v[:half]) + _sum_squares(v[half:])
-    r = [a * a for a in v[:8]]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        for j in range(8):
-            r[j] += v[i + j] * v[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for a in v[tail:]:
+    """sum of v_i^2, added in the order numpy's ``(v * v).sum()`` uses:
+    left to right below eight terms, numpy itself from eight on."""
+    if len(v) >= 8:
+        a = np.array(v)
+        return float((a * a).sum())
+    total = 0.0
+    for a in v:
         total += a * a
     return total
 

@@ -12,7 +12,6 @@ left-limit counter values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,28 +126,17 @@ class ReducedTangleSim(_TangleSim):
         pending, created) of one history per generator; row j is what
         ``run`` gives on ``rngs[j]``, whatever the other members.
 
-        The members run in lockstep groups of near-equal size holding about
-        ``_CAP`` creations between them, by the expected creation count.
+        The whole block runs as one lockstep, which holds one byte per
+        creation of every member while it runs.
         """
         grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
         g = np.minimum(grid, horizon)
         out = np.zeros((len(rngs), 4, len(grid), self.types))
-        stop = self.arrivals.stop
-        end = horizon if stop is None else min(stop, horizon)
-        expected = self.arrivals.rate * max(end, 0.0) + sum(
-            inj.count for inj in self.injections if inj.time <= horizon
-        )
-        groups = min(len(rngs), max(1, math.ceil(len(rngs) * expected / _CAP)))
-        cuts = [len(rngs) * q // groups for q in range(groups + 1)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            members = [_member(self, horizon, g, rng) for rng in rngs[lo:hi]]
-            seeds = np.full((hi - lo, self.types), np.inf)  # never seeded
-            seeds[:, 0] = -np.inf
-            for m, mem in enumerate(members):
-                seeds[m, list(mem.seeds)] = list(mem.seeds.values())
-            ends = _lockstep(members, self.types, check, out[lo:hi])
-            del members  # before the grid fill and the next group
-            _fill(seeds, g, horizon, ends, check, out[lo:hi])
+        members = [_member(self, horizon, g, rng) for rng in rngs]
+        seeds = [mem.seeds for mem in members]
+        ends = _lockstep(members, self.types, check, out)
+        del members  # before the grid fill
+        _fill(seeds, g, horizon, ends, check, out)
         return out
 
 
@@ -191,7 +179,6 @@ def _schedule(arrivals: np.ndarray, injections, horizon: float):
     return ct, blocks, seeds
 
 
-_CAP = 1 << 20  # creations held by one lockstep group, summed over its members
 _CHUNK = 256  # creation indices whose inputs are gathered at once
 
 
@@ -251,7 +238,7 @@ def _lockstep(members: list[_Member], d: int, check, out) -> np.ndarray:
     tips = base + C[A] - U[A], free = base + C[A] - U[k] and pending =
     U[k] - U[A].  The prefixes live in a ring deeper than any attach lag;
     after each chunk of steps, the values the grid reads are copied from
-    the ring into ``out``.  Up to the first seed in the group every
+    the ring into ``out``.  Up to the first seed in the block every
     creation is honest and of type 1, and a step handles that one type;
     from there on a step also draws the type.  A member past its last
     creation steps on with every transaction attached, type 1 and uniform
@@ -442,20 +429,25 @@ def _fill(seeds, g, horizon, ends, check, out) -> None:
     time, in place: tips = base + C[na] - U[na], free = base + C[na] -
     U[nc], pending = tips - free and created = base + C[nc], with nc the
     creations and na the attaches at or before the grid time and ``base``
-    1 from a type's seed time (``seeds``, -inf for type 1) on.  Events
-    after ``horizon`` do not count (a fixed arrival lattice can overshoot
-    it by an ulp), so grid times past it see the state at the horizon."""
-    d = seeds.shape[1]
+    1 from a type's seed time on (``seeds`` holds each member's {0-based
+    type: seed time}; type 1 is seeded from the start).  ``g`` is the grid
+    cut at ``horizon``: ``make_grid`` rounds, so the last grid time can
+    pass it, and that time sees the state at the horizon."""
+    d = out.shape[-1]
+    first = np.full((len(seeds), d), np.inf)  # never seeded
+    first[:, 0] = -np.inf
+    for m, times in enumerate(seeds):
+        first[m, list(times)] = list(times.values())
     if check:
         # the attaches after the last creation, up to the horizon
         u, c = ends[..., :d], ends[..., d:]
-        free = (horizon >= seeds) + c[:, 1] - u[:, 0]
+        free = (horizon >= first) + c[:, 1] - u[:, 0]
         pend = u[:, 0] - u[:, 1]
         bad = (free < 0) | (pend < 0)
         if bad.any():
             m, i = np.argwhere(bad)[0]
             raise _violation(int(i), free[m, i], pend[m, i], free[m, i] + pend[m, i])
-    base = g[:, None] >= seeds[:, None, :]
+    base = g[:, None] >= first[:, None, :]
     for v in (0, 1):
         np.subtract(out[:, 2], out[:, v], out=out[:, v])
         out[:, v] += base

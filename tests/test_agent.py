@@ -692,7 +692,8 @@ def agent_configs(draw):
         "horizon": horizon,
         "injections": injections,
         # dyadic gaps and delays make fixed arrivals tie exactly with
-        # attaches and bursts; at rate 10 the lattice overshoots 1.7 by an ulp
+        # attaches and bursts; at rate 10 the lattice's 17th time lies past
+        # horizon 1.7 and must not be made
         "rate": draw(st.sampled_from([2.0, 4.0, 8.0, 10.0])),
         "kind": draw(st.sampled_from(["poisson", "fixed"])),
         "delay": delay,

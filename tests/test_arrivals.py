@@ -27,6 +27,12 @@ def test_fixed_kind_is_a_deterministic_lattice():
     assert np.allclose(t, [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
 
 
+def test_fixed_lattice_stays_within_the_horizon():
+    # 17 * 0.1 is 1.7000000000000002, past 1.7
+    t = ArrivalProcess(rate=10.0, kind="fixed").times(1.7, seed_stream(0, 0))
+    assert len(t) == 16 and t[-1] <= 1.7
+
+
 def test_stop_truncates_arrivals():
     proc = ArrivalProcess(rate=60.0, stop=5.0)
     t = proc.times(100.0, seed_stream(2, 0))

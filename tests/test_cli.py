@@ -438,6 +438,21 @@ def test_check_keeps_every_csv_byte(tmp_path, capsys, kind):
         assert (tmp_path / "checked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
+def test_check_passes_a_fixed_lattice_ending_at_the_horizon(tmp_path, capsys):
+    # at rate 10 the lattice's 17th time is 1.7000000000000002, past the
+    # horizon; it is not made, so the checks find nothing to report
+    scenario = _write(tmp_path, "lattice.json", {
+        "kind": "tangle-reduced", "rate": 10.0, "delay": 1.0, "arrival_kind": "fixed",
+        "horizon": 1.7, "grid_dt": 0.3, "runs": 3, "seed": 0})
+    for flags in ([], ["--check"]):
+        out = tmp_path / ("checked" if flags else "plain")
+        assert main(["simulate", scenario, "--out", str(out), *flags]) == 0, capsys.readouterr().err
+    csvs = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+    assert csvs
+    for name in csvs:
+        assert (tmp_path / "checked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_summary_schema_records_the_check_status(tmp_path, capsys):
     types = {"kind": str, "config_hash": str, "seed": int, "runs": int,
              "wall_time_s": float, "outputs": list, "checks": str}

@@ -493,7 +493,7 @@ def test_integrate_matches_numpy_oracle(case):
 
 @pytest.mark.parametrize("d", [8, 9, 16, 23, 130])
 def test_integrate_matches_numpy_summation_order_for_many_types(d):
-    # from eight terms numpy sums l*l pairwise; the kernel follows that order
+    # from eight terms numpy sums l*l pairwise, and the kernel calls numpy there
     rng = np.random.default_rng(d)
     l0 = rng.uniform(0.1, 3.0, d)
     hx, hl = _wave_history(rng.uniform(0.0, 1.0, d) * l0, l0, np.full(d, 0.3), 2.0)

@@ -235,5 +235,5 @@ def _fill_grid(grid, horizon, delay, ct, typ, cov, seeds, types) -> TrajectoryFr
     np.cumsum(mine, axis=0, out=prefix[1, 1:])
     reads = [np.searchsorted(ct + delay, g, side="right"), np.searchsorted(ct, g, side="right")]
     out = prefix[:, reads].reshape(1, 4, len(g), types)
-    _fill([seeds], g, horizon, None, False, out)
+    _fill([seeds], g, False, out)
     return TrajectoryFrame(grid, *out[0])

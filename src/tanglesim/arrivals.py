@@ -38,7 +38,8 @@ class ArrivalProcess:
             return np.empty(0)
         if self.kind == "fixed":
             gap = 1.0 / self.rate
-            times = gap * np.arange(1, int(np.floor(end / gap)) + 1)
+            # one candidate more: end / gap can round below a lattice point at end
+            times = gap * np.arange(1, int(end / gap) + 2)
             return times[times <= end]
         out: list[np.ndarray] = []
         t = 0.0

@@ -425,8 +425,7 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
             raise top.error("network", "must be a compliance-net scenario file")
         net = scenario.model
         f = stability.window_characteristic(net)
-        rates = net.cost_sens * net.ctrl_gain  # M(z) has its poles at -rates
-        delta = float(rates.max())
+        delta = float((net.cost_sens * net.ctrl_gain).max())
         default = stability.SpectralRegion(
             1e-6, 10.0 * delta, -100.0 / net.window, 100.0 / net.window
         )
@@ -434,12 +433,6 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
         raise top.error("kind", f"unknown equation kind {kind!r}")
     region = _parse_region(top.block("region", required=default is None), default)
     top.done()
-    if kind == "compliance-window" and region.im_min < 0.0 < region.im_max:
-        # a pole on the contour is left to the walk, which refuses it
-        inside = [-float(r) for r in rates if region.re_min < -r < region.re_max]
-        if inside:
-            raise top.error("region", f"contains the transfer pole z = {inside[0]:.6g}, "
-                            "so a winding number would count zeros minus poles")
     return kind, f, region
 
 

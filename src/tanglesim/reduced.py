@@ -130,14 +130,15 @@ class ReducedTangleSim(_TangleSim):
         creation of every member while it runs.
         """
         grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
-        g = np.minimum(grid, horizon)
-        out = np.zeros((len(rngs), 4, len(grid), self.types))
+        # the horizon is read as one more grid time, for the check at the end
+        g = np.append(np.minimum(grid, horizon), horizon)
+        out = np.zeros((len(rngs), 4, len(g), self.types))
         members = [_member(self, horizon, g, rng) for rng in rngs]
         seeds = [mem.seeds for mem in members]
-        ends = _lockstep(members, self.types, check, out)
+        _lockstep(members, self.types, check, out)
         del members  # before the grid fill
-        _fill(seeds, g, horizon, ends, check, out)
-        return out
+        _fill(seeds, g, check, out)
+        return out[:, :, :-1]
 
 
 def _schedule(arrivals: np.ndarray, injections, horizon: float):
@@ -195,10 +196,8 @@ class _Member:
     # (start, stop, forced type or -1, draws a type uniform, seeds its type)
     segments: list
     seeds: dict  # {0-based type: seed time}
-    # creations made by each grid time, then attaches made by it (2, G),
-    # and all creations and the attaches made by the horizon
+    # creations made by each grid time, then attaches made by it (2, G)
     reads: np.ndarray
-    last: tuple[int, int]
 
 
 def _member(sim: ReducedTangleSim, horizon: float, g: np.ndarray, rng) -> _Member:
@@ -215,9 +214,8 @@ def _member(sim: ReducedTangleSim, horizon: float, g: np.ndarray, rng) -> _Membe
         seeded += seed
         segments.append((start, stop, forced, forced < 0 and seeded > 1, seed))
     reads = np.stack((np.searchsorted(ct, g, side="right"), np.searchsorted(attach, g, side="right")))
-    last = (n, int(np.searchsorted(attach, horizon, side="right")))
     steps = steps.astype(np.min_scalar_type(steps.max(initial=0)))
-    return _Member(rng, n, steps, lag, segments, seeds, reads.astype(np.int32), last)
+    return _Member(rng, n, steps, lag, segments, seeds, reads.astype(np.int32))
 
 
 def _violation(i: int, free, pend, tips) -> InvariantError:
@@ -227,10 +225,9 @@ def _violation(i: int, free, pend, tips) -> InvariantError:
     )
 
 
-def _lockstep(members: list[_Member], d: int, check, out) -> np.ndarray:
-    """Draw the members' creations in lockstep, gather the prefixes the
-    grid reads into ``out`` (len(members), 4, G, d) for ``_fill``, and
-    return those at each member's ``last`` reads.
+def _lockstep(members: list[_Member], d: int, check, out) -> None:
+    """Draw the members' creations in lockstep and gather the prefixes the
+    grid reads into ``out`` (len(members), 4, G, d) for ``_fill``.
 
     Each type keeps two prefix sums over the creation sequence: C, its
     creations, and U, the free tips they covered.  Before creation k, with
@@ -253,11 +250,9 @@ def _lockstep(members: list[_Member], d: int, check, out) -> np.ndarray:
     depth = 1 << (max(max(m.lag for m in members) + 2, _CHUNK) - 1).bit_length()
     mask = depth - 1
     reads = np.stack([m.reads for m in members])  # (nb, 2, G)
-    last = np.array([m.last for m in members])  # (nb, 2)
     # out[:, 0..3] holds U at the attaches read, U at the creations read,
     # then C at each, until _fill turns them into the counters
     got = out.reshape(nb, 2, 2, out.shape[2], d)
-    ends = np.zeros((nb, 2, 2 * d), dtype=np.int32)  # U then C at `last`
     A = np.empty((_CHUNK, nb))
     R2 = np.empty((_CHUNK, nb))
     at = np.empty((_CHUNK, nb), dtype=np.intp)  # A's row in the flat ring
@@ -275,13 +270,10 @@ def _lockstep(members: list[_Member], d: int, check, out) -> np.ndarray:
     def gather(ring, k0: int, k1: int) -> None:
         """Copy the prefixes at the reads in k0+1..k1 (U[0] = C[0] = 0)."""
         m, h, q = np.nonzero((reads > k0) & (reads <= k1))
-        e, x = np.nonzero((last > k0) & (last <= k1))
         if ring.ndim == 2:  # U of type 1 only
             got[m, 0, 1 - h, q, 0] = ring[reads[m, h, q] & mask, m]
-            ends[e, x, 0] = ring[last[e, x] & mask, e]
         else:
             got[m, :, 1 - h, q] = ring[reads[m, h, q] & mask, m].reshape(-1, 2, d)
-            ends[e, x] = ring[last[e, x] & mask, e]
 
     # -- type 1 only, up to the first seed
     ring = np.zeros((depth, nb), dtype=np.int32)
@@ -310,7 +302,6 @@ def _lockstep(members: list[_Member], d: int, check, out) -> np.ndarray:
         gather(ring, k0, k0 + c)
     # C of type 1 is the creation count itself up to the first seed
     got[:, 1, :, :, 0] = np.where(reads <= first, reads, 0)[:, ::-1]
-    ends[:, :, d] = np.where(last <= first, last, 0)
 
     # -- every type, from the first seed on
     if first < K:
@@ -366,7 +357,6 @@ def _lockstep(members: list[_Member], d: int, check, out) -> np.ndarray:
             multi[(k0 + j + 1) & mask] = state
         gather(multi, k0, k0 + c)
         prev[:] = A[c - 1]
-    return ends
 
 
 def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R2, R1=None, F=None) -> None:
@@ -424,32 +414,31 @@ def _check_seeds(seeds, before, state, multi, mask) -> None:
             raise _violation(i, 1, w, 1)
 
 
-def _fill(seeds, g, horizon, ends, check, out) -> None:
+def _fill(seeds, g, check, out) -> None:
     """Turn the prefixes gathered in ``out`` into the counters at each grid
     time, in place: tips = base + C[na] - U[na], free = base + C[na] -
     U[nc], pending = tips - free and created = base + C[nc], with nc the
     creations and na the attaches at or before the grid time and ``base``
     1 from a type's seed time on (``seeds`` holds each member's {0-based
     type: seed time}; type 1 is seeded from the start).  ``g`` is the grid
-    cut at ``horizon``: ``make_grid`` rounds, so the last grid time can
-    pass it, and that time sees the state at the horizon."""
+    cut at the horizon: ``make_grid`` rounds, so the last grid time can
+    pass it, and that time sees the state at the horizon.  ``check``
+    refuses a negative free or pending count at the last grid time, which
+    sees the attaches after the last creation."""
     d = out.shape[-1]
     first = np.full((len(seeds), d), np.inf)  # never seeded
     first[:, 0] = -np.inf
     for m, times in enumerate(seeds):
         first[m, list(times)] = list(times.values())
-    if check:
-        # the attaches after the last creation, up to the horizon
-        u, c = ends[..., :d], ends[..., d:]
-        free = (horizon >= first) + c[:, 1] - u[:, 0]
-        pend = u[:, 0] - u[:, 1]
-        bad = (free < 0) | (pend < 0)
-        if bad.any():
-            m, i = np.argwhere(bad)[0]
-            raise _violation(int(i), free[m, i], pend[m, i], free[m, i] + pend[m, i])
     base = g[:, None] >= first[:, None, :]
     for v in (0, 1):
         np.subtract(out[:, 2], out[:, v], out=out[:, v])
         out[:, v] += base
     np.subtract(out[:, 0], out[:, 1], out=out[:, 2])
     out[:, 3] += base
+    if check:
+        tips, free, pend = out[:, 0, -1], out[:, 1, -1], out[:, 2, -1]
+        bad = (free < 0) | (pend < 0)
+        if bad.any():
+            m, i = np.argwhere(bad)[0]
+            raise _violation(int(i), free[m, i], pend[m, i], tips[m, i])

@@ -69,17 +69,13 @@ class SpectralRegion:
 def _values(f: Callable[[np.ndarray], np.ndarray], zs: np.ndarray) -> np.ndarray:
     """f at every point of zs, fed to f in chunks of CHUNK_POINTS points.
 
-    The first point in contour order where f is not finite, or where |f| is
-    at or below MIN_MODULUS, raises ContourError, as does a pole that f
-    reports by raising ZeroDivisionError.
+    The first point in contour order where f is not finite (a pole or an
+    overflow), or where |f| is at or below MIN_MODULUS, raises ContourError.
     """
     vals = np.empty(len(zs), dtype=complex)
     for a in range(0, len(zs), CHUNK_POINTS):
         b = a + CHUNK_POINTS
-        try:
-            vals[a:b] = f(zs[a:b])
-        except ZeroDivisionError as e:
-            raise ContourError(f"f has a pole on the contour: {e}") from e
+        vals[a:b] = f(zs[a:b])
         bad = ~np.isfinite(vals[a:b]) | (np.abs(vals[a:b]) <= MIN_MODULUS)
         if bad.any():
             i = a + int(bad.argmax())
@@ -155,22 +151,22 @@ def count_roots(f: Callable[[np.ndarray], np.ndarray], region: SpectralRegion) -
 
 # -- compliance-network spectrum ---------------------------------------------
 
+def _delay_phase(z: np.ndarray, network) -> np.ndarray:
+    """D_ij e^(-z tau_ji): one (n, n) matrix per point of z[..., 0, 0]."""
+    return network.coupling * np.exp(-z * network.lags_to.astype(complex))
+
+
 def compliance_matrix(z, network) -> np.ndarray:
     """Delay-transfer matrix M(z): M_ij = D_ij e^(-z tau_ji) / (z + E_i k_i).
 
     z is one point or an array of points; the result stacks one (n, n)
     matrix per point.  tau_ji is the lag from activity j to activity i; the
     network object must expose coupling (n, n), lags_to (n, n) with
-    lags_to[i, j] = tau_ji, cost_sens E and ctrl_gain k.
+    lags_to[i, j] = tau_ji, cost_sens E and ctrl_gain k.  Its poles
+    z = -E_i k_i give entries that are not finite; the scan masks them.
     """
-    z = np.asarray(z, dtype=complex)[..., None]
-    denom = z + (network.cost_sens * network.ctrl_gain).astype(complex)
-    near = np.abs(denom) < POLE_GAP
-    if near.any():
-        hit = z[near.any(axis=-1)][0, 0]
-        raise ZeroDivisionError(f"z = {hit:.6g} hits a pole of the transfer matrix")
-    phase = np.exp(-z[..., None] * network.lags_to.astype(complex))
-    return (network.coupling * phase) / denom[..., None]
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    return _delay_phase(z, network) / (z + (network.cost_sens * network.ctrl_gain)[:, None])
 
 
 @dataclass
@@ -238,14 +234,21 @@ def check_sufficient_condition(network) -> SufficientConditionReport:
 
 
 def window_characteristic(network) -> Callable[[np.ndarray], np.ndarray]:
-    """det((1 - e^(-wz)) M(z) - w I) at every point of an array, through one
-    stacked M(z) and one stacked determinant: its right-half-plane roots are
-    exactly the unstable modes of the linearized windowed feedback loop."""
+    """F(z) = det((1 - e^(-wz)) (D o e^(-z tau)) - w diag(z + delta)),
+    delta_i = E_i k_i, at every point of an array through one stacked
+    determinant.  F is det((1 - e^(-wz)) M(z) - w I) times prod(z + delta_i),
+    so it has no poles: its zeros, which a winding number counts, are
+    exactly the modes of the linearized windowed feedback loop, its
+    right-half-plane zeros the unstable ones.  A pole -delta_i of M can be
+    a zero of F, as on a ring whose D is singular.
+    """
     w = network.window
-    eye = np.eye(network.n)
+    w_eye = w * np.eye(network.n)
+    delta = network.cost_sens * network.ctrl_gain
 
-    def g(z: np.ndarray) -> np.ndarray:
-        m = compliance_matrix(z, network)
-        return np.linalg.det((1.0 - np.exp(-w * z))[..., None, None] * m - w * eye)
+    def f(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)[..., None, None]
+        a = (1.0 - np.exp(-w * z)) * _delay_phase(z, network)
+        return np.linalg.det(a - w_eye * (z + delta))
 
-    return g
+    return f

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanglesim import ArrivalProcess
 from tanglesim.seeding import seed_stream
@@ -31,6 +33,31 @@ def test_fixed_lattice_stays_within_the_horizon():
     # 17 * 0.1 is 1.7000000000000002, past 1.7
     t = ArrivalProcess(rate=10.0, kind="fixed").times(1.7, seed_stream(0, 0))
     assert len(t) == 16 and t[-1] <= 1.7
+
+
+def test_fixed_lattice_keeps_a_point_at_its_end():
+    # 7 * (1/3) is 2.333333333333333, and 2.333333333333333 / (1/3) is
+    # 6.999999999999999: the 7th point lies exactly at the end
+    end = 7 * (1 / 3)
+    for proc, horizon in ((ArrivalProcess(3.0, "fixed"), end),
+                          (ArrivalProcess(3.0, "fixed", stop=end), 10.0)):
+        t = proc.times(horizon, seed_stream(0, 0))
+        assert len(t) == 7 and t[-1] == end
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate=st.floats(0.05, 500.0), k=st.integers(1, 3000), inverse=st.booleans(),
+       as_stop=st.booleans())
+def test_fixed_lattice_ends_at_the_last_point_not_above_its_end(rate, k, inverse, as_stop):
+    gap = 1.0 / rate
+    end = k * gap if inverse else k / rate
+    j = k + 1  # the largest j with gap * j <= end
+    while gap * j > end:
+        j -= 1
+    proc = ArrivalProcess(rate, "fixed", stop=end if as_stop else None)
+    t = proc.times(2.0 * end if as_stop else end, seed_stream(0, 0))
+    assert np.array_equal(t, gap * np.arange(1, j + 1))
+    assert t[-1] == gap * j <= end
 
 
 def test_stop_truncates_arrivals():

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import tanglesim
-from tanglesim import AgentTangleSim, ComplianceNetwork, JunctionConfig, reduced, seeding
+from tanglesim import AgentTangleSim, ComplianceNetwork, JunctionConfig, harness, reduced, seeding
 from tanglesim.cli import main
 from tanglesim.reduced import _TangleSim
+from tanglesim.stability import count_roots
+from test_stability import shipped_window
 
 
 def _write(tmp_path, name, payload):
@@ -246,8 +248,10 @@ def test_roots_contour_error_is_reported(tmp_path, capsys):
 
 
 def test_roots_pole_on_the_contour_is_reported(tmp_path, ring_scenario, capsys):
-    # the corner z = -1 is the ring's transfer pole -delta: exit 2 with no
-    # count (exit 1 would be a FAIL verdict), never a traceback
+    # the contour samples z = -1, the ring's transfer pole -delta; the
+    # window characteristic has no poles, but the ring's coupling matrix is
+    # singular, so -1 is a root of it: exit 2 with no count (exit 1 would
+    # be a FAIL verdict), never a traceback
     spec = _write(
         tmp_path, "pole.json",
         {"kind": "compliance-window", "network": "ring.json",
@@ -255,7 +259,7 @@ def test_roots_pole_on_the_contour_is_reported(tmp_path, ring_scenario, capsys):
     )
     assert main(["roots", spec]) == 2
     err = capsys.readouterr().err
-    assert "no count reported" in err and "pole" in err
+    assert "no count reported" in err and "|f| = 0 " in err and "at -1" in err
 
 
 _TWO_NODE = {"kind": "compliance-net", "horizon": 20.0, "window": 4.0, "n": 2,
@@ -267,18 +271,17 @@ _TWO_NODE = {"kind": "compliance-net", "horizon": 20.0, "window": 4.0, "n": 2,
 @pytest.mark.parametrize("im, inside", [([-0.1, 0.1], True), ([0.05, 0.1], False)])
 def test_roots_region_around_a_transfer_pole_is_refused(tmp_path, capsys, im, inside):
     # the poles -E_i k_i = -0.5, -2 are real: a region holds one only if
-    # its imaginary range straddles 0, and then the walk would print
-    # zeros minus poles (a count of -1 here)
+    # its imaginary range straddles 0.  Such a region is no longer refused:
+    # the window characteristic has no poles, so the count is its zeros (0
+    # here), where the pole-carrying form's winding number reads 0 - inside
     _write(tmp_path, "two.json", _TWO_NODE)
     spec = _write(tmp_path, "spec.json", {"kind": "compliance-window", "network": "two.json",
                                           "region": {"re": [-0.51, -0.49], "im": im}})
-    if inside:
-        assert main(["roots", spec]) == 2
-        err = capsys.readouterr().err
-        assert "spec.region" in err and "pole z = -0.5" in err
-    else:
-        assert main(["roots", spec]) == 0
-        assert json.loads(capsys.readouterr().out)["count"] == 0
+    assert main(["roots", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 0
+    _, _, region = harness.parse_roots_spec(spec)
+    pole_form = shipped_window(harness.parse_scenario(tmp_path / "two.json").model)
+    assert count_roots(pole_form, region) == -inside
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from tanglesim import (
     ReducedTangleSim,
 )
 from tanglesim.agent import _fill_grid
-from tanglesim.reduced import InvariantError, _schedule
+from tanglesim.reduced import InvariantError, _fill, _schedule
 from tanglesim.seeding import seed_stream
 from tanglesim.trajectory import GridRecorder, make_grid
 
@@ -596,6 +596,25 @@ def test_check_finds_a_corrupted_member_inside_a_block():
     # the first creation of the middle member leaves free -1 + pending 2
     with pytest.raises(InvariantError, match="type 1: free -1 "):
         sim.run_block(10.0, rngs, check=True)
+
+
+def test_fill_checks_the_horizon_column():
+    # one member, two types, type 2 seeded at 0.5; the grid 0, 1 and the
+    # horizon 2.  Prefixes (U at attaches, U at creations, C at attaches, C
+    # at creations) that leave type 2 with free 1 + 1 - 3 = -1 at the
+    # horizon; an earlier column is not checked
+    def block():
+        out = np.zeros((1, 4, 3, 2))
+        out[0, :, -1, 1] = 1, 3, 1, 3
+        out[0, :, 0, 0] = 0, 5, 0, 0
+        return out
+
+    g = np.array([0.0, 1.0, 2.0])
+    out = block()
+    _fill([{1: 0.5}], g, False, out)
+    assert out[0, :3, -1, 1].tolist() == [1.0, -1.0, 2.0]  # tips, free, pending
+    with pytest.raises(InvariantError, match=r"^type 2: free -1 \+ pending 2 != tips 1 "):
+        _fill([{1: 0.5}], g, True, block())
 
 
 def test_reruns_are_bit_identical():

@@ -6,14 +6,16 @@ sets, and the ring spectrum's closed form against dense eigensolves of the
 full transfer matrix.  The row-batched spectral scan must equal the
 point-by-point scan kept here as its oracle, bit for bit, and the batched
 contour walk must give the count of the point-by-point recursive walk kept
-here as its oracle.
+here as its oracle.  The entire window characteristic must count the zeros
+of the pole-carrying form det((1 - e^(-wz)) M(z) - w I), kept here as its
+oracle, plus the poles that form subtracts.
 """
 import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tanglesim import ComplianceNetwork
@@ -22,6 +24,7 @@ from tanglesim.stability import (
     IM_POINTS,
     MAX_DEPTH,
     MIN_MODULUS,
+    POLE_GAP,
     RE_POINTS,
     ContourError,
     SpectralRegion,
@@ -244,14 +247,6 @@ def test_compliance_matrix_entries_by_hand():
     assert abs(m[1, 0] - want10) < 1e-15
 
 
-def test_compliance_matrix_pole_raises():
-    net = _two_node_net()
-    with pytest.raises(ZeroDivisionError):
-        compliance_matrix(-0.5, net)  # z = -E_1 k_1
-    with pytest.raises(ZeroDivisionError, match="-2"):
-        compliance_matrix(np.array([0.5, -2.0, 1.0]), net)  # z = -E_2 k_2
-
-
 def test_compliance_matrix_stacks_one_matrix_per_point():
     net = _two_node_net()
     zs = np.array([[0.3 + 0.2j, 0.0], [1.5 - 2.0j, 4.0 + 1.0j]])
@@ -305,18 +300,17 @@ def test_strongly_coupled_ring_fails_both_conditions():
 
 def oracle_scan(network):
     """The sufficient-condition scan one grid point at a time: (witness
-    modulus, witness, skipped poles) over the same x-major grid."""
+    modulus, witness, skipped poles) over the same x-major grid; a point
+    within POLE_GAP of a pole -E_i k_i is skipped."""
     delta = network.cost_sens * network.ctrl_gain
     worst, witness, skipped = -1.0, complex(0.0, 0.0), 0
     for x in np.linspace(0.0, 10.0 * float(delta.max()), RE_POINTS):
         for y in np.linspace(-100.0 / network.window, 100.0 / network.window, IM_POINTS):
             z = complex(x, y)
-            try:
-                m = compliance_matrix(z, network)
-            except ZeroDivisionError:
+            if any(abs(z + d) < POLE_GAP for d in delta):
                 skipped += 1
                 continue
-            lam = float(np.abs(np.linalg.eigvals(m)).max())
+            lam = float(np.abs(np.linalg.eigvals(compliance_matrix(z, network))).max())
             if lam > worst:
                 worst, witness = lam, z
     return worst, witness, skipped
@@ -366,10 +360,12 @@ def test_scan_skips_and_counts_a_pole_on_the_grid():
 
 
 def test_window_characteristic_far_field_limit():
-    # M(z) -> 0 as Re z grows, so G(z) -> det(-w I) = (-w)^n
+    # M(z) -> 0 as Re z grows, so F(z) / prod(z + delta_i), which is
+    # det((1 - e^(-wz)) M(z) - w I), tends to det(-w I) = (-w)^n
     net = _two_node_net()
     g = window_characteristic(net)
-    assert abs(g(50.0) - net.window**2) < 1e-6
+    z = 50.0
+    assert abs(g(z) / ((z + 0.5) * (z + 2.0)) - (-net.window) ** 2) < 1e-6
 
 
 def test_window_characteristic_no_unstable_roots_for_weak_ring():
@@ -510,3 +506,114 @@ def _small_networks(draw):
 def test_window_characteristic_count_matches_the_oracle(net, region):
     g = window_characteristic(net)
     assert _outcome(count_roots, g, region) == _outcome(oracle_count_roots, g, region)
+
+
+# -- the entire window characteristic against the pole-carrying form -----------------
+
+def shipped_window(network):
+    """det((1 - e^(-wz)) M(z) - w I): the window characteristic divided by
+    prod(z + E_i k_i), so it has a pole at each -E_i k_i and a winding
+    number around it counts zeros minus poles."""
+    w, eye = network.window, np.eye(network.n)
+
+    def f(z):
+        m = compliance_matrix(z, network)
+        return np.linalg.det((1.0 - np.exp(-w * np.asarray(z)))[..., None, None] * m - w * eye)
+
+    return f
+
+
+def _pole_gap(p: float, region: SpectralRegion) -> float:
+    """Distance from the real point p to the rectangle's boundary."""
+    dx = max(region.re_min - p, 0.0, p - region.re_max)
+    dy = max(region.im_min, 0.0, -region.im_max)
+    if dx == dy == 0.0:
+        return min(p - region.re_min, region.re_max - p, -region.im_min, region.im_max)
+    return math.hypot(dx, dy)
+
+
+def _inside(p: float, region: SpectralRegion) -> bool:
+    return region.re_min < p < region.re_max and region.im_min < 0.0 < region.im_max
+
+
+@st.composite
+def _nets_and_regions(draw):
+    net = draw(_small_networks())
+    samples = st.integers(16, CHUNK_POINTS + 40)
+    if draw(st.booleans()):
+        return net, draw(_regions(samples))
+    # a region around one of the poles, which may hold others too
+    p = -float(draw(st.sampled_from((net.cost_sens * net.ctrl_gain).tolist())))
+    side = lambda: draw(st.floats(0.1, 2.0))
+    return net, SpectralRegion(p - side(), p + side(), -side(), side(), draw(samples))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_nets_and_regions())
+def test_window_characteristic_counts_the_zeros_the_pole_form_hides(case):
+    net, region = case
+    poles = -(net.cost_sens * net.ctrl_gain)
+    assume(all(_pole_gap(float(p), region) > 0.05 for p in poles))
+    denser = SpectralRegion(region.re_min, region.re_max, region.im_min, region.im_max,
+                            4 * region.samples_per_side)
+
+    def resolved(f):
+        # a count the samples alias (the pole form does so near its poles)
+        # changes on a denser contour: trust only one that does not.  Twice
+        # the samples is not enough: around a fourfold pole both alias alike
+        count = _outcome(count_roots, f, region)
+        assume(count != "refused" and count == _outcome(count_roots, f, denser))
+        return count
+
+    inside = sum(_inside(float(p), region) for p in poles)
+    assert resolved(window_characteristic(net)) == resolved(shipped_window(net)) + inside
+
+
+_RING = ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0, target=0.9, baseline=0.5)
+
+
+@pytest.mark.parametrize("samples", [64, 256])
+@pytest.mark.parametrize(
+    "net, region, count",
+    [
+        # around the pole -0.5, which the pole form counts as -1
+        (_two_node_net(), (-0.51, -0.49, -0.1, 0.1), 0),
+        # both poles inside: the pole form counts 15
+        (_two_node_net(), (-3.0, 1.0, -5.0, 5.0), 17),
+        # the ring's pole -1 just outside: the pole form counts 13 at 64
+        # samples and 15 at 256
+        (_RING, (-0.99, 1.0, -1.0, 1.0), 15),
+        # just inside, around the eightfold pole -1, also a zero of F (D is
+        # singular): the pole form counts 11 at 64 samples and 9 = 17 - 8 at 256
+        (_RING, (-1.01, 1.0, -1.0, 1.0), 17),
+    ],
+    ids=["two-node-around-pole", "two-node-wide", "ring-pole-outside", "ring-pole-inside"],
+)
+def test_window_characteristic_pinned_counts(net, region, count, samples):
+    assert count_roots(window_characteristic(net), SpectralRegion(*region, samples)) == count
+
+
+def test_window_characteristic_is_zero_at_the_pole_of_a_singular_ring():
+    # the 8-ring's D has eigenvalues 2 D cos(2 pi a / 8), two of them 0, so
+    # z = -delta = -1 is a mode of the loop, not a pole
+    assert _RING.coupling.shape == (8, 8) and abs(np.linalg.det(_RING.coupling)) < 1e-15
+    assert window_characteristic(_RING)(np.array([-1.0 + 0j]))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "coupling, unstable",
+    [(0.1, 0), (0.5, 0), (1.0, 0), (1.25, 0), (1.5, 0), (2.0, 2), (3.0, 8), (6.0, 16)],
+)
+def test_ring_sufficient_condition_is_not_necessary(coupling, unstable):
+    # every right-half-plane mode of the ring (delta = 1, w = 5) has
+    # |z| <= 4 D / w: there |1 - e^(-wz)| <= 2 and |eig M(z)| <= 2 D / |z|,
+    # so the square [0, R'] x [-R', R'] with R' = 1.05 * 4 D / w holds all
+    # of them.  The bound D < w delta / 4 = 1.25 is sufficient, not
+    # necessary: the scan fails from D = 1.25 on, the loop is stable to 1.5.
+    net = ComplianceNetwork.ring(8, coupling=coupling, lag=1.0, window=5.0,
+                                 target=0.9, baseline=0.5)
+    r = 1.05 * 4.0 * coupling / 5.0
+    f = window_characteristic(net)
+    for samples in (256, 512):
+        assert count_roots(f, SpectralRegion(0.0, r, -r, r, samples)) == unstable
+    assert check_sufficient_condition(net).passed is (coupling < 1.25)

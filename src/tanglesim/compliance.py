@@ -154,10 +154,6 @@ class ComplianceTrajectory:
     C: np.ndarray  # (K+1, n)
     Qbar: np.ndarray  # (K+1, n) own windowed average, undelayed
 
-    @property
-    def n(self) -> int:
-        return self.Q.shape[1]
-
 
 def default_step(net: ComplianceNetwork) -> float:
     pos = net.lags_to[net.lags_to > 0]

@@ -70,10 +70,6 @@ class FluidTrajectory:
     def w(self) -> np.ndarray:
         return self.l - self.x
 
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
 
 def _sum_squares(v: list) -> float:
     """sum of v_i^2, added in the order numpy's ``(v * v).sum()`` uses:

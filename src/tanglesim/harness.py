@@ -674,8 +674,10 @@ def validate(
     """Compare agent and reduced ensemble means of tips and free tips.
 
     Refuses structurally incomparable scenarios (type count, horizon, or
-    output grid mismatch).  Physical parameters (rate, delay) may differ;
-    that simply yields an honest FAIL, which is what negative controls use.
+    output grid mismatch), and a horizon with no grid time after the
+    transient, before either ensemble runs.  Physical parameters (rate,
+    delay) may differ; that simply yields an honest FAIL, which is what
+    negative controls use.
     PASS iff the pointwise relative difference after the transient
     (t > 5 * max delay) stays below ``VALIDATION_THRESHOLD``.
     """
@@ -690,6 +692,13 @@ def validate(
         raise ScenarioError("horizons differ; trajectories are not comparable")
     if pa["grid_dt"] != pr["grid_dt"]:
         raise ScenarioError("output grids differ; trajectories are not comparable")
+    t_min = 5.0 * max(pa["delay"], pr["delay"])
+    mask = make_grid(agent_scenario.horizon, pa["grid_dt"]) > t_min
+    if not mask.any():
+        raise ScenarioError(
+            f"horizon {agent_scenario.horizon} leaves no grid time after the transient"
+            f" (t > 5 * max delay = {t_min}); nothing to compare"
+        )
     # mean L and X of each model, (2, G, d); the agent ensemble's stack
     # is freed before the reduced ensemble runs, and both run on one pool
     with worker_pool(workers) as pool:
@@ -698,8 +707,6 @@ def validate(
                                 workers, pool=pool)[1][:, :2].mean(axis=0)
             for sc in (agent_scenario, reduced_scenario)
         )
-    t_min = 5.0 * max(pa["delay"], pr["delay"])
-    mask = make_grid(agent_scenario.horizon, pa["grid_dt"]) > t_min
     ma, mr = ma[:, mask], mr[:, mask]
     rel = (np.abs(ma - mr) / np.maximum(np.abs(mr), 1.0)).max(axis=1)
     per_L, per_X = rel.tolist()

@@ -233,14 +233,16 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
     creations, and U, the free tips they covered.  Before creation k, with
     A attaches made and ``base`` 1 once the type is seeded, type i holds
     tips = base + C[A] - U[A], free = base + C[A] - U[k] and pending =
-    U[k] - U[A].  The prefixes live in a ring deeper than any attach lag;
-    after each chunk of steps, the values the grid reads are copied from
-    the ring into ``out``.  Up to the first seed in the block every
-    creation is honest and of type 1, and a step handles that one type;
-    from there on a step also draws the type.  A member past its last
-    creation steps on with every transaction attached, type 1 and uniform
-    0, which covers one of its free tips and leaves its counters as they
-    are.
+    U[k] - U[A].  The prefixes live in one ring deeper than any attach lag,
+    a row of U then C of every type for each member; after each chunk of
+    steps, the values the grid reads are copied from the ring into ``out``.
+    Up to the first seed in the block every creation is honest and of type
+    1: a step reads and writes U of type 1 alone, and C of type 1, the
+    creation count, is written after the chunk's steps.  From there on a
+    step also draws the type and writes the whole row.  A member past its
+    last creation steps on with every transaction attached, type 1 and
+    uniform 0, which covers one of its free tips and leaves its counters as
+    they are.
     """
     nb = len(members)
     cols = np.arange(nb)
@@ -253,74 +255,69 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
     # out[:, 0..3] holds U at the attaches read, U at the creations read,
     # then C at each, until _fill turns them into the counters
     got = out.reshape(nb, 2, 2, out.shape[2], d)
+    ring = np.zeros((depth, nb, 2 * d), dtype=np.int32)
+    rows = ring.reshape(depth * nb, 2 * d)
+    flat = ring.ravel()
     A = np.empty((_CHUNK, nb))
+    R1 = np.empty((_CHUNK, nb))
     R2 = np.empty((_CHUNK, nb))
-    at = np.empty((_CHUNK, nb), dtype=np.intp)  # A's row in the flat ring
+    F = np.empty((_CHUNK, nb), dtype=np.int8)
+    at = np.empty((_CHUNK, nb), dtype=np.intp)  # A's row in ``rows``
     prev = np.zeros(nb)  # A of the step before the chunk
 
-    def chunk(k0: int, k1: int, R1=None, F=None) -> int:
+    def chunk(k0: int, k1: int) -> int:
         c = k1 - k0
-        _inputs(members, k0, k1, prev, A, R2, R1, F)
+        _inputs(members, k0, k1, prev, A, R1, R2, F)
         np.copyto(at[:c], A[:c], casting="unsafe")
         at[:c] &= mask
         at[:c] *= nb
         at[:c] += cols
         return c
 
-    def gather(ring, k0: int, k1: int) -> None:
+    def cover(r, i, uk, x, w, t):
+        """U of type i after a step that covers 0, 1 or 2 of its x free
+        tips (w pending, t tips) by the uniform r."""
+        den = t * t
+        p0 = w * w / den
+        s = p0 + (w + w + 1.0) * x / den
+        nxt = uk + (r >= p0) + (r >= s)
+        if check and ((x < nxt - uk).any() or (w < 0).any()):
+            m = int(np.argmax((x < nxt - uk) | (w < 0)))
+            raise _violation(int(i[m]), x[m] - nxt[m] + uk[m], w[m] + nxt[m] - uk[m], t[m])
+        return nxt
+
+    def gather(k0: int, k1: int) -> None:
         """Copy the prefixes at the reads in k0+1..k1 (U[0] = C[0] = 0)."""
         m, h, q = np.nonzero((reads > k0) & (reads <= k1))
-        if ring.ndim == 2:  # U of type 1 only
-            got[m, 0, 1 - h, q, 0] = ring[reads[m, h, q] & mask, m]
-        else:
-            got[m, :, 1 - h, q] = ring[reads[m, h, q] & mask, m].reshape(-1, 2, d)
+        got[m, :, 1 - h, q] = ring[reads[m, h, q] & mask, m].reshape(-1, 2, d)
 
     # -- type 1 only, up to the first seed
-    ring = np.zeros((depth, nb), dtype=np.int32)
-    flat = ring.ravel()
+    type1 = np.zeros(nb, dtype=np.intp)
+    u1 = ring[:, :, 0]
     uk = np.zeros(nb)
     for k0 in range(0, first, _CHUNK):
         c = chunk(k0, min(k0 + _CHUNK, first))
+        at[:c] *= 2 * d  # where U of type 1 at A sits in ``flat``
         prev[:] = A[c - 1]
         A[:c] += 1.0  # the attached transactions and genesis
         for j in range(c):
-            ua = flat.take(at[j])
+            w = uk - flat.take(at[j])
             x = A[j] - uk
-            w = uk - ua
-            t = x + w
-            den = t * t
-            p0 = w * w / den
-            s = p0 + (w + w + 1.0) * x / den
-            r = R2[j]
-            nxt = uk + (r >= p0) + (r >= s)
-            if check and ((x < nxt - uk).any() or (w < 0).any()):
-                m = int(np.argmax((x < nxt - uk) | (w < 0)))
-                raise _violation(0, x[m] - nxt[m] + uk[m], w[m] + nxt[m] - uk[m], t[m])
-            uk = nxt
-            row = ((k0 + j + 1) & mask) * nb
-            flat[row:row + nb] = uk
-        gather(ring, k0, k0 + c)
-    # C of type 1 is the creation count itself up to the first seed
-    got[:, 1, :, :, 0] = np.where(reads <= first, reads, 0)[:, ::-1]
+            uk = cover(R2[j], type1, uk, x, w, x + w)
+            u1[(k0 + j + 1) & mask] = uk
+        made = np.arange(k0 + 1, k0 + c + 1)
+        ring[made & mask, :, d] = made[:, None]
+        gather(k0, k0 + c)
 
     # -- every type, from the first seed on
-    if first < K:
-        multi = np.zeros((depth, nb, 2 * d), dtype=np.int32)
-        multi[:, :, 0] = ring
-        # row q last held the prefixes after creation first - ((first - q) mod depth)
-        multi[:, :, d] = (first - (first - np.arange(depth)) % depth)[:, None]
-        del ring, flat
-        mflat = multi.reshape(depth * nb, 2 * d)
-        state = multi[first & mask].astype(float)  # U then C after the last step
-        sflat = state.ravel()
-        base = np.zeros((nb, d))
-        base[:, 0] = 1.0
-        offs = cols * (2 * d)
-        offd = cols * d
-        R1 = np.empty((_CHUNK, nb))
-        F = np.empty((_CHUNK, nb), dtype=np.int8)
+    state = ring[first & mask].astype(float)  # U then C after the last step
+    sflat = state.ravel()
+    base = np.zeros((nb, d))
+    base[:, 0] = 1.0
+    offs = cols * (2 * d)
+    offd = cols * d
     for k0 in range(first, K, _CHUNK):
-        c = chunk(k0, min(k0 + _CHUNK, K), R1, F)
+        c = chunk(k0, min(k0 + _CHUNK, K))
         forced = F[:c] >= 0
         seeded = {}
         for m, mem in enumerate(members):
@@ -328,10 +325,10 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
                 if seed and k0 <= start < k0 + c:
                     seeded.setdefault(start - k0, []).append((m, i))
         for j in range(c):
-            both = mflat.take(at[j], axis=0)  # U then C of each type at A
+            both = rows.take(at[j], axis=0)  # U then C of each type at A
             if j in seeded:
                 if check:
-                    _check_seeds(seeded[j], A[j - 1] if j else prev, state, multi, mask)
+                    _check_seeds(seeded[j], A[j - 1] if j else prev, state, ring, mask)
                 for m, i in seeded[j]:
                     base[m, i] = 1.0
             tips = base + both[:, d:] - both[:, :d]
@@ -343,73 +340,59 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
             t = tips.ravel().take(offd + i)
             uk = sflat.take(fu)
             w = uk - both.ravel().take(fu)
-            x = t - w
-            den = t * t
-            p0 = w * w / den
-            s = p0 + (w + w + 1.0) * x / den
-            r = R2[j]
-            nxt = uk + (r >= p0) + (r >= s)
-            if check and ((x < nxt - uk).any() or (w < 0).any()):
-                m = int(np.argmax((x < nxt - uk) | (w < 0)))
-                raise _violation(int(i[m]), x[m] - nxt[m] + uk[m], w[m] + nxt[m] - uk[m], t[m])
-            sflat[fu] = nxt
+            sflat[fu] = cover(R2[j], i, uk, t - w, w, t)
             sflat[fu + d] += 1.0
-            multi[(k0 + j + 1) & mask] = state
-        gather(multi, k0, k0 + c)
+            ring[(k0 + j + 1) & mask] = state
+        gather(k0, k0 + c)
         prev[:] = A[c - 1]
 
 
-def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R2, R1=None, F=None) -> None:
+def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R1, R2, F) -> None:
     """Fill rows 0..k1-k0-1 of the chunk inputs with creations k0..k1-1 of
     every member: the attaches before each (A, counted on from ``prev``,
-    those before creation k0-1), its coverage uniform (R2), and with
-    ``F``, its type uniform (R1, 0 when it draws none) and its forced type
-    (F, -1 when honest).  Without ``F`` every creation is honest and of
-    type 1.  A member's uniforms come from one draw per chunk and are
-    handed out in creation order, so they are the doubles of its scalar
-    draws (``Generator.random(n)`` yields those of n scalar calls).
+    those before creation k0-1), its type uniform (R1, 0 when it draws
+    none), its coverage uniform (R2) and its forced type (F, -1 when
+    honest).  Steps of type 1 alone read A and R2 only.  A member's
+    uniforms are drawn span by span of its schedule, in creation order, so
+    they are the doubles of its scalar draws (``Generator.random(n)``
+    yields those of n scalar calls).
     """
     c = k1 - k0
+    R1[:c] = 0.0  # honest and no type draw, unless a span below says otherwise
+    F[:c] = -1
     for m, mem in enumerate(members):
         hi = min(max(mem.n, k0), k1)
         if hi < k1:
             # past the last creation: all attached, type 1, uniform 0
             A[hi - k0:c, m] = np.arange(hi, k1)
             R2[hi - k0:c, m] = 0.0
-            if F is not None:
-                R1[hi - k0:c, m] = 0.0
-                F[hi - k0:c, m] = 0
+            F[hi - k0:c, m] = 0
         if hi == k0:
             continue
         A[:hi - k0, m] = np.cumsum(mem.steps[k0:hi]) + prev[m]
-        if F is None:
-            R2[:hi - k0, m] = mem.rng.random(hi - k0)
-            continue
-        spans = [(max(s, k0), min(e, hi), f, p) for s, e, f, p, _ in mem.segments
-                 if s < hi and e > k0]
-        u = mem.rng.random(sum((b - a) * (1 + p) for a, b, _, p in spans))
-        pos = 0
-        for a, b, f, p in spans:
+        for s, e, f, p, _ in mem.segments:
+            a, b = max(s, k0), min(e, hi)
+            if a >= b:
+                continue
             rows = slice(a - k0, b - k0)
-            F[rows, m] = f
+            if f >= 0:
+                F[rows, m] = f
             if p:
-                pair = u[pos:pos + 2 * (b - a)].reshape(-1, 2)
+                pair = mem.rng.random(2 * (b - a)).reshape(-1, 2)
                 R1[rows, m] = pair[:, 0]
                 R2[rows, m] = pair[:, 1]
             else:
-                R1[rows, m] = 0.0
-                R2[rows, m] = u[pos:pos + b - a]
-            pos += (b - a) * (1 + p)
+                R2[rows, m] = mem.rng.random(b - a)
 
 
-def _check_seeds(seeds, before, state, multi, mask) -> None:
+def _check_seeds(seeds, before, state, ring, mask) -> None:
     """The check of each seed of a type at creation k, as the
     one-member-at-a-time loop makes it: the seed sets the type's tips and
     free tips to 1 and keeps its pending count, which holds the attaches
     ``before`` creation k-1, so free + pending == tips fails unless that
     count is 0."""
     for m, i in seeds:
-        w = state[m, i] - multi[int(before[m]) & mask, m, i]
+        w = state[m, i] - ring[int(before[m]) & mask, m, i]
         if w != 0:
             raise _violation(i, 1, w, 1)
 

@@ -173,6 +173,29 @@ def test_validate_structural_mismatch_is_an_error(tmp_path, capsys):
     assert "not comparable" in capsys.readouterr().err
 
 
+def test_validate_refuses_a_horizon_inside_the_transient_before_any_ensemble(
+        tmp_path, capsys, monkeypatch):
+    # t > 5 * delay = 15 leaves no grid time before the horizon 10
+    calls = []
+    ensemble = harness.run_tangle_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_tangle_ensemble", counted)
+    pair = [
+        _write(tmp_path, f"{kind}.json",
+               {"kind": f"tangle-{kind}", "rate": 10.0, "delay": 3.0,
+                "horizon": 10.0, "runs": 2})
+        for kind in ("agent", "reduced")
+    ]
+    assert main(["validate", *pair]) == 2
+    err = capsys.readouterr().err
+    assert "transient" in err and "horizon 10.0" in err and "15.0" in err
+    assert calls == []
+
+
 def test_stability_pass_for_weak_ring(ring_scenario, capsys):
     code = main(["stability", ring_scenario])
     assert code == 0

@@ -563,17 +563,37 @@ def test_blocks_span_chunks_and_attach_lags_deeper_than_a_chunk():
         assert np.array_equal(block[r], _counters(kernel_run(sim, 12.0, rng, 0.25)))
 
 
-@pytest.mark.parametrize("cap", [1, 2000, 1 << 40])
-def test_any_lockstep_grouping_gives_the_same_stack(cap):
-    # seven members with a burst, cut into blocks of at most ``cap``
-    # expected creations each: one member per block, a few, or all in one
+@pytest.mark.parametrize("sizes", [[1] * 7, [3, 4], [7]], ids=["7x1", "3+4", "7"])
+def test_any_lockstep_grouping_gives_the_same_stack(sizes):
+    # seven members with a burst, cut into consecutive blocks of ``sizes``
+    # members, as ``seeded_runs`` hands blocks to workers: one member per
+    # block, two blocks, or all in one
     sim = ReducedTangleSim(ArrivalProcess(60.0), 3.0, types=2,
                            injections=(Injection(10.0, 2, 50),))
     want = np.stack([_counters(kernel_run(sim, 20.0, seed_stream(2, r))) for r in range(7)])
-    expected = 60 * 20 + 50
-    blocks = np.array_split(np.arange(7), min(7, -(-7 * expected // cap)))
-    got = np.concatenate([sim.run_block(20.0, [seed_stream(2, int(r)) for r in b]) for b in blocks])
+    edges = np.cumsum([0, *sizes]).tolist()
+    got = np.concatenate([sim.run_block(20.0, [seed_stream(2, r) for r in range(a, b)])
+                          for a, b in zip(edges, edges[1:])])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("first", [255, 256, 257])
+def test_first_seed_at_a_chunk_edge_matches_the_oracle(first):
+    # a fixed lattice at rate 10 makes creation k at (k + 1) / 10, so a
+    # burst half-way between two lattice points seeds type 2 at creation
+    # ``first``: just inside the first 256-creation chunk, at its end, and
+    # one past it; the grid time first / 10 reads exactly ``first``
+    # creations, the prefix where the type-1 steps end
+    sim = ReducedTangleSim(ArrivalProcess(10.0, "fixed"), 1.0, types=2,
+                           injections=(Injection((first + 0.5) / 10, 2, 6),))
+    horizon, grid_dt = 40.0, 0.1
+    ct, blocks, _ = _schedule(sim.arrivals.times(horizon, None), sim.injections, horizon)
+    assert [start for start, _, _, seed in blocks if seed] == [first]
+    assert first in np.searchsorted(ct, make_grid(horizon, grid_dt), side="right")
+    rngs = lambda: [seed_stream(6, r) for r in range(4)]
+    block = sim.run_block(horizon, rngs(), grid_dt, check=True)
+    for r, rng in enumerate(rngs()):
+        assert np.array_equal(block[r], _counters(kernel_run(sim, horizon, rng, grid_dt, True)))
 
 
 class _Overdrawn:

@@ -12,11 +12,17 @@ entry.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import seeded_runs
+from .seeding import double_stream, seeded_runs
+
+
+# numpy's largest Poisson mean (its POISSON_LAM_MAX, in this form), above
+# which ``Generator.poisson`` raises
+_POISSON_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,11 @@ class JunctionConfig:
             raise ValueError(f"service_rate must be at least 1, got {self.service_rate}")
         if not self.arrival_rate >= 0:
             raise ValueError(f"arrival_rate must be non-negative, got {self.arrival_rate}")
+        if not self.arrival_rate <= _POISSON_MAX:
+            raise ValueError(
+                f"arrival_rate must be at most {_POISSON_MAX:.10g}, the largest Poisson "
+                f"mean numpy draws, got {self.arrival_rate}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,20 @@ def run(
     closed loop, one controller update (the controller observes Q exactly).
     Exactly one of fixed_Q / controller must be given; closed-loop runs
     start from zero cost and compliance.
+
+    The draws are those of numpy's scalar calls ``rng.poisson(rate)``,
+    ``rng.multinomial(n, [1/3] * 3)`` and ``rng.random()``, bit for bit,
+    and ``rng`` (PCG64) ends where those calls leave it.  The kernel mirrors
+    numpy 2.x's algorithms on the doubles of ``seeding.double_stream``:
+    Poisson by multiplication for 0 < rate < 10 (no draw at rate 0), and the
+    multinomial as numpy's two binomials, each by inversion, with ``exp``,
+    ``log`` and ``sqrt`` from ``math`` (the C library's, as numpy's C code
+    uses).  Where numpy takes another method, PTRS for rate >= 10 (Hormann
+    1993) or BTPE for a binomial with n p > 30 (Kachitvichyanukul and
+    Schmeiser 1988), the stream hands ``rng`` back and the rest of the unit
+    runs on numpy's own ``poisson``, ``binomial`` and ``random`` calls; the
+    next unit's first draw starts a new chunk.  A numpy release that changes
+    these algorithms breaks the bit-for-bit property in the tests.
     """
     if (fixed_Q is None) == (controller is None):
         raise ValueError("give exactly one of fixed_Q or controller")
@@ -94,26 +119,76 @@ def run(
         raise ValueError("fixed_Q must lie in [0, 1]")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    poisson, multinomial, random = rng.poisson, rng.multinomial, rng.random
-    rate, period, thirds = config.arrival_rate, config.switch_period, (1 / 3, 1 / 3, 1 / 3)
+    draw, hand_back = double_stream(rng)
+    poisson, binomial, random = rng.poisson, rng.binomial, rng.random
+    rate, period = config.arrival_rate, config.switch_period
+    enlam = math.exp(-rate)
+    # numpy's multinomial over three equal cells: a binomial of p = 1/3 over
+    # all arrivals, then one of (1/3) / (1 - 1/3) = 0.49999999999999994 over
+    # the rest, which the last cell takes
+    third = 1.0 / 3.0
+    # per binomial: p, 1 - p, and numpy's inversion set-up by n: (1 - p)**n, bound
+    cells = [(p, 1.0 - p, {}) for p in (third, third / (1.0 - third))]
     queues = [0, 0, 0]
     phase = strikes = 0  # green queue; incursions since the last switch
+    capacity = full = service_capacity(config, 0)  # green service this unit; with no strikes
     q = 0.0 if fixed_Q is None else fixed_Q
     c = 0.0
     rows = [(0.0, q, c)]
+    reds = ((1, 2), (0, 2), (0, 1))
     for unit in range(1, horizon + 1):
-        queues = [n + m for n, m in zip(queues, multinomial(poisson(rate), thirds).tolist())]
+        uniform = draw  # the unit's doubles: the stream, or rng once handed back
+        left = 0  # arrivals not yet given a queue
+        if rate >= 10.0:  # numpy's PTRS
+            hand_back()
+            uniform = random
+            left = poisson(rate)
+        elif rate > 0.0:
+            prod = uniform()
+            while prod > enlam:
+                left += 1
+                prod *= uniform()
+        for cell, (p, p_not, inversion) in enumerate(cells):
+            if left == 0:
+                break
+            if uniform is random or p * left > 30.0:  # numpy's BTPE, or a handed-back unit
+                hand_back()
+                uniform = random
+                k = binomial(left, p)
+            else:
+                params = inversion.get(left)
+                if params is None:
+                    mean = left * p
+                    params = inversion[left] = (
+                        math.exp(left * math.log(p_not)),
+                        int(min(left, mean + 10.0 * math.sqrt(mean * p_not + 1))),
+                    )
+                qn, bound = params
+                k, px, u = 0, qn, uniform()
+                while u > px:
+                    k += 1
+                    if k > bound:
+                        k, px, u = 0, qn, uniform()
+                    else:
+                        u -= px
+                        px = (left - k + 1) * p * px / (k * p_not)
+            queues[cell] += k
+            left -= k
+        queues[2] += left
         jump = 1.0 - q
-        for r in (0, 1, 2):
-            if r != phase and queues[r] > 0 and random() < jump:
+        for r in reds[phase]:
+            if queues[r] > 0 and uniform() < jump:
                 strikes += 1
-        queues[phase] -= min(queues[phase], service_capacity(config, strikes))
+                capacity = service_capacity(config, strikes)
+        queues[phase] -= min(queues[phase], capacity)
         if unit % period == 0:
             phase = (phase + 1) % 3
             strikes = 0
+            capacity = full
         if controller is not None:
             c, q = controller_step(c, q, controller)
         rows.append((sum(queues) / 3.0, q, c))
+    hand_back()
     return np.array(rows).T
 
 

@@ -97,6 +97,20 @@ def test_simulate_rejects_fractional_junction_horizon(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate, code", [(9.2e18, 0), (9.3e18, 2), (1e19, 2)])
+def test_simulate_refuses_an_arrival_rate_beyond_numpys_poisson(tmp_path, capsys, rate, code):
+    # numpy's Poisson draws means up to about 9.2234e18; a larger one is
+    # refused at parse time, with the field named and before any output
+    scenario = _write(tmp_path, "busy.json", {**_JUNCTION, "config": {"arrival_rate": rate}})
+    out = tmp_path / "res"
+    assert main(["simulate", scenario, "--out", str(out)]) == code
+    if code:
+        assert "busy: arrival_rate must be at most 9.2" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert (out / "busy_junction.csv").exists()
+
+
 def test_validate_rejects_zero_workers(tmp_path, capsys):
     pair = [
         _write(tmp_path, f"{kind}.json",

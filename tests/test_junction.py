@@ -1,9 +1,17 @@
 """Traffic-junction Monte Carlo tests.
 
 The service law and controller map are pinned with hand-computed values.
-``run`` is one loop over plain ints and floats; its readable form, a queue
-state object advanced by ``step``, is kept here as the oracle: ``run`` must
-equal it bit for bit, and the oracle is fuzzed for vehicle conservation.
+``run`` is one loop over plain ints and floats that re-derives numpy 2.x's
+scalar Poisson, multinomial and uniform draws from a buffered stream of
+doubles.  Its readable form, a queue state object advanced by ``step`` with
+numpy's own ``poisson``, ``multinomial`` and ``random`` calls, is kept here
+as the oracle: ``run`` must equal it bit for bit and leave the generator
+where the oracle leaves it, over arrival rates that reach every regime
+(no draw at rate 0, multiplication below 10, PTRS from 10, BTPE binomials
+from about 90).  That property is what catches a numpy release whose
+algorithms differ.  One branch no seed reaches: a BTPE binomial in a unit
+whose arrivals came from the stream needs more than 60 arrivals at a rate
+below 10.  The hand-back it takes is pinned in ``test_seeding.py``.  The oracle is also fuzzed for vehicle conservation.
 The closed-loop fixed point is matched against plain iteration of the
 controller map.
 """
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tanglesim.junction import (
@@ -87,7 +95,7 @@ _CONFIGS = st.builds(
     cross_time=st.floats(0.2, 3.0),
     slowdown=st.floats(0.0, 2.0),
     service_rate=st.integers(1, 5),
-    arrival_rate=st.floats(0.0, 4.0),
+    arrival_rate=st.floats(0.0, 150.0),
 )
 _CONTROLLERS = st.builds(
     ControllerParams,
@@ -103,6 +111,12 @@ _CONTROLLERS = st.builds(
        mode=st.one_of(st.sampled_from([0.0, 0.8, 1.0]), st.floats(0.0, 1.0), _CONTROLLERS),
        horizon=st.integers(1, 120),
        seed=st.integers(0, 2**32 - 1))
+# the regimes of numpy's draws: no Poisson draw at rate 0, multiplication
+# below 10, PTRS from 10, and BTPE binomials at 120 (n p > 30)
+@example(config=JunctionConfig(arrival_rate=0.0), mode=0.0, horizon=50, seed=1)
+@example(config=JunctionConfig(arrival_rate=9.99), mode=0.8, horizon=120, seed=2)
+@example(config=JunctionConfig(arrival_rate=10.0), mode=ControllerParams(), horizon=120, seed=3)
+@example(config=JunctionConfig(arrival_rate=120.0), mode=0.5, horizon=120, seed=4)
 def test_run_matches_the_state_object_oracle(config, mode, horizon, seed):
     kw = {"controller": mode} if isinstance(mode, ControllerParams) else {"fixed_Q": mode}
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -146,6 +160,10 @@ def test_config_validation():
         JunctionConfig(cross_time=0.0)
     with pytest.raises(ValueError):
         JunctionConfig(service_rate=0)
+    # numpy's Poisson serves means up to about 9.2234e18
+    assert JunctionConfig(arrival_rate=9.2e18).arrival_rate == 9.2e18
+    with pytest.raises(ValueError, match="arrival_rate"):
+        JunctionConfig(arrival_rate=9.3e18)
 
 
 # -- controller map ----------------------------------------------------------------
@@ -254,6 +272,12 @@ def test_run_requires_exactly_one_mode():
         run(cfg, 10, rng, fixed_Q=0.9, controller=ControllerParams())
     with pytest.raises(ValueError):
         run(cfg, 10, rng, fixed_Q=1.5)
+
+
+def test_run_needs_a_pcg64_generator():
+    # the kernel reads PCG64's raw words; another generator's random() differs
+    with pytest.raises(ValueError, match="PCG64"):
+        run(JunctionConfig(), 10, np.random.Generator(np.random.MT19937(54)), fixed_Q=0.9)
 
 
 def test_fixed_mode_records_constant_q():

@@ -54,8 +54,10 @@ class ComplianceNetwork:
             raise ValueError("controller gain must be positive everywhere")
         if np.any((self.targets < 0) | (self.targets > 1)):
             raise ValueError("targets must lie in [0, 1]")
-        if np.any(self.lags_to < 0) or np.any(np.diag(self.lags_to) != 0):
-            raise ValueError("lags must be non-negative with zero diagonal")
+        if not np.all(np.isfinite(self.lags_to) & (self.lags_to >= 0)) or np.any(
+            np.diag(self.lags_to) != 0
+        ):
+            raise ValueError("lags must be finite, non-negative and zero on the diagonal")
         if not self.window > 0:
             raise ValueError("window must be positive")
 
@@ -155,6 +157,15 @@ class ComplianceTrajectory:
     Qbar: np.ndarray  # (K+1, n) own windowed average, undelayed
 
 
+# most (row, edge) entries that one block's temporaries hold
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a block whose temporaries hold `width` entries per row."""
+    return max(_BLOCK_ENTRIES // max(width, 1), 1)
+
+
 def default_step(net: ComplianceNetwork) -> float:
     pos = net.lags_to[net.lags_to > 0]
     base = min(net.window, float(pos.min())) if pos.size else net.window
@@ -174,12 +185,18 @@ def simulate(
     targets); initial_C the starting costs (default: zero).  The cost uses
     explicit Euler with the non-negativity clamp applied every step.
 
-    The loop works on Python floats: Q, C, the prefix integral P and the
-    times are read and written through flat memoryviews of the output
-    arrays, and each row sums its couplings over a precomputed edge list in
-    column order, so every value is bit-identical to the elementwise numpy
-    formulation.
+    Rows are stepped in lag-safe blocks (the method of steps): a block ends
+    before the first row whose delayed reads need a row of the block itself.
+    Within a block every coupling term is read from the finished rows in one
+    numpy pass, except a zero-lag edge's read of the row just before, which
+    the recurrence takes; the per-activity recurrence runs over the block's
+    rows on Python floats, adding each activity's terms in column order, and
+    the prefix integral P is extended with one sequential
+    ``np.add.accumulate``.  So a zero lag does not shorten the blocks.
+    Every value is bit-identical to the elementwise numpy formulation.
     """
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
     n = net.n
     q0 = _as_vector(initial_Q if initial_Q is not None else net.targets, n, "initial_Q")
     c0 = _as_vector(initial_C if initial_C is not None else 0.0, n, "initial_C")
@@ -190,64 +207,127 @@ def simulate(
         step = max_step
     if step > max_step + 1e-12:
         raise ValueError(f"step must be at most {max_step:.6g}")
-    K = int(np.ceil(horizon / step - 1e-9))
+    K = max(int(np.ceil(horizon / step - 1e-9)), 1)
     dt = horizon / K
     times = np.arange(K + 1) * dt
     Q = np.empty((K + 1, n))
-    C = np.empty((K + 1, n))
+    C = np.empty((K + 2, n))  # the row past the horizon is dropped
     P = np.empty((K + 1, n))  # prefix integral of Q
     qbar = np.empty((K + 1, n))
     C[0] = c0
     P[0] = 0.0
     w = net.window
-    tv, qv, cv, pv, bv = (memoryview(a.reshape(-1)) for a in (times, Q, C, P, qbar))
-    q0 = q0.tolist()
     base = net.baselines.tolist()
     sens = net.cost_sens.tolist()
     targets = net.targets.tolist()
     gain_dt = (dt * net.ctrl_gain).tolist()
-    half_dt = dt * 0.5
-    # per row: (j, coupling, lag) for every nonzero coupling, in column order
-    edges = [
-        [(j, float(net.coupling[i, j]), float(net.lags_to[i, j]))
-         for j in range(n) if net.coupling[i, j] != 0.0]
-        for i in range(n)
+    # every nonzero coupling as an edge from activity src[e] into dest[e],
+    # row by row and in column order, so each activity adds its terms in
+    # column order
+    dest, src = np.nonzero(net.coupling)
+    coup = net.coupling[dest, src]
+    lags = net.lags_to[dest, src]
+    dest = dest.tolist()
+    # A zero-lag edge's near read at row k > 0 always takes the extension
+    # branch from row k - 1 (int(times[k] / dt) >= k - 1), so the recurrence
+    # computes it on floats, with P of the near edges' sources kept per row.
+    # The earliest array read of an edge is then t - lag, or t - w for a
+    # zero lag.
+    near = [
+        (e, j, c)
+        for e, (j, c, lag) in enumerate(zip(src.tolist(), coup.tolist(), lags.tolist()))
+        if lag == 0.0
     ]
+    near_src = sorted({j for _, j, _ in near})
+    reach = np.where(lags > 0.0, lags, w)
+    half = dt * 0.5
 
-    def prefix_at(s: float, last: int, j: int) -> float:
-        # integral of Q_j over [0, s]; constant history q0 before 0; `last`
-        # is the newest finalized prefix row, and times beyond it extend
-        # with the newest known compliance value (rectangle, O(dt) like Euler)
-        if s <= 0.0:
-            return q0[j] * s
-        r = int(s / dt)
-        if r >= last:
-            return pv[last * n + j] + (s - tv[last]) * qv[last * n + j]
-        lo = pv[r * n + j]
-        return lo + (s - tv[r]) / dt * (pv[r * n + n + j] - lo)
+    def reads(s, last, cols):
+        # integral of Q[:, cols] over [0, s] for a (rows, len(cols)) array s,
+        # with the constant history q0 before 0.  Row `last` is the newest
+        # finished prefix row: a read at or past it extends with its
+        # compliance (a rectangle, O(dt) like Euler), an earlier one
+        # interpolates P.  Each entry takes the scalar operations in the
+        # scalar order, and only finished rows are read.
+        out = q0[cols] * s
+        pos = s > 0.0
+        r = (np.where(pos, s, 0.0) / dt).astype(np.intp)
+        ext = pos & (r >= last)
+        mid = pos & (r < last)
+        cols = np.broadcast_to(cols, s.shape)
+        rm, cm = r[mid], cols[mid]
+        lo = P[rm, cm]
+        out[mid] = lo + (s[mid] - times[rm]) / dt * (P[rm + 1, cm] - lo)
+        ce = cols[ext]
+        out[ext] = P[last, ce] + (s[ext] - times[last]) * Q[last, ce]
+        return out
 
-    for k in range(K + 1):
-        t = tv[k]
-        last = max(k - 1, 0)
-        row = k * n
-        for i in range(n):
-            acc = base[i] + sens[i] * cv[row + i]
-            for j, c, lag in edges[i]:
-                s = t - lag
-                hi = prefix_at(s, last, j) if k else q0[j] * min(s, 0.0)
-                lo = prefix_at(s - w, last, j)
-                acc += c * (hi - lo) / w
-            qv[row + i] = min(max(acc, 0.0), 1.0)
-        if k:
-            for i in range(row, row + n):
-                pv[i] = pv[i - n] + half_dt * (qv[i - n] + qv[i])
-        if k < K:
-            for i in range(n):
-                c = cv[row + i] + gain_dt[i] * (targets[i] - qv[row + i])
-                # clamp at zero as np.maximum does: -0.0 becomes 0.0, NaN stays
-                cv[row + n + i] = 0.0 if c <= 0.0 else c
-    for k in range(K + 1):
-        t = tv[k]
-        for j in range(n):
-            bv[k * n + j] = (prefix_at(t, K, j) - prefix_at(t - w, K, j)) / w
-    return ComplianceTrajectory(times, Q, C, qbar)
+    # candidate rows per block: a lag-safe block is at most about the
+    # shortest reach over dt rows long, and its temporaries stay small
+    span = _block_rows(len(lags))
+    if len(lags):
+        span = min(span, int(reach.min() / dt) + 2)
+
+    k0 = 0
+    while k0 <= K:
+        # Row k > k0 needs an unfinished row if an array read lands at s > 0
+        # with r = int(s / dt) and r + 1 >= k0: an interpolation reads r + 1,
+        # and the extension reads last = k - 1 >= k0 (it holds r >= k - 1).
+        # An edge's other read is no later than its earliest one, so its r
+        # is no larger.
+        later = times[k0 + 1:min(k0 + span, K + 1), None] - reach
+        pos = later > 0.0
+        late = (pos & ((np.where(pos, later, 0.0) / dt).astype(np.intp) >= k0 - 1)).any(axis=1)
+        k1 = k0 + 1 + (int(late.argmax()) if late.any() else len(later))
+        s = times[k0:k1, None] - lags  # near reads, t - lag
+        # within the block only row k0 can take the extension branch, whose
+        # newest finished row is k0 - 1 (row 0 reads history only); the near
+        # reads of zero-lag edges past row k0 are replaced below
+        last = max(k0 - 1, 0)
+        lo = reads(s - w, last, src)
+        terms = (coup * (reads(s, last, src) - lo) / w).tolist()
+        if near:
+            near_lo = lo[:, [e for e, _, _ in near]].tolist()
+            gaps = np.diff(times[k0:k1]).tolist()  # times[k] - times[k - 1]
+            p = P[k0 - 1].tolist() if k0 else None
+            qrow = Q[k0 - 1].tolist() if k0 else None
+        crow = C[k0].tolist()
+        qrows, crows = [], []
+        for m, tr in enumerate(terms):
+            if m and near:
+                gap = gaps[m - 1]
+                for (e, j, c), lo_e in zip(near, near_lo[m]):
+                    tr[e] = c * (p[j] + gap * qrow[j] - lo_e) / w
+            acc = [b + se * c for b, se, c in zip(base, sens, crow)]
+            for i, x in zip(dest, tr):
+                acc[i] += x
+            # min(max(acc, 0.0), 1.0), NaN kept
+            qnew = [0.0 if a < 0.0 else 1.0 if a > 1.0 else a for a in acc]
+            if near:
+                # this row of P, as the accumulate below gives it
+                if qrow is None:
+                    p = [0.0] * n
+                else:
+                    for j in near_src:
+                        p[j] += (qrow[j] + qnew[j]) * half
+            qrow = qnew
+            step_c = [c + g * (t - q) for c, g, t, q in zip(crow, gain_dt, targets, qrow)]
+            # clamp at zero as np.maximum does: -0.0 becomes 0.0, NaN stays
+            crow = [0.0 if c <= 0.0 else c for c in step_c]
+            qrows.append(qrow)
+            crows.append(crow)
+        Q[k0:k1] = qrows
+        C[k0 + 1:k1 + 1] = crows
+        a = max(k0, 1)
+        if a < k1:
+            P[a:k1] = Q[a - 1:k1 - 1] + Q[a:k1]
+            P[a:k1] *= half
+            np.add.accumulate(P[a - 1:k1], axis=0, out=P[a - 1:k1])
+        k0 = k1
+
+    every = np.arange(n)
+    chunk = _block_rows(n)
+    for a in range(0, K + 1, chunk):
+        t = np.broadcast_to(times[a:a + chunk, None], (min(chunk, K + 1 - a), n))
+        qbar[a:a + chunk] = (reads(t, K, every) - reads(t - w, K, every)) / w
+    return ComplianceTrajectory(times, Q, C[:-1], qbar)

@@ -8,7 +8,6 @@ worker count.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -185,7 +184,19 @@ def config_hash(scenario: Scenario) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-_MAX_GRID_ROWS = 10**7
+_MAX_GRID_ROWS = 10**7  # rows of an output grid or an integrator's steps
+
+
+def _cap_rows(
+    top: _Block, horizon: float, step: float, field: str = "horizon", by: str = "step"
+) -> None:
+    """Refuse, naming `field`, a horizon over `step` of more rows than the cap."""
+    rows = horizon / step
+    if not rows <= _MAX_GRID_ROWS:
+        raise top.error(
+            field, f"horizon over {by} {step:.6g} gives {rows:.3g} rows, "
+            f"more than {_MAX_GRID_ROWS:.0e}"
+        )
 
 
 def _parse_tangle(
@@ -200,9 +211,7 @@ def _parse_tangle(
         "grid_dt": top.number("grid_dt", 0.5, positive=True),
         "injections": [],
     }
-    rows = horizon / params["grid_dt"]
-    if not rows <= _MAX_GRID_ROWS:
-        raise top.error("grid_dt", f"gives {rows:.3g} grid rows, more than {_MAX_GRID_ROWS:.0e}")
+    _cap_rows(top, horizon, params["grid_dt"], "grid_dt", "grid_dt")
     for b in top.blocks("injections"):
         params["injections"].append(
             {"time": b.number("time"), "type": b.integer("type"), "count": b.integer("count")}
@@ -218,7 +227,7 @@ def _parse_tangle(
     return params, sim
 
 
-def _parse_compliance(top: _Block) -> tuple[dict, compliance.ComplianceNetwork]:
+def _parse_compliance(top: _Block, horizon: float) -> tuple[dict, compliance.ComplianceNetwork]:
     ring = top.block("ring")
     # a ring takes one value for all its activities
     values = top.number if ring is not None else top.numbers
@@ -261,6 +270,7 @@ def _parse_compliance(top: _Block) -> tuple[dict, compliance.ComplianceNetwork]:
     max_step = compliance.default_step(net)
     if params["step"] is not None and params["step"] > max_step + 1e-12:
         raise top.error("step", f"must be at most {max_step:.6g}, got {params['step']}")
+    _cap_rows(top, horizon, params["step"] or max_step)
     if params["initial_costs"] != "static":
         costs = top.numbers("initial_costs")
         if not isinstance(costs, list):
@@ -297,6 +307,7 @@ def _parse_fluid(top: _Block, horizon: float) -> dict:
         raise top.error(
             "step", f"must be at most delay/100 = {delay / 100.0:.6g}, got {step}"
         )
+    _cap_rows(top, horizon, step or delay / 100.0)
     return params
 
 
@@ -367,7 +378,7 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
     elif kind == "fluid":
         params, model = _parse_fluid(top, horizon), None
     elif kind == "compliance-net":
-        params, model = _parse_compliance(top)
+        params, model = _parse_compliance(top, horizon)
     else:
         params, model = _parse_junction(top)
         if not horizon.is_integer():
@@ -502,18 +513,21 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
 
     Its directory is made here, after the model has run.  Rows are built
     from 512-row ``tolist()`` blocks, so cells are Python numbers of the
-    column's kind (float columns print ``0.0``, integer columns ``1``) and
-    the Python objects of a whole table never exist at once.
+    column's kind, printed by ``repr`` (float columns print ``0.0``, integer
+    columns ``1``), and the Python objects of a whole table never exist at
+    once.  The bytes are those of ``csv.writer`` with its default dialect:
+    comma-separated, ``\\r\\n`` line ends, and no quoting, which neither a
+    number nor a header name needs.
     """
     n = len(columns[0])
     if len(columns) != len(header) or any(len(c) != n for c in columns):
         raise ValueError("write_csv needs one equal-length column per header name")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for a in range(0, n, 512):
-            writer.writerows(zip(*(c[a:a + 512].tolist() for c in columns)))
+            for row in zip(*(c[a:a + 512].tolist() for c in columns)):
+                fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def member_columns(times: np.ndarray, counters: np.ndarray) -> tuple[list[str], list[np.ndarray]]:

@@ -437,6 +437,19 @@ def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, c
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("name", ["ring_compliance", "fluid_equilibrium"])
+def test_simulate_refuses_a_horizon_with_too_many_steps(tmp_path, capsys, name):
+    # a shipped file at horizon 1e12: its integrator's steps are more rows
+    # than any run could allocate, so the file is refused at parse time
+    # (exit 2, naming horizon and step) rather than by numpy's MemoryError
+    shipped = Path(__file__).parent.parent / "scenarios" / f"{name}.json"
+    scenario = _write(tmp_path, f"{name}.json", {**json.loads(shipped.read_text()), "horizon": 1e12})
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}.horizon: horizon over step 0.0" in err and "rows, more than 1e+07" in err
+    assert not (tmp_path / "res").exists()
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tanglesim import compliance
 from tanglesim.compliance import (
     ComplianceNetwork,
     ComplianceTrajectory,
@@ -75,6 +76,8 @@ def windowed_average(times, values, t: float, width: float, history=None):
 
 def oracle_simulate(net, horizon, initial_Q=None, initial_C=None, step=None):
     """`simulate` with whole-row numpy prefix lookups."""
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
     n = net.n
     q0 = _as_vector(initial_Q if initial_Q is not None else net.targets, n, "initial_Q")
     c0 = _as_vector(initial_C if initial_C is not None else 0.0, n, "initial_C")
@@ -85,7 +88,7 @@ def oracle_simulate(net, horizon, initial_Q=None, initial_C=None, step=None):
         step = max_step
     if step > max_step + 1e-12:
         raise ValueError(f"step must be at most {max_step:.6g}")
-    K = int(np.ceil(horizon / step - 1e-9))
+    K = max(int(np.ceil(horizon / step - 1e-9)), 1)
     dt = horizon / K
     times = np.arange(K + 1) * dt
     Q = np.empty((K + 1, n))
@@ -160,6 +163,11 @@ def test_validation_rejects_bad_networks():
         ComplianceNetwork.build(0.9, 0.5, 1.0, 1.0, [[0.0]], [[1.0]], 4.0)
     with pytest.raises(ValueError, match="window"):
         ComplianceNetwork.build(0.9, 0.5, 1.0, 1.0, [[0.0]], [[0.0]], 0.0)
+    for lag in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lags must be finite"):
+            ComplianceNetwork.build(
+                0.9, 0.5, 1.0, 1.0, [[0.0, 0.1], [0.1, 0.0]], [[0.0, lag], [1.0, 0.0]], 4.0
+            )
     with pytest.raises(ValueError, match="ring"):
         ComplianceNetwork.ring(2, 0.1, 1.0, 5.0, 0.9, 0.5)
 
@@ -347,6 +355,18 @@ def test_simulate_validation():
         simulate(net, 10.0, initial_C=-0.1)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
+def test_simulate_refuses_a_horizon_that_is_not_positive(horizon):
+    for run in (simulate, oracle_simulate):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            run(_pair(), horizon)
+
+
+def test_a_horizon_shorter_than_the_step_takes_one_step():
+    traj = simulate(_pair(), 1e-12)
+    assert traj.times.tolist() == [0.0, 1e-12]
+
+
 def test_trajectory_row_layout(tmp_path):
     # the CSV of an explicit two-activity network: time, then Q, C and
     # Qbar per activity
@@ -412,11 +432,53 @@ def compliance_cases(draw):
     )
 
 
+def _two(coupling, lags, window=2.5):
+    return ComplianceNetwork.build(
+        targets=[0.9, 0.8], baselines=[0.5, 0.4], cost_sens=[1.0, 0.5], ctrl_gain=[1.0, 2.0],
+        coupling=coupling, lags=lags, window=window,
+    )
+
+
+_RING = ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0, target=0.9, baseline=0.5)
+
+
 @settings(max_examples=30, deadline=None)
 @given(case=compliance_cases())
 @example(case=(_pair(), 6.0, [0.95, 0.85], [0.3, 0.0], None))
+# the shipped ring: 1,001 rows in blocks of about 50
+@example(case=(_RING, 20.0, (_RING.targets + 0.05).tolist(),
+               static_solution(_RING).costs.tolist(), None))
+# a zero-lag edge between two activities: its near read is taken on
+# floats in the recurrence, and the window sets blocks of about w / dt rows
+@example(case=(_two([[0.0, 0.2], [-0.3, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
+               2.5, [0.7, 0.95], [0.1, 0.4], None))
+# a zero-lag self-coupling, over 13 blocks
+@example(case=(_two([[0.3, 0.1], [0.1, -0.2]], [[0.0, 1.0], [1.0, 0.0]]),
+               12.0, [0.7, 0.95], [0.1, 0.4], None))
+# a lag of 71.5 steps: reads between rows, blocks of 71 and 72 rows
+@example(case=(_two([[0.0, 0.2], [0.1, 0.0]], [[0.0, 1.0], [1.0, 0.0]]),
+               4.0, [0.7, 0.95], [0.1, 0.4], 0.7 * 0.02))
+# a horizon inside the shortest lag: history reads only, one block
+@example(case=(_pair(), 0.6, [0.95, 0.85], [0.3, 0.0], None))
 def test_simulate_matches_numpy_oracle(case):
     net, horizon, q0, c0, step = case
     want = _outcome(lambda: oracle_simulate(net, horizon, q0, c0, step))
     got = _outcome(lambda: simulate(net, horizon, q0, c0, step))
     assert got == want
+
+
+@pytest.mark.parametrize("net", [
+    _pair(),
+    _two([[0.3, 0.1], [0.1, -0.2]], [[0.0, 1.0], [1.0, 0.0]]),
+    _RING,
+])
+def test_a_network_wider_than_a_block_steps_one_row_at_a_time(monkeypatch, net):
+    # a block's temporaries hold at most _BLOCK_ENTRIES entries, so a
+    # network with more edges or activities than that (4,097 of them at the
+    # shipped size) steps one-row blocks and reads Qbar one row at a time;
+    # a shipped-size one needs (4097, 4097) matrices, about 300 MB, so the
+    # budget is shrunk here instead
+    monkeypatch.setattr(compliance, "_BLOCK_ENTRIES", 1)
+    q0 = (net.targets + 0.03).tolist()
+    want = _outcome(lambda: oracle_simulate(net, 3.0, q0, 0.1))
+    assert _outcome(lambda: simulate(net, 3.0, q0, 0.1)) == want

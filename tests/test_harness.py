@@ -2,12 +2,15 @@
 import csv
 import functools
 import json
+import tempfile
 from dataclasses import asdict
 from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanglesim import ReducedTangleSim, harness
 from tanglesim.harness import (
@@ -535,6 +538,48 @@ def test_write_csv_writes_every_row_across_block_boundaries(tmp_path, n):
         [str(int(i)), repr(float(x)), repr(float(y))]
         for i, x, y in zip(ints, floats, strided)
     ]
+
+
+def oracle_write_csv(path, header, columns):
+    """The csv-module form of `write_csv`: its bytes are the reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for a in range(0, len(columns[0]), 512):
+            writer.writerows(zip(*(c[a:a + 512].tolist() for c in columns)))
+
+
+_EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 0.1]
+_EDGE_INTS = [2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1, 0, -1]
+
+
+@st.composite
+def csv_tables(draw):
+    """Numeric columns of one length: float64 or int64, some strided."""
+    n = draw(st.sampled_from([1, 511, 512, 513]) | st.integers(1, 1100))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            values, dtype = st.sampled_from(_EDGE_INTS) | st.integers(-(2**63), 2**63 - 1), np.int64
+        else:
+            values, dtype = st.sampled_from(_EDGE_FLOATS) | st.floats(), np.float64
+        pool = np.array(draw(st.lists(values, min_size=1, max_size=20)), dtype=dtype)
+        stride = draw(st.sampled_from([1, 2, 3]))
+        columns.append(np.resize(pool, n * stride)[::stride])
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=csv_tables())
+@example(table=(["x", "i"], [np.resize(np.array(_EDGE_FLOATS), 2 * 513)[::2],
+                             np.resize(np.array(_EDGE_INTS, dtype=np.int64), 513)]))
+def test_write_csv_gives_the_csv_modules_bytes(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as d:
+        ours, theirs = Path(d) / "ours.csv", Path(d) / "theirs.csv"
+        write_csv(ours, header, columns)
+        oracle_write_csv(theirs, header, columns)
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -167,7 +167,9 @@ def _block_rows(width: int) -> int:
 
 
 def default_step(net: ComplianceNetwork) -> float:
-    pos = net.lags_to[net.lags_to > 0]
+    """The largest integrator step: a fiftieth of the window or of the
+    shortest positive lag of a coupled pair, whichever is shorter."""
+    pos = net.lags_to[(net.lags_to > 0) & (net.coupling != 0)]
     base = min(net.window, float(pos.min())) if pos.size else net.window
     return base / 50.0
 

@@ -311,7 +311,9 @@ def _parse_fluid(top: _Block, horizon: float) -> dict:
     return params
 
 
-def _parse_junction(top: _Block) -> tuple[dict, tuple[junction.JunctionConfig, dict]]:
+def _parse_junction(
+    top: _Block, horizon: float
+) -> tuple[dict, tuple[junction.JunctionConfig, dict]]:
     cfg = top.block("config")
     config = {}
     if cfg is not None:
@@ -347,6 +349,9 @@ def _parse_junction(top: _Block) -> tuple[dict, tuple[junction.JunctionConfig, d
     built = _built(top.path, junction.JunctionConfig, **config)
     mode_kw = ({"fixed_Q": params["Q"]} if mode == "fixed"
                else {"controller": _built(top.path, junction.ControllerParams, **controller)})
+    if not horizon.is_integer():
+        raise top.error("horizon", f"a junction runs whole steps, got {horizon}")
+    _cap_rows(top, horizon, 1.0)
     return params, (built, mode_kw)
 
 
@@ -380,9 +385,7 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
     elif kind == "compliance-net":
         params, model = _parse_compliance(top, horizon)
     else:
-        params, model = _parse_junction(top)
-        if not horizon.is_integer():
-            raise top.error("horizon", f"a junction runs whole steps, got {horizon}")
+        params, model = _parse_junction(top, horizon)
     top.done()
     return Scenario(kind, name, seed, runs, horizon, params, out_stem, per_run, model)
 
@@ -399,6 +402,10 @@ def _parse_region(block: _Block | None, default) -> stability.SpectralRegion:
 
     re_pair, im_pair = pair("re"), pair("im")
     samples = block.integer("samples", 64, minimum=2)
+    if not 4 * samples + 1 <= _MAX_GRID_ROWS:
+        raise block.error(
+            "samples", f"gives {4 * samples + 1} boundary points, more than {_MAX_GRID_ROWS:.0e}"
+        )
     block.done()
     return _built(block.path, stability.SpectralRegion, *re_pair, *im_pair, samples)
 
@@ -504,7 +511,7 @@ def run_tangle_ensemble(
     _integer(runs, "runs", minimum=1)
     _integer(workers, "workers", minimum=1)
     member = functools.partial(sim.run_block, horizon, grid_dt=grid_dt, check=check)
-    stack = seeded_runs(member, seed, runs, workers, block=True, pool=pool)
+    stack = seeded_runs(member, seed, runs, workers, pool)
     return make_grid(horizon, grid_dt), stack
 
 

@@ -192,6 +192,14 @@ def run(
     return np.array(rows).T
 
 
+def _run_block(config: JunctionConfig, horizon: int, rngs: list, **mode) -> np.ndarray:
+    """The (len(rngs), 3, horizon+1) rows of ``run`` on each generator."""
+    out = np.empty((len(rngs), 3, horizon + 1))
+    for j, rng in enumerate(rngs):
+        out[j] = run(config, horizon, rng, **mode)
+    return out
+
+
 @dataclass
 class JunctionEnsemble:
     times: np.ndarray
@@ -213,7 +221,7 @@ def run_ensemble(
 ) -> JunctionEnsemble:
     """Ensemble statistics over independent seeded runs on ``workers``
     processes (see ``seeding.seeded_runs``)."""
-    member = functools.partial(run, config, horizon, fixed_Q=fixed_Q, controller=controller)
+    member = functools.partial(_run_block, config, horizon, fixed_Q=fixed_Q, controller=controller)
     stack = seeded_runs(member, master_seed, runs, workers)  # vbar, Q, C per run
     mean = stack.mean(axis=0)
     return JunctionEnsemble(

@@ -120,18 +120,9 @@ def worker_pool(workers: int):
     return ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
 
 
-def _seeded_block(member: Callable, block: bool, master_seed: int, span: tuple[int, int]) -> np.ndarray:
+def _seeded_block(member: Callable, master_seed: int, span: tuple[int, int]) -> np.ndarray:
     """The stacked results of runs ``span[0]..span[1]-1``."""
-    rngs = [seed_stream(master_seed, r) for r in range(*span)]
-    if block:
-        return member(rngs)
-    out = None
-    for j, rng in enumerate(rngs):
-        result = member(rng)
-        if out is None:
-            out = np.empty((len(rngs),) + np.shape(result))
-        out[j] = result
-    return out
+    return member([seed_stream(master_seed, r) for r in range(*span)])
 
 
 def seeded_runs(
@@ -139,41 +130,35 @@ def seeded_runs(
     master_seed: int,
     runs: int,
     workers: int = 1,
-    block: bool = False,
     pool: ProcessPoolExecutor | None = None,
 ) -> np.ndarray:
     """The float64 ``(runs, ...)`` stack whose row r is run r's result
     from ``seed_stream(master_seed, r)``.
 
-    ``member(rng)`` gives one run's result, an array (or a number) of one
-    shape for every run.  With ``block``, ``member(rngs)`` gives the
-    stacked results of a block of consecutive runs at once, one row per
-    generator, which lets a model step the runs of a block together; the
-    runs are then cut into contiguous blocks of ``ceil(runs / workers)``
-    runs (the last one shorter), at most one per worker.  Without it each
-    run is a block of its own: a task's rows come back whole, so a task of
-    several runs would raise peak memory by about a task.  With one worker
-    the blocks run in this process; with more, one task per block on
-    ``pool`` (or on a pool made for this call), so ``member`` must pickle.
-    A block's rows do not depend on the other runs in it, and the blocks
-    land in run-index order, so the stack does not depend on the worker
-    count.  Each block is copied into its rows as it arrives and then
-    dropped; a single block is the stack itself.
+    ``member(rngs)`` gives the array of the stacked results of a block of
+    consecutive runs, one row per generator and rows of one shape for every
+    run, which lets a model step the runs of a block together.  The runs are cut into
+    contiguous blocks of ``ceil(runs / workers)`` runs (the last one
+    shorter), at most one per worker.  A single block runs in this process;
+    several run one task per block on ``pool`` (or on a pool made for this
+    call), so ``member`` must pickle.  A block's rows do not depend on the
+    other runs in it, and the blocks land in run-index order, so the stack
+    does not depend on the worker count.  Each block is copied into its
+    rows as it arrives and then dropped; a single block is the stack itself.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    workers = min(workers, runs)
-    size = -(-runs // workers) if block else 1
+    size = -(-runs // workers)
     spans = [(start, min(start + size, runs)) for start in range(0, runs, size)]
-    task = functools.partial(_seeded_block, member, block, master_seed)
+    task = functools.partial(_seeded_block, member, master_seed)
     if len(spans) == 1:
         return np.asarray(task(spans[0]), dtype=float)
-    if workers > 1 and pool is None:
-        with ProcessPoolExecutor(workers) as pool:
-            return seeded_runs(member, master_seed, runs, workers, block, pool)
-    for (start, stop), rows in zip(spans, pool.map(task, spans) if workers > 1 else map(task, spans)):
+    if pool is None:
+        with ProcessPoolExecutor(len(spans)) as pool:
+            return seeded_runs(member, master_seed, runs, workers, pool)
+    for (start, stop), rows in zip(spans, pool.map(task, spans)):
         if start == 0:
             stack = np.empty((runs,) + rows.shape[1:])
         stack[start:stop] = rows

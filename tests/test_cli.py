@@ -347,6 +347,8 @@ def test_roots_non_finite_values_are_reported(tmp_path, capsys, spec, where, cau
         ({"re": [0.5, 3.0], "im": [-1.0, "1"]}, "im"),
         ({"re": [0.5, 3.0], "im": [-1.0, 1.0], "samples": 8.9}, "samples"),
         ({"re": [0.5, 3.0], "im": [-1.0, 1.0], "samples": 1}, "samples"),
+        # 4 * samples + 1 boundary points, more than any grid may hold
+        ({"re": [0.5, 3.0], "im": [-1.0, 1.0], "samples": 2_500_000}, "samples"),
     ],
 )
 def test_roots_rejects_malformed_regions(tmp_path, capsys, region, field):
@@ -447,6 +449,17 @@ def test_simulate_refuses_a_horizon_with_too_many_steps(tmp_path, capsys, name):
     assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
     err = capsys.readouterr().err
     assert f"{name}.horizon: horizon over step 0.0" in err and "rows, more than 1e+07" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_simulate_refuses_a_junction_horizon_with_too_many_units(tmp_path, capsys):
+    # a junction steps whole units, one row each: 1e12 of them are refused
+    # at parse time rather than looped over
+    shipped = Path(__file__).parent.parent / "scenarios" / "junction_fixed.json"
+    scenario = _write(tmp_path, "junction_fixed.json", {**json.loads(shipped.read_text()), "horizon": 1e12})
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert "junction_fixed.horizon: horizon over step 1 gives 1e+12 rows, more than 1e+07" in err
     assert not (tmp_path / "res").exists()
 
 

@@ -294,6 +294,13 @@ def test_default_step_uses_shortest_timescale():
     assert default_step(wide) == pytest.approx(2.5 / 50.0)
 
 
+@pytest.mark.parametrize("lags", [[[0.0, 1.0], [0.01, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+def test_default_step_ignores_the_lags_of_uncoupled_pairs(lags):
+    # activity 1 does not read activity 0, so the lag from 0 to 1 bounds nothing
+    net = ComplianceNetwork.build(0.9, 0.5, 1.0, 1.0, [[0.0, 0.1], [0.0, 0.0]], lags, window=1.0)
+    assert default_step(net) == pytest.approx(1.0 / 50.0)
+
+
 # -- simulator -----------------------------------------------------------------------
 
 def test_fixed_point_holds_to_rounding():

@@ -4,7 +4,6 @@ import functools
 import json
 import tempfile
 from dataclasses import asdict
-from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -286,20 +285,8 @@ def test_ensemble_stats_are_the_per_variable_per_type_stats():
 
 
 def _int_block(rng: np.random.Generator) -> np.ndarray:
-    """A (2, 3) integer member: stacking must convert it to float64."""
+    """A (2, 3) integer run: stacking must convert it to float64."""
     return rng.integers(0, 100, size=(2, 3))
-
-
-@pytest.mark.parametrize("runs, workers", [(1, 1), (1, 2), (5, 2), (5, 3), (4, 6)])
-def test_seeded_runs_yields_the_members_in_run_index_order(runs, workers):
-    want = [seed_stream(7, r).random() for r in range(runs)]
-    stack = seeded_runs(methodcaller("random"), 7, runs, workers)
-    assert stack.shape == (runs,) and stack.dtype == np.float64
-    assert stack.tolist() == want
-    arrays = seeded_runs(_int_block, 7, runs, workers)
-    assert arrays.shape == (runs, 2, 3) and arrays.dtype == np.float64
-    assert np.array_equal(arrays, [_int_block(seed_stream(7, r)) for r in range(runs)])
-    assert np.array_equal(arrays, seeded_runs(_int_block, 7, runs, 1))
 
 
 def _int_rows(rngs) -> np.ndarray:
@@ -307,20 +294,29 @@ def _int_rows(rngs) -> np.ndarray:
     return np.stack([_int_block(rng) for rng in rngs])
 
 
-@pytest.mark.parametrize("runs, workers", [(1, 1), (5, 1), (5, 2), (5, 3), (4, 6)])
+def _doubles(rngs) -> np.ndarray:
+    """A block member of one double per run."""
+    return np.array([rng.random() for rng in rngs])
+
+
+@pytest.mark.parametrize("runs, workers", [(1, 1), (1, 2), (5, 1), (5, 2), (5, 3), (4, 6)])
 def test_seeded_runs_hands_block_members_contiguous_blocks(runs, workers):
+    doubles = seeded_runs(_doubles, 7, runs, workers)
+    assert doubles.shape == (runs,) and doubles.dtype == np.float64
+    assert doubles.tolist() == [seed_stream(7, r).random() for r in range(runs)]
     want = [_int_block(seed_stream(7, r)) for r in range(runs)]
-    stack = seeded_runs(_int_rows, 7, runs, workers, block=True)
-    assert stack.dtype == np.float64 and np.array_equal(stack, want)
+    stack = seeded_runs(_int_rows, 7, runs, workers)
+    assert stack.shape == (runs, 2, 3) and stack.dtype == np.float64
+    assert np.array_equal(stack, want)
     with worker_pool(workers) as pool:  # one pool serves several ensembles
         for _ in range(2):
-            assert np.array_equal(seeded_runs(_int_rows, 7, runs, workers, True, pool), want)
+            assert np.array_equal(seeded_runs(_int_rows, 7, runs, workers, pool), want)
 
 
 @pytest.mark.parametrize("runs, workers", [(0, 1), (3, 0)])
 def test_seeded_runs_rejects_empty_or_workerless_ensembles(runs, workers):
     with pytest.raises(ValueError, match="runs" if runs < 1 else "workers"):
-        seeded_runs(methodcaller("random"), 7, runs, workers)
+        seeded_runs(_doubles, 7, runs, workers)
 
 
 # -- scenario execution ----------------------------------------------------------

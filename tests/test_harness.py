@@ -299,15 +299,21 @@ def _doubles(rngs) -> np.ndarray:
     return np.array([rng.random() for rng in rngs])
 
 
-@pytest.mark.parametrize("runs, workers", [(1, 1), (1, 2), (5, 1), (5, 2), (5, 3), (4, 6)])
-def test_seeded_runs_hands_block_members_contiguous_blocks(runs, workers):
+@pytest.mark.parametrize("runs, workers", [(1, 1), (1, 2), (5, 2), (5, 3), (4, 6)])
+def test_seeded_runs_yields_the_members_in_run_index_order(runs, workers):
     doubles = seeded_runs(_doubles, 7, runs, workers)
     assert doubles.shape == (runs,) and doubles.dtype == np.float64
     assert doubles.tolist() == [seed_stream(7, r).random() for r in range(runs)]
-    want = [_int_block(seed_stream(7, r)) for r in range(runs)]
     stack = seeded_runs(_int_rows, 7, runs, workers)
     assert stack.shape == (runs, 2, 3) and stack.dtype == np.float64
-    assert np.array_equal(stack, want)
+    assert np.array_equal(stack, [_int_block(seed_stream(7, r)) for r in range(runs)])
+    assert np.array_equal(stack, seeded_runs(_int_rows, 7, runs, 1))
+
+
+@pytest.mark.parametrize("runs, workers", [(1, 1), (1, 2), (5, 1), (5, 2), (5, 3), (4, 6)])
+def test_seeded_runs_hands_block_members_contiguous_blocks(runs, workers):
+    want = [_int_block(seed_stream(7, r)) for r in range(runs)]
+    assert np.array_equal(seeded_runs(_int_rows, 7, runs, workers), want)
     with worker_pool(workers) as pool:  # one pool serves several ensembles
         for _ in range(2):
             assert np.array_equal(seeded_runs(_int_rows, 7, runs, workers, pool), want)

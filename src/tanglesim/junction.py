@@ -81,23 +81,44 @@ def controller_step(
     return new_cost, new_q
 
 
-def run(
-    config: JunctionConfig,
+def compliance_path(
     horizon: int,
-    rng: np.random.Generator,
     fixed_Q: float | None = None,
     controller: ControllerParams | None = None,
 ) -> np.ndarray:
-    """Simulate one seeded junction run; returns the (3, horizon+1) rows
-    vbar, Q, C at the integer units 0..horizon.
+    """The (2, horizon+1) rows Q, C at the integer units 0..horizon.
 
-    Order within a unit: Poisson arrivals spread by one multinomial draw,
+    The controller observes Q exactly, never the queues, so the path is the
+    same for every run of an ensemble: constant Q and zero cost with
+    ``fixed_Q``, or ``controller_step`` iterated once per unit from zero
+    cost and compliance with ``controller``.  Exactly one of the two must
+    be given.
+    """
+    if (fixed_Q is None) == (controller is None):
+        raise ValueError("give exactly one of fixed_Q or controller")
+    if fixed_Q is not None and not (0.0 <= fixed_Q <= 1.0):
+        raise ValueError("fixed_Q must lie in [0, 1]")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if controller is None:
+        return np.stack((np.full(horizon + 1, fixed_Q, dtype=float), np.zeros(horizon + 1)))
+    c = q = 0.0
+    rows = [(q, c)]
+    for _ in range(horizon):
+        c, q = controller_step(c, q, controller)
+        rows.append((q, c))
+    return np.array(rows).T
+
+
+def run(config: JunctionConfig, Q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Simulate one seeded junction run along the compliance row ``Q`` (row
+    0 of ``compliance_path``); returns the (len(Q),) row vbar, the mean
+    queue length at the integer units 0..len(Q)-1.
+
+    Order within unit u: Poisson arrivals spread by one multinomial draw,
     red-queue incursion attempts (one uniform per nonempty red queue, each
-    an incursion with probability 1 - Q), green service throttled by the
-    incursions since the last switch, the signal switch check, and then, in
-    closed loop, one controller update (the controller observes Q exactly).
-    Exactly one of fixed_Q / controller must be given; closed-loop runs
-    start from zero cost and compliance.
+    an incursion with probability 1 - Q[u-1]), green service throttled by
+    the incursions since the last switch, and the signal switch check.
 
     The draws are those of numpy's scalar calls ``rng.poisson(rate)``,
     ``rng.multinomial(n, [1/3] * 3)`` and ``rng.random()``, bit for bit,
@@ -113,12 +134,6 @@ def run(
     next unit's first draw starts a new chunk.  A numpy release that changes
     these algorithms breaks the bit-for-bit property in the tests.
     """
-    if (fixed_Q is None) == (controller is None):
-        raise ValueError("give exactly one of fixed_Q or controller")
-    if fixed_Q is not None and not (0.0 <= fixed_Q <= 1.0):
-        raise ValueError("fixed_Q must lie in [0, 1]")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     draw, hand_back = double_stream(rng)
     poisson, binomial, random = rng.poisson, rng.binomial, rng.random
     rate, period = config.arrival_rate, config.switch_period
@@ -132,11 +147,9 @@ def run(
     queues = [0, 0, 0]
     phase = strikes = 0  # green queue; incursions since the last switch
     capacity = full = service_capacity(config, 0)  # green service this unit; with no strikes
-    q = 0.0 if fixed_Q is None else fixed_Q
-    c = 0.0
-    rows = [(0.0, q, c)]
+    vbar = [0.0]
     reds = ((1, 2), (0, 2), (0, 1))
-    for unit in range(1, horizon + 1):
+    for unit, q in enumerate(np.asarray(Q, dtype=float)[:-1].tolist(), 1):
         uniform = draw  # the unit's doubles: the stream, or rng once handed back
         left = 0  # arrivals not yet given a queue
         if rate >= 10.0:  # numpy's PTRS
@@ -185,18 +198,16 @@ def run(
             phase = (phase + 1) % 3
             strikes = 0
             capacity = full
-        if controller is not None:
-            c, q = controller_step(c, q, controller)
-        rows.append((sum(queues) / 3.0, q, c))
+        vbar.append(sum(queues) / 3.0)
     hand_back()
-    return np.array(rows).T
+    return np.array(vbar)
 
 
-def _run_block(config: JunctionConfig, horizon: int, rngs: list, **mode) -> np.ndarray:
-    """The (len(rngs), 3, horizon+1) rows of ``run`` on each generator."""
-    out = np.empty((len(rngs), 3, horizon + 1))
+def _run_block(config: JunctionConfig, Q: np.ndarray, rngs: list) -> np.ndarray:
+    """The (len(rngs), len(Q)) rows of ``run`` on each generator."""
+    out = np.empty((len(rngs), len(Q)))
     for j, rng in enumerate(rngs):
-        out[j] = run(config, horizon, rng, **mode)
+        out[j] = run(config, Q, rng)
     return out
 
 
@@ -220,15 +231,23 @@ def run_ensemble(
     workers: int = 1,
 ) -> JunctionEnsemble:
     """Ensemble statistics over independent seeded runs on ``workers``
-    processes (see ``seeding.seeded_runs``)."""
-    member = functools.partial(_run_block, config, horizon, fixed_Q=fixed_Q, controller=controller)
-    stack = seeded_runs(member, master_seed, runs, workers)  # vbar, Q, C per run
-    mean = stack.mean(axis=0)
+    processes (see ``seeding.seeded_runs``).
+
+    The compliance path is built once (``compliance_path``) and every run
+    steps its queues along its Q row, so the stack holds only the
+    ``(runs, horizon+1)`` vbar rows.  ``q_mean`` and ``c_mean`` are the
+    means over ``runs`` copies of the path, which round to the bytes of an
+    ensemble that recorded Q and C in every run (0.7999999999999985, not
+    0.8, for Q = 0.8 over 100 runs).
+    """
+    path = compliance_path(horizon, fixed_Q, controller)
+    stack = seeded_runs(functools.partial(_run_block, config, path[0]), master_seed, runs, workers)
+    q_mean, c_mean = np.broadcast_to(path, (runs,) + path.shape).mean(axis=0)
     return JunctionEnsemble(
         times=np.arange(horizon + 1),
-        vbar_mean=mean[0],
-        vbar_std=stack[:, 0].std(axis=0),
-        q_mean=mean[1],
-        c_mean=mean[2],
+        vbar_mean=stack.mean(axis=0),
+        vbar_std=stack.std(axis=0),
+        q_mean=q_mean,
+        c_mean=c_mean,
         runs=runs,
     )

@@ -121,8 +121,8 @@ def worker_pool(workers: int):
 
 
 def _seeded_block(member: Callable, master_seed: int, span: tuple[int, int]) -> np.ndarray:
-    """The stacked results of runs ``span[0]..span[1]-1``."""
-    return member([seed_stream(master_seed, r) for r in range(*span)])
+    """The float64 stacked results of runs ``span[0]..span[1]-1``."""
+    return np.asarray(member([seed_stream(master_seed, r) for r in range(*span)]), dtype=float)
 
 
 def seeded_runs(
@@ -154,7 +154,7 @@ def seeded_runs(
     spans = [(start, min(start + size, runs)) for start in range(0, runs, size)]
     task = functools.partial(_seeded_block, member, master_seed)
     if len(spans) == 1:
-        return np.asarray(task(spans[0]), dtype=float)
+        return task(spans[0])
     if pool is None:
         with ProcessPoolExecutor(len(spans)) as pool:
             return seeded_runs(member, master_seed, runs, workers, pool)

@@ -34,6 +34,7 @@ from tanglesim.compliance import static_solution as compliance_static
 from tanglesim.junction import (
     ControllerParams,
     JunctionConfig,
+    compliance_path,
     run,
     run_ensemble,
 )
@@ -323,7 +324,7 @@ def test_a09_junction_degradation(capsys):
 
 def test_a10_controller_convergence(capsys):
     ctrl = ControllerParams(slope=0.6, memory=1.0, gain=0.1, target=0.95)
-    _, qs, cs = run(JunctionConfig(), 600, seed_stream(9, 0), controller=ctrl)
+    qs, cs = compliance_path(600, controller=ctrl)
     tail = np.arange(601) >= 500
     q_dev = float(np.abs(qs[tail] - 0.95).max())
     c_star = 0.95 / 0.6
@@ -401,9 +402,10 @@ def test_a11_property_bundle(capsys):
         np.array_equal(getattr(a1, f), getattr(a2, f))
         for f in ("times", "tips", "free", "pending", "created")
     )
-    j1 = run(JunctionConfig(), 300, seed_stream(125, 0), fixed_Q=0.8)
-    j2 = run(JunctionConfig(), 300, seed_stream(125, 0), fixed_Q=0.8)
-    rerun_ok = rerun_ok and np.array_equal(j1, j2)  # rows vbar, Q, C
+    q = compliance_path(300, fixed_Q=0.8)[0]
+    j1 = run(JunctionConfig(), q, seed_stream(125, 0))
+    j2 = run(JunctionConfig(), q, seed_stream(125, 0))
+    rerun_ok = rerun_ok and np.array_equal(j1, j2)  # row vbar
 
     ok = cons_ok and events_ok and agent_ok and prob_ok and exact_ok and rerun_ok
     _report(

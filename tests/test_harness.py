@@ -299,11 +299,18 @@ def _doubles(rngs) -> np.ndarray:
     return np.array([rng.random() for rng in rngs])
 
 
+def _double_list(rngs) -> list:
+    """A block member that gives a list, not an array."""
+    return [rng.random() for rng in rngs]
+
+
 @pytest.mark.parametrize("runs, workers", [(1, 1), (1, 2), (5, 2), (5, 3), (4, 6)])
 def test_seeded_runs_yields_the_members_in_run_index_order(runs, workers):
     doubles = seeded_runs(_doubles, 7, runs, workers)
     assert doubles.shape == (runs,) and doubles.dtype == np.float64
     assert doubles.tolist() == [seed_stream(7, r).random() for r in range(runs)]
+    listed = seeded_runs(_double_list, 7, runs, workers)
+    assert listed.dtype == np.float64 and listed.tolist() == doubles.tolist()
     stack = seeded_runs(_int_rows, 7, runs, workers)
     assert stack.shape == (runs, 2, 3) and stack.dtype == np.float64
     assert np.array_equal(stack, [_int_block(seed_stream(7, r)) for r in range(runs)])

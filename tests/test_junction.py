@@ -1,19 +1,25 @@
 """Traffic-junction Monte Carlo tests.
 
 The service law and controller map are pinned with hand-computed values.
-``run`` is one loop over plain ints and floats that re-derives numpy 2.x's
-scalar Poisson, multinomial and uniform draws from a buffered stream of
-doubles.  Its readable form, a queue state object advanced by ``step`` with
-numpy's own ``poisson``, ``multinomial`` and ``random`` calls, is kept here
-as the oracle: ``run`` must equal it bit for bit and leave the generator
-where the oracle leaves it, over arrival rates that reach every regime
+The controller sees Q, never the queues, so Q and C are one deterministic
+path per ensemble (``compliance_path``) and ``run`` steps only the queues
+along its Q row.  ``run`` is one loop over plain ints and floats that
+re-derives numpy 2.x's scalar Poisson, multinomial and uniform draws from a
+buffered stream of doubles.  Its readable form, a queue state object
+advanced by ``step`` with numpy's own ``poisson``, ``multinomial`` and
+``random`` calls and the controller update after each unit, is kept here as
+the oracle: ``run`` must equal its vbar row bit for bit and leave the
+generator where the oracle leaves it, ``compliance_path`` must equal its Q
+and C rows, over arrival rates that reach every regime
 (no draw at rate 0, multiplication below 10, PTRS from 10, BTPE binomials
 from about 90).  That property is what catches a numpy release whose
 algorithms differ.  One branch no seed reaches: a BTPE binomial in a unit
 whose arrivals came from the stream needs more than 60 arrivals at a rate
 below 10.  The hand-back it takes is pinned in ``test_seeding.py``.  The oracle is also fuzzed for vehicle conservation.
 The closed-loop fixed point is matched against plain iteration of the
-controller map.
+controller map.  An ensemble's ``q_mean`` and ``c_mean`` are pinned to the
+mean of ``runs`` stacked copies of the path, bit for bit: that is what the
+CSVs held when every run recorded Q and C.
 """
 from dataclasses import dataclass
 
@@ -25,6 +31,7 @@ from hypothesis import strategies as st
 from tanglesim.junction import (
     ControllerParams,
     JunctionConfig,
+    compliance_path,
     controller_step,
     run,
     run_ensemble,
@@ -119,10 +126,13 @@ _CONTROLLERS = st.builds(
 @example(config=JunctionConfig(arrival_rate=120.0), mode=0.5, horizon=120, seed=4)
 def test_run_matches_the_state_object_oracle(config, mode, horizon, seed):
     kw = {"controller": mode} if isinstance(mode, ControllerParams) else {"fixed_Q": mode}
+    path = compliance_path(horizon, **kw)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = run(config, horizon, ours, **kw)
-    assert got.shape == (3, horizon + 1)
-    assert np.array_equal(got, oracle_run(config, horizon, theirs, **kw))
+    got = run(config, path[0], ours)
+    want = oracle_run(config, horizon, theirs, **kw)
+    assert got.shape == (horizon + 1,) and path.shape == (2, horizon + 1)
+    assert np.array_equal(got, want[0])
+    assert np.array_equal(path, want[1:])
     assert ours.random() == theirs.random()  # the same draws, no more
 
 
@@ -263,28 +273,29 @@ def test_throttling_blocks_service_under_heavy_incursion():
 
 # -- runs and ensembles ----------------------------------------------------------------
 
-def test_run_requires_exactly_one_mode():
-    cfg = JunctionConfig()
-    rng = seed_stream(54, 0)
-    with pytest.raises(ValueError):
-        run(cfg, 10, rng)
-    with pytest.raises(ValueError):
-        run(cfg, 10, rng, fixed_Q=0.9, controller=ControllerParams())
-    with pytest.raises(ValueError):
-        run(cfg, 10, rng, fixed_Q=1.5)
+def test_compliance_path_requires_exactly_one_mode():
+    with pytest.raises(ValueError, match="exactly one"):
+        compliance_path(10)
+    with pytest.raises(ValueError, match="exactly one"):
+        compliance_path(10, fixed_Q=0.9, controller=ControllerParams())
+    with pytest.raises(ValueError, match="fixed_Q"):
+        compliance_path(10, fixed_Q=1.5)
+    with pytest.raises(ValueError, match="horizon"):
+        compliance_path(0, fixed_Q=0.9)
 
 
 def test_run_needs_a_pcg64_generator():
     # the kernel reads PCG64's raw words; another generator's random() differs
     with pytest.raises(ValueError, match="PCG64"):
-        run(JunctionConfig(), 10, np.random.Generator(np.random.MT19937(54)), fixed_Q=0.9)
+        run(JunctionConfig(), np.full(11, 0.9), np.random.Generator(np.random.MT19937(54)))
 
 
 def test_fixed_mode_records_constant_q():
     cfg = JunctionConfig()
-    vbar, q, c = run(cfg, 50, seed_stream(55, 0), fixed_Q=0.8)
+    q, c = compliance_path(50, fixed_Q=0.8)
     assert np.all(q == 0.8)
     assert np.all(c == 0.0)
+    vbar = run(cfg, q, seed_stream(55, 0))
     # the recorded mean queue is the state's after each unit on the same stream
     state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=0.8)
     rng = seed_stream(55, 0)
@@ -297,7 +308,7 @@ def test_fixed_mode_records_constant_q():
 
 def test_closed_loop_q_tracks_the_deterministic_map():
     p = ControllerParams()
-    _, qs, cs = run(JunctionConfig(), 200, seed_stream(56, 0), controller=p)
+    qs, cs = compliance_path(200, controller=p)
     c, q = 0.0, 0.0
     for k in range(1, 201):
         c, q = controller_step(c, q, p)
@@ -318,12 +329,30 @@ def test_ensemble_statistics_and_determinism():
 
 def test_ensemble_members_are_the_seeded_runs_on_any_worker_count():
     cfg = JunctionConfig()
-    members = [run(cfg, 30, seed_stream(60, r), fixed_Q=0.8)[0] for r in range(5)]
+    q = compliance_path(30, fixed_Q=0.8)[0]
+    members = [run(cfg, q, seed_stream(60, r)) for r in range(5)]
     for workers in (1, 2, 3):
         ens = run_ensemble(cfg, runs=5, horizon=30, master_seed=60, fixed_Q=0.8,
                            workers=workers)
         assert np.array_equal(ens.vbar_mean, np.stack(members).mean(axis=0))
         assert np.array_equal(ens.vbar_std, np.stack(members).std(axis=0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("runs", [1, 2, 3, 7, 30, 100])
+@pytest.mark.parametrize("mode", [{"fixed_Q": 0.8}, {"controller": ControllerParams()}],
+                         ids=["fixed", "closed-loop"])
+def test_ensemble_q_and_c_means_are_the_means_of_stacked_copies(mode, runs, workers):
+    # the bytes of the CSVs from when every run recorded Q and C: numpy's
+    # mean over a stride-0 axis must round as over ``runs`` real copies
+    path = compliance_path(60, **mode)
+    ens = run_ensemble(JunctionConfig(), runs=runs, horizon=60, master_seed=61,
+                       workers=workers, **mode)
+    want = np.stack([path] * runs).mean(axis=0)
+    assert ens.q_mean.tobytes() == want[0].tobytes()
+    assert ens.c_mean.tobytes() == want[1].tobytes()
+    if runs == 100 and "fixed_Q" in mode:
+        assert ens.q_mean[0] == 0.7999999999999985  # a mean of copies, not Q itself
 
 
 @pytest.mark.parametrize("runs, workers", [(0, 1), (3, 0)])

@@ -13,7 +13,7 @@ from itertools import compress, count, islice
 import numpy as np
 
 from .reduced import ExtinctLedgerError, InvariantError, _TangleSim, _fill, _schedule
-from .seeding import integer_stream
+from .seeding import lemire_redraw, word_stream
 from .trajectory import TrajectoryFrame, make_grid
 
 
@@ -52,22 +52,23 @@ def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
     type and the number of tips it newly marks pending (0, 1 or 2).
 
     Sites are indices into parallel lists: genesis is 0, then creations
-    and seeds in the order they are made.  A tip list drops an entry by
-    moving its last entry into the gap, and tip draws take the lists in
-    type order, so the draws are those of the object graph kept in the
-    tests.  The attach checks always run.  With ``check``, the counters are
-    checked after every event and the whole graph after the attaches up to
-    ``end``, and the third value holds the live counters to compare with
-    the frame's last row; without it, the third value is empty.
+    and seeds in the order they are made.  One flat loop makes them: each
+    step first attaches the creations due before it, then makes a seed or
+    a creation.  A tip list drops an entry by moving its last entry into
+    the gap, and tip draws take the lists in type order, each by numpy's
+    Lemire step on ``word_stream``, so the draws are those of the object
+    graph kept in the tests.  The attach checks always run.  With
+    ``check``, the counters are checked after every event, a last step
+    attaches what is due by ``end`` and the whole graph is rechecked; the
+    third value then holds the live counters to compare with the frame's
+    last row, and is empty otherwise.
     """
     n = len(ct)
-    typ = np.zeros(n, dtype=np.intp)
-    cov = np.zeros(n, dtype=np.uint8)
-    times = ct.tolist()
     attach_times = ct + delay
     # attaches that precede each creation; attaches win ties
-    attached = np.searchsorted(attach_times, ct, side="right").tolist()
-    draw = integer_stream(rng)
+    due = np.searchsorted(attach_times, ct, side="right").tolist()
+    at_times = attach_times.tolist()
+    word = word_stream(rng)
     # one slot per site that can be made: genesis, creations, seeds
     size = 1 + n + len(seeds)
     kind = [0] * size  # 0-based type of each site
@@ -82,142 +83,177 @@ def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
     pos[0] = 0
     tips = [[0]] + [[] for _ in range(types - 1)]
     pend = [0] * types  # tips with a mark, per type
-    created = [1] + [0] * (types - 1)
     seed_ids = set()
     made = []  # site of each creation, in schedule order
-    sites = 1  # sites made so far
+    typ = []
+    cov = []
+    s = 0  # the last site made
     done = 0  # creations attached so far
+    live = 1  # tips of all types
 
     def verify(i: int) -> None:
         if not 0 <= pend[i] <= len(tips[i]):
             raise InvariantError(f"type {i + 1}: {pend[i]} pending of {len(tips[i])} tips")
 
-    def attach_upto(e: int) -> None:
-        nonlocal done
-        while done < e:
-            s = made[done]
-            done += 1
-            if att[s]:
-                raise InvariantError(f"site {s} attached twice")
-            i, a, b, t = kind[s], pa[s], pb[s], at[s]
-            bucket = tips[i]
-            for p in (a, b) if a != b else (a,):
-                if not att[p]:
-                    raise InvariantError("parent not attached before child")
-                if not at[p] < t:
-                    raise InvariantError("attach-time ordering violated (cycle risk)")
-                if kind[p] != i:
-                    raise InvariantError("edge joins different conflict types")
-                kid[p] = True
-                k = pos[p]
-                if k >= 0:  # still a tip; this site's mark keeps it pending
-                    last = bucket.pop()
-                    if last != p:
-                        bucket[k] = last
-                        pos[last] = k
-                    pos[p] = -1
-                    pend[i] -= 1
-            marks[a] -= 1
-            marks[b] -= 1
-            att[s] = True
-            pos[s] = len(bucket)
-            bucket.append(s)
-            if check:
-                verify(i)
+    def broken(p: int, x: int) -> InvariantError:
+        """The first attach check that parent ``p`` of site ``x`` fails."""
+        if not att[p]:
+            return InvariantError("parent not attached before child")
+        if not at[p] < at[x]:
+            return InvariantError("attach-time ordering violated (cycle risk)")
+        return InvariantError("edge joins different conflict types")
 
-    def add_site(i: int, a: int, b: int, t: float) -> int:
-        nonlocal sites
-        s = sites
-        sites += 1
-        kind[s] = i
-        pa[s] = a
-        pb[s] = b
-        at[s] = t
-        created[i] += 1
-        return s
-
-    for start, stop, forced, seed in blocks:
+    # a block's seed is the step before its first creation; with ``check``
+    # a last block of one such step (type -1) attaches what is due by ``end``
+    for start, stop, forced, seed in [*blocks, (n, n, -1, True)] if check else blocks:
         if seed:
-            t = seeds[forced]
-            if t > end:
-                break
-            attach_upto(int(np.searchsorted(attach_times, t, side="right")))
-            # under the two oldest interior sites, one twice, or none
-            interior = list(islice(compress(count(), kid), 2))
-            a, b = (interior[0], interior[-1]) if interior else (-1, -1)
-            s = add_site(forced, a, b, t)
-            att[s] = True
-            for p in {a, b} - {-1}:
-                kid[p] = True
-            pos[s] = len(tips[forced])
-            tips[forced].append(s)
-            seed_ids.add(s)
-            if check:
-                verify(forced)
-        for k in range(start, min(stop, n)):
-            if done < attached[k]:
-                attach_upto(attached[k])
-            if forced < 0 and types > 1:
-                total = sum(map(len, tips))
-                if total == 0:
-                    raise ExtinctLedgerError("no tips anywhere in the ledger")
-                while True:  # two picks over all tips, redrawn until types match
-                    r = draw(total)
-                    for bucket in tips:
-                        if r < len(bucket):
+            t = seeds[forced] if forced >= 0 else end
+            # a seed after ``end`` is not made; nor are its members, as
+            # ``ct`` stops at ``end``
+            seed = t <= end
+            e = int(np.searchsorted(attach_times, t, side="right"))
+        multi = forced < 0 and types > 1
+        f = max(forced, 0)
+        bucket = tips[f]
+        for k in range(start - seed, min(stop, n)):
+            if k >= start:
+                e = due[k]
+            while done < e:  # the attach rule
+                x = made[done]
+                done += 1
+                if att[x]:
+                    raise InvariantError(f"site {x} attached twice")
+                j = kind[x]
+                a = pa[x]
+                b = pb[x]
+                u = at[x]
+                tb = tips[j]
+                if not (att[a] and at[a] < u and kind[a] == j):
+                    raise broken(a, x)
+                kid[a] = True
+                q = pos[a]
+                if q >= 0:  # still a tip; this site's mark keeps it pending
+                    last = tb.pop()
+                    if last != a:
+                        tb[q] = last
+                        pos[last] = q
+                    pos[a] = -1
+                    pend[j] -= 1
+                    live -= 1
+                if b != a:
+                    if not (att[b] and at[b] < u and kind[b] == j):
+                        raise broken(b, x)
+                    kid[b] = True
+                    q = pos[b]
+                    if q >= 0:
+                        last = tb.pop()
+                        if last != b:
+                            tb[q] = last
+                            pos[last] = q
+                        pos[b] = -1
+                        pend[j] -= 1
+                        live -= 1
+                marks[a] -= 1
+                marks[b] -= 1
+                att[x] = True
+                pos[x] = len(tb)
+                tb.append(x)
+                live += 1
+                if check:
+                    verify(j)
+            if k < start:
+                if forced < 0:  # the end
+                    break
+                # the seed, under the two oldest interior sites, one twice, or none
+                interior = list(islice(compress(count(), kid), 2))
+                a, b = (interior[0], interior[-1]) if interior else (-1, -1)
+                s += 1
+                kind[s], pa[s], pb[s], at[s], att[s] = f, a, b, t, True
+                if a >= 0:
+                    kid[a] = kid[b] = True
+                pos[s] = len(bucket)
+                bucket.append(s)
+                live += 1
+                seed_ids.add(s)
+                if check:
+                    verify(f)
+                continue
+            if multi:  # two picks over all tips, redrawn until types match
+                if live < 2:  # a bound of 1 draws no word
+                    if not live:
+                        raise ExtinctLedgerError("no tips anywhere in the ledger")
+                    a = b = max(tips, key=len)[0]
+                    i = kind[a]
+                while live > 1:
+                    m = word() * live
+                    r = m >> 32 if m & 0xFFFFFFFF >= live else lemire_redraw(m, live, word)
+                    for tb in tips:
+                        if r < len(tb):
                             break
-                        r -= len(bucket)
-                    a = bucket[r]
-                    r = draw(total)
-                    for bucket in tips:
-                        if r < len(bucket):
+                        r -= len(tb)
+                    a = tb[r]
+                    m = word() * live
+                    r = m >> 32 if m & 0xFFFFFFFF >= live else lemire_redraw(m, live, word)
+                    for tb in tips:
+                        if r < len(tb):
                             break
-                        r -= len(bucket)
-                    b = bucket[r]
+                        r -= len(tb)
+                    b = tb[r]
                     i = kind[a]
                     if kind[b] == i:
                         break
             else:  # one type: all tips are in one list, and picks match
-                i = max(forced, 0)
-                bucket = tips[i]
-                if not bucket:
+                i = f
+                c = len(bucket)
+                if c > 1:
+                    m = word() * c
+                    a = bucket[m >> 32 if m & 0xFFFFFFFF >= c else lemire_redraw(m, c, word)]
+                    m = word() * c
+                    b = bucket[m >> 32 if m & 0xFFFFFFFF >= c else lemire_redraw(m, c, word)]
+                elif c:
+                    a = b = bucket[0]
+                else:
                     raise ExtinctLedgerError(f"type {i + 1} has no tips to select")
-                a = bucket[draw(len(bucket))]
-                b = bucket[draw(len(bucket))]
             u = (marks[a] == 0) + (b != a and marks[b] == 0)
             marks[a] += 1
             marks[b] += 1
             pend[i] += u
-            made.append(add_site(i, a, b, times[k] + delay))
-            typ[k] = i
-            cov[k] = u
+            s += 1
+            kind[s] = i
+            pa[s] = a
+            pb[s] = b
+            at[s] = at_times[k]
+            made.append(s)
+            typ.append(i)
+            cov.append(u)
             if check:
                 verify(i)
+    typ = np.array(typ, dtype=np.intp)
+    cov = np.array(cov, dtype=np.uint8)
     if not check:
         return typ, cov, {}
-    attach_upto(int(np.searchsorted(attach_times, end, side="right")))
     for i, bucket in enumerate(tips):
-        for k, s in enumerate(bucket):
-            if pos[s] != k or kind[s] != i or not att[s] or kid[s]:
-                raise InvariantError(f"site {s} is listed as a type-{i + 1} tip but is not one")
-        if sum(1 for s in bucket if marks[s]) != pend[i]:
+        for k, x in enumerate(bucket):
+            if pos[x] != k or kind[x] != i or not att[x] or kid[x]:
+                raise InvariantError(f"site {x} is listed as a type-{i + 1} tip but is not one")
+        if sum(1 for x in bucket if marks[x]) != pend[i]:
             raise InvariantError(f"type {i + 1}: pending count drifted")
     leaves = [0] * types
-    for s in compress(range(sites), att):
-        leaves[kind[s]] += not kid[s]
-        for p in {pa[s], pb[s]} - {-1}:
-            if not at[p] < at[s]:
+    for x in compress(range(s + 1), att):
+        leaves[kind[x]] += not kid[x]
+        for p in {pa[x], pb[x]} - {-1}:
+            if not at[p] < at[x]:
                 raise InvariantError("attach-time ordering violated (cycle risk)")
-            if kind[p] != kind[s] and s not in seed_ids:
+            if kind[p] != kind[x] and x not in seed_ids:
                 raise InvariantError("edge joins different conflict types")
-    if leaves != list(map(len, tips)):
-        raise InvariantError("tip conservation violated")
     tip_counts = list(map(len, tips))
+    if leaves != tip_counts or live != sum(tip_counts):
+        raise InvariantError("tip conservation violated")
     return typ, cov, {
         "tips": tip_counts,
         "free": [c - w for c, w in zip(tip_counts, pend)],
         "pending": pend,
-        "created": created,
+        "created": [kind[: s + 1].count(i) for i in range(types)],
     }
 
 

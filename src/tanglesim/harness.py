@@ -212,6 +212,13 @@ def _parse_tangle(
         "injections": [],
     }
     _cap_rows(top, horizon, params["grid_dt"], "grid_dt", "grid_dt")
+    # from one ulp of the horizon on, t + delay > t for every t <= horizon,
+    # so no creation counts as attached before it is made
+    if 0 < params["delay"] < math.ulp(horizon):
+        raise top.error(
+            "delay", f"must be at least {math.ulp(horizon):.3g}, one ulp of the horizon "
+            f"{horizon:g}, got {params['delay']:g}"
+        )
     for b in top.blocks("injections"):
         params["injections"].append(
             {"time": b.number("time"), "type": b.integer("type"), "count": b.integer("count")}

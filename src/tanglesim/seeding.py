@@ -38,17 +38,18 @@ def _pcg64(rng: np.random.Generator, what: str) -> np.random.PCG64:
     return bitgen
 
 
-def integer_stream(rng: np.random.Generator) -> Callable[[int], int]:
-    """``draw(n)`` giving the values of successive scalar ``rng.integers(n)``
-    calls, for 1 <= n <= 2**32; ``rng`` must run on PCG64.
+def word_stream(rng: np.random.Generator) -> Callable[[], int]:
+    """``word()`` giving the 32-bit words that successive scalar
+    ``rng.integers(n)`` calls consume; ``rng`` must run on PCG64.
 
     numpy draws such an integer by Lemire's method (Lemire 2019, "Fast
-    random integer generation in an interval") on 32-bit words, with no
-    word for n = 1 and the raw word for n = 2**32.  PCG64 serves each
-    64-bit output as its low half, then its high half, and keeps the spare
-    half in its state.  Here the words come from ``random_raw`` in chunks,
-    after the half buffered at entry, so the generator's state afterwards
-    is not that of the scalar calls.
+    random integer generation in an interval"): with ``m = word() * n``
+    the value is ``m >> 32``, unless ``m & 0xFFFFFFFF < n``, when
+    ``lemire_redraw(m, n, word)`` finishes the draw.  A bound of 1 draws
+    no word.  PCG64 serves each 64-bit output as its low half, then its
+    high half, and keeps the spare half in its state.  Here the words come
+    from ``random_raw`` in chunks, after the half buffered at entry, so the
+    generator's state afterwards is not that of the scalar calls.
     """
     bitgen = _pcg64(rng, "integers")
     state = bitgen.state
@@ -58,24 +59,19 @@ def integer_stream(rng: np.random.Generator) -> Callable[[int], int]:
         w = bitgen.random_raw(_WORDS)
         return np.stack((w & 0xFFFFFFFF, w >> 32), axis=1).ravel().tolist()
 
-    word = chain(spare, chain.from_iterable(iter(halves, None))).__next__
+    return chain(spare, chain.from_iterable(iter(halves, None))).__next__
 
-    def draw(n: int) -> int:
-        if n <= 1 or n >= 0x100000000:
-            if n == 1:
-                return 0
-            if n == 0x100000000:
-                return word()
-            raise ValueError(f"integer bound must be in [1, 2**32], got {n}")
+
+def lemire_redraw(m: int, n: int, word: Callable[[], int]) -> int:
+    """The integer below ``n`` (2 <= n <= 2**32) that numpy's draw gives
+    when its first product ``m = word() * n`` has a low half below ``n``:
+    products whose low half is below numpy's threshold, 2**32 mod n, are
+    drawn again.  At n = 2**32 the threshold is 0 and the draw is the word
+    itself, which numpy returns there."""
+    floor = 0x100000000 % n
+    while m & 0xFFFFFFFF < floor:
         m = word() * n
-        if m & 0xFFFFFFFF < n:
-            # numpy's rejection threshold, 2**32 mod n
-            floor = 0x100000000 % n
-            while m & 0xFFFFFFFF < floor:
-                m = word() * n
-        return m >> 32
-
-    return draw
+    return m >> 32
 
 
 def double_stream(rng: np.random.Generator) -> tuple[Callable[[], float], Callable[[], None]]:

@@ -739,6 +739,15 @@ def _agent(config):
             "delay": 0.5, "stop": None, "grid_dt": 0.5, "injections": ()},
     seed=0,
 )
+@example(
+    # the last grid time is 6, so the seeding burst at the horizon 6.25 is
+    # not made; the attaches after the last creation and up to 6 still
+    # are, for the final recount
+    config={"types": 2, "horizon": 6.25, "rate": 4.0, "kind": "poisson",
+            "delay": 1.0, "stop": None, "grid_dt": 0.5,
+            "injections": (Injection(6.25, 2, 3),)},
+    seed=1,
+)
 def test_run_matches_event_loop_oracle(config, seed):
     sim = _agent(config)
     horizon, grid_dt = config["horizon"], config["grid_dt"]
@@ -750,18 +759,49 @@ def test_run_matches_event_loop_oracle(config, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(config=agent_configs(), seed=st.integers(min_value=0, max_value=2**32 - 1),
-       check=st.booleans())
+       check=st.booleans(), odd=st.booleans())
 @example(
     # about 9,000 tip draws: the kernel's raw words span several chunks
     config={"types": 2, "horizon": 6.25, "rate": 500.0, "kind": "poisson",
             "delay": 1.0, "stop": None, "grid_dt": 0.5,
             "injections": (Injection(2.0, 2, 300), Injection(4.0, 2, 200))},
-    seed=3, check=False,
+    seed=3, check=False, odd=False,
 )
-def test_kernel_matches_the_object_graph_draw_for_draw(config, seed, check):
+@example(
+    # the same run with a half-word buffered at entry: the chunks' halves
+    # are crossed after an odd number of halves, 2,049, has been used
+    config={"types": 2, "horizon": 6.25, "rate": 500.0, "kind": "poisson",
+            "delay": 1.0, "stop": None, "grid_dt": 0.5,
+            "injections": (Injection(2.0, 2, 300), Injection(4.0, 2, 200))},
+    seed=3, check=True, odd=True,
+)
+@example(
+    # nothing attaches before 1.75, so the d = 1 picks up to then see
+    # genesis alone: a bound of 1, which draws no word
+    config={"types": 1, "horizon": 4.0, "rate": 4.0, "kind": "fixed",
+            "delay": 1.5, "stop": None, "grid_dt": 0.5, "injections": ()},
+    seed=2, check=False, odd=False,
+)
+@example(
+    # the same in the multi-type pick: genesis is the only tip of any type
+    config={"types": 2, "horizon": 4.0, "rate": 4.0, "kind": "fixed",
+            "delay": 1.5, "stop": None, "grid_dt": 0.5,
+            "injections": (Injection(3.0, 2, 3),)},
+    seed=2, check=True, odd=True,
+)
+@example(
+    # a second burst of the seeded type 2 makes no seed, under the checks
+    config={"types": 2, "horizon": 6.25, "rate": 8.0, "kind": "poisson",
+            "delay": 1.0, "stop": None, "grid_dt": 0.5,
+            "injections": (Injection(1.5, 2, 6), Injection(4.0, 2, 8))},
+    seed=11, check=True, odd=False,
+)
+def test_kernel_matches_the_object_graph_draw_for_draw(config, seed, check, odd):
     sim = _agent(config)
     rng = np.random.default_rng(seed)
     ct, blocks, seeds, end = _scheduled(sim, config["horizon"], rng, config["grid_dt"])
+    if odd:  # one 32-bit draw buffers the spare half of a 64-bit word
+        rng.integers(1000)
     twin = copy.deepcopy(rng)  # both sides draw tips after the arrivals
     want = graph_kernel(sim, ct, blocks, seeds, end, rng)
     typ, cov, live = _kernel(ct, blocks, seeds, sim.delay, sim.types, end, twin, check)

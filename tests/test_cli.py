@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main(argv)."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -437,6 +438,35 @@ def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, c
     assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("kind", ["agent", "reduced"])
+def test_a_delay_below_one_ulp_of_the_horizon_is_refused(tmp_path, capsys, kind):
+    # at delay 1e-300, ct + delay == ct: each creation would count itself as
+    # attached before it is made (the agent crashed in its attach loop with
+    # an IndexError, the reduced model ran without a word)
+    tiny = {**_TANGLE, "kind": f"tangle-{kind}", "delay": 1e-300,
+            "injections": [{"time": 2.0, "type": 2, "count": 5}]}
+    scenario = _write(tmp_path, "tiny.json", tiny)
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    assert "tiny.delay: must be at least 1.78e-15, one ulp of the horizon 8" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    # one ulp is enough: every t + delay > t up to the horizon
+    edge = _write(tmp_path, "edge.json", {**tiny, "delay": math.ulp(8.0)})
+    assert main(["simulate", edge, "--out", str(tmp_path / "edge")]) == 0
+
+
+def test_validate_refuses_a_delay_below_one_ulp_of_the_horizon_before_any_ensemble(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_tangle_ensemble", lambda *a, **k: calls.append(a))
+    pair = [
+        _write(tmp_path, f"{kind}.json", {**_TANGLE, "kind": f"tangle-{kind}", "delay": 1e-300})
+        for kind in ("agent", "reduced")
+    ]
+    assert main(["validate", *pair]) == 2
+    assert "agent.delay: must be at least" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["ring_compliance", "fluid_equilibrium"])

@@ -5,6 +5,9 @@ coupled through the selection shares p_i = l_i^2 / sum(l_j^2) and
 u_i = 2 x_i l_i / sum(l_j^2) with a fixed attach delay.  Integration uses a
 fixed-step classical Runge-Kutta scheme whose step divides the delay, with
 4-point cubic interpolation into the stored grid for the delayed terms.
+Steps run in lag-safe blocks (the method of steps): the delayed terms, l
+and the stage tip densities of a block come from one numpy pass, and only
+each type's free-tip recurrence is stepped on floats.
 """
 from __future__ import annotations
 
@@ -71,40 +74,41 @@ class FluidTrajectory:
         return self.l - self.x
 
 
-def _sum_squares(v: list) -> float:
-    """sum of v_i^2, added in the order numpy's ``(v * v).sum()`` uses:
-    left to right below eight terms, numpy itself from eight on."""
-    if len(v) >= 8:
-        a = np.array(v)
-        return float((a * a).sum())
-    total = 0.0
-    for a in v:
-        total += a * a
+# most (row, type) entries that one block's temporaries hold
+_BLOCK_ENTRIES = 1 << 12
+
+
+def _row_squares(v: np.ndarray) -> np.ndarray:
+    """sum_j v_j^2 of each row, added in the order numpy's ``(r * r).sum()``
+    uses on one row r: left to right below eight terms, numpy's row sum
+    from eight on."""
+    sq = v * v
+    if sq.shape[1] >= 8:
+        return sq.sum(axis=1)
+    total = np.zeros(len(sq))
+    for col in sq.T:
+        total += col
     return total
 
 
-def _lagged(xd: list, ld: list, a_del: float, alive: list) -> tuple[list, list]:
-    """Inflow a(t-h) p_i(t-h) and dl_i/dt from one delayed state (dead: 0)."""
-    den = _sum_squares(ld)
-    if den == 0.0:
-        raise FluidSingularError("all tip densities are zero")
-    inflow, dl = [], []
-    for xi, li, live in zip(xd, ld, alive):
-        p = a_del * (li * li / den)
-        inflow.append(p)
-        dl.append(p - a_del * (2.0 * xi * li / den) if live else 0.0)
-    return inflow, dl
-
-
-def _dx(inflow: list, x: list, l: list, a_now: float, alive: list) -> list:
-    """dx_i/dt = inflow_i - a(t) u_i(t) (dead: 0)."""
-    den = _sum_squares(l)
-    if den == 0.0:
-        raise FluidSingularError("all tip densities are zero")
-    return [
-        p - a_now * (2.0 * xi * li / den) if live else 0.0
-        for p, xi, li, live in zip(inflow, x, l, alive)
-    ]
+def step_grid(
+    delay: float, horizon: float, step: float | None = None
+) -> tuple[int, float, int]:
+    """``(n_sub, dt, n_steps)`` of an integration: the step rounded down to
+    dt = delay / n_sub with n_sub >= 100, and the n_steps steps of dt that
+    reach the horizon (the trajectory has n_steps + 1 rows)."""
+    h = float(delay)
+    if not h > 0:
+        raise ValueError("delay must be positive")
+    if not horizon > h:
+        raise ValueError("horizon must exceed the delay")
+    if step is None:
+        step = h / 100.0
+    if step > h / 100.0 + 1e-15:
+        raise ValueError("step must be at most delay/100")
+    n_sub = max(int(math.ceil(h / step - 1e-9)), 100)
+    dt = h / n_sub
+    return n_sub, dt, int(math.ceil(horizon / dt - 1e-9))
 
 
 def integrate(
@@ -121,28 +125,25 @@ def integrate(
     trajectory is advanced from t = delay to the horizon.  The step is
     rounded down so it divides the delay; it must not exceed delay/100.
 
-    Each RK4 step works on Python floats: the state is carried as lists,
-    the four stored rows around the delayed time are read with one
-    ``tolist()`` per array, and the new row is written back into the
-    output arrays.  Every operation keeps the order of the elementwise
-    numpy formulation (dx_i/dt = a(t-h) p_i(t-h) - a(t) u_i(t),
-    dl_i/dt = a(t-h) p_i(t-h) - a(t-h) u_i(t-h), with p_i = l_i^2 / S and
-    u_i = 2 x_i l_i / S for S = sum_j l_j^2), so the output is bit-identical
-    to it.
+    Steps run in lag-safe blocks (the method of steps).  Step k reads the
+    delayed rows m = k - n_sub and m + 1 and the cubic midpoint through rows
+    max(m - 1, 0) .. max(m - 1, 0) + 3, so steps k0 .. k0 + n_sub - 2 read
+    no row past k0.  One numpy pass gives a block's three delayed states,
+    their shares and dl_i/dt (for the types alive at its start), l over the
+    block by one sequential ``np.cumsum``, and the four stage tip densities
+    with their sums of squares.  dx_i/dt then reads only x_i, so each
+    type's x runs as one recurrence on floats over the block's rows.  A
+    block ends at the first row whose l needs a clamp (a set sign bit, or a
+    live type at or below L_FLOOR), where the error check, warning, clamp
+    and deaths apply; a zero sum of squares raises FluidSingularError at its
+    step.  Every operation keeps the order of the elementwise numpy
+    formulation (dx_i/dt = a(t-h) p_i(t-h) - a(t) u_i(t), dl_i/dt =
+    a(t-h) p_i(t-h) - a(t-h) u_i(t-h), with p_i = l_i^2 / S and u_i =
+    2 x_i l_i / S for S = sum_j l_j^2), so the output is bit-identical to
+    it, warnings and errors included.
     """
+    n_sub, dt, n_steps = step_grid(delay, horizon, step)
     h = float(delay)
-    if not h > 0:
-        raise ValueError("delay must be positive")
-    if not horizon > h:
-        raise ValueError("horizon must exceed the delay")
-    if step is None:
-        step = h / 100.0
-    if step > h / 100.0 + 1e-15:
-        raise ValueError("step must be at most delay/100")
-    n_sub = max(int(math.ceil(h / step - 1e-9)), 100)
-    dt = h / n_sub
-    n_steps = int(math.ceil(horizon / dt - 1e-9))
-
     x0 = np.asarray(x_history(0.0), dtype=float)
     d = x0.shape[0]
     times = np.arange(n_steps + 1) * dt
@@ -155,91 +156,111 @@ def integrate(
         if np.any(L[k] < X[k] - 1e-12) or np.any(X[k] < -1e-12):
             raise ValueError("history must satisfy 0 <= x_i <= l_i")
 
-    alive = (L[n_sub] > L_FLOOR).tolist()
+    alive = L[n_sub] > L_FLOOR
     warned = False
     neg_limit = -10.0 * dt
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
-    tv = memoryview(times)
-    x = X[n_sub].tolist()
-    l = L[n_sub].tolist()
-    a0 = ah = a1 = a0d = ahd = a1d = 1.0
-    for k in range(n_sub, n_steps):
-        t = tv[k]
-        # delayed rows m = k - n_sub and m + 1; the midpoint between them
-        # is the cubic through the four stored rows j0 .. j0 + 3
-        m = k - n_sub
-        j0 = min(max(m - 1, 0), k - 3)
-        s = m + 0.5 - j0
-        w0 = -(s - 1) * (s - 2) * (s - 3) / 6.0
-        w1 = s * (s - 2) * (s - 3) / 2.0
-        w2 = -s * (s - 1) * (s - 3) / 2.0
-        w3 = s * (s - 1) * (s - 2) / 6.0
-        xr = X[j0 : j0 + 4].tolist()
-        lr = L[j0 : j0 + 4].tolist()
-        xh = [w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3 for r0, r1, r2, r3 in zip(*xr)]
-        lh = [w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3 for r0, r1, r2, r3 in zip(*lr)]
-        if rate is not None:
-            a0, ah, a1 = rate(t), rate(t + dt / 2.0), rate(t + dt)
-            a0d, ahd, a1d = rate(t - h), rate(t + dt / 2.0 - h), rate(t + dt - h)
-
-        in0, dl0 = _lagged(xr[m - j0], lr[m - j0], a0d, alive)
-        inh, dlh = _lagged(xh, lh, ahd, alive)  # stages 2 and 3 share it
-        in1, dl1 = _lagged(xr[m - j0 + 1], lr[m - j0 + 1], a1d, alive)
-        k1x = _dx(in0, x, l, a0, alive)
-        k2x = _dx(
-            inh,
-            [a + half_dt * b for a, b in zip(x, k1x)],
-            [a + half_dt * b for a, b in zip(l, dl0)],
-            ah,
-            alive,
-        )
-        l_mid = [a + half_dt * b for a, b in zip(l, dlh)]
-        k3x = _dx(inh, [a + half_dt * b for a, b in zip(x, k2x)], l_mid, ah, alive)
-        k4x = _dx(
-            in1,
-            [a + dt * b for a, b in zip(x, k3x)],
-            [a + dt * b for a, b in zip(l, dlh)],
-            a1,
-            alive,
-        )
-        xn = [
-            xi + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            for xi, k1, k2, k3, k4 in zip(x, k1x, k2x, k3x, k4x)
-        ]
-        ln = [
-            li + sixth_dt * (k1 + 2.0 * k23 + 2.0 * k23 + k4)
-            for li, k1, k23, k4 in zip(l, dl0, dlh, dl1)
-        ]
-
-        if any(v < neg_limit for v in ln):
-            raise FluidIntegrationError(
-                f"tip density fell below {neg_limit:.3g} at t = {t + dt:.6g}"
-            )
-        if not warned and any(
-            live and (li < 0.0 or xi < 0.0) for xi, li, live in zip(xn, ln, alive)
-        ):
-            warnings.warn(
-                "small negative fluid densities clamped to zero", RuntimeWarning
-            )
-            warned = True
-        for i in range(d):
-            xi, li = xn[i], ln[i]
+    span = min(n_sub - 1, max(_BLOCK_ENTRIES // max(d, 1), 1))
+    k0 = n_sub
+    while k0 < n_steps:
+        n = min(span, n_steps - k0)
+        a = np.ones((n, 6)) if rate is None else np.array([
+            (rate(t), rate(t + dt / 2.0), rate(t + dt),
+             rate(t - h), rate(t + dt / 2.0 - h), rate(t + dt - h))
+            for t in times[k0 : k0 + n].tolist()
+        ], dtype=float)
+        with np.errstate(all="ignore"):
+            # delayed rows m and m + 1; the midpoint between them is the
+            # cubic through the four stored rows j0 .. j0 + 3
+            m = k0 - n_sub
+            j0 = np.maximum(np.arange(m - 1, m - 1 + n), 0)
+            s = (np.arange(m, m + n) + 0.5 - j0)[:, None]
+            w0 = -(s - 1) * (s - 2) * (s - 3) / 6.0
+            w1 = s * (s - 2) * (s - 3) / 2.0
+            w2 = -s * (s - 1) * (s - 3) / 2.0
+            w3 = s * (s - 1) * (s - 2) / 6.0
+            dens, p, dl = [], [], []
+            for xd, ld, ad in (
+                (X[m : m + n], L[m : m + n], a[:, 3:4]),
+                (w0 * X[j0] + w1 * X[j0 + 1] + w2 * X[j0 + 2] + w3 * X[j0 + 3],
+                 w0 * L[j0] + w1 * L[j0 + 1] + w2 * L[j0 + 2] + w3 * L[j0 + 3],
+                 a[:, 4:5]),
+                (X[m + 1 : m + n + 1], L[m + 1 : m + n + 1], a[:, 5:6]),
+            ):
+                den = _row_squares(ld)[:, None]
+                share = ad * (ld * ld / den)
+                dens.append(den[:, 0])
+                p.append(share)
+                dl.append(np.where(alive, share - ad * (2.0 * xd * ld / den), 0.0))
+            dl0, dlh, dl1 = dl
+            inc = sixth_dt * (dl0 + 2.0 * dlh + 2.0 * dlh + dl1)
+            lrows = np.cumsum(np.concatenate((L[k0 : k0 + 1], inc)), axis=0)
+            # the block ends at the first row whose l needs the clamp
+            clamp = (np.signbit(lrows[1:]) | (alive & (lrows[1:] <= L_FLOOR))).any(axis=1)
+            c = int(clamp.argmax()) + 1 if clamp.any() else n
+            l1 = lrows[:c]
+            stages = (l1, l1 + half_dt * dl0[:c], l1 + half_dt * dlh[:c], l1 + dt * dlh[:c])
+            sums = [den[:c] for den in dens] + [_row_squares(v) for v in stages]
+            zero = (np.array(sums) == 0.0).any(axis=0)
+        # the steps that run: to the block's end, or up to the singular one
+        r = int(zero.argmax()) if zero.any() else c
+        lnew = lrows[1 : r + 1].copy()
+        raw = lnew[-1].tolist() if r == c and clamp[c - 1] else None
+        dying = np.zeros(d, dtype=bool)
+        if raw is not None:
             # clamp at zero as np.clip does: -0.0 becomes 0.0, NaN stays
-            if xi <= 0.0:
-                xi = 0.0
-            if li <= 0.0:
-                li = 0.0
-            if alive[i] and li <= L_FLOOR:
-                xi = li = 0.0
-                alive[i] = False
-            # x <= l as np.minimum: NaN wins, a tie takes l
-            if not (xi < li or xi != xi):
-                xi = li
-            xn[i], ln[i] = xi, li
-        X[k + 1] = xn
-        L[k + 1] = ln
-        x, l = xn, ln
+            lnew[-1] = np.where(lnew[-1] <= 0.0, 0.0, lnew[-1])
+            dying = alive & (lnew[-1] <= L_FLOOR)
+            lnew[-1, dying] = 0.0
+        shared = [v[:r].tolist() for v in sums[3:]] + a[:r, :3].T.tolist()
+        cols = zip(*(v[:r].T.tolist() for v in (*p, *stages, lnew)))
+        first_neg = r  # the first step with a negative new x or l on a live type
+        for i, (x, live, (p0, ph, p1, la, lb, lc, ld, lnext)) in enumerate(
+            zip(X[k0].tolist(), alive.tolist(), cols)
+        ):
+            xs = []
+            for q0, qh, q1, l_1, l_2, l_3, l_4, s1, s2, s3, s4, a0, ah, a1, ln in zip(
+                p0, ph, p1, la, lb, lc, ld, *shared, lnext
+            ):
+                if live:
+                    k1 = q0 - a0 * (2.0 * x * l_1 / s1)
+                    k2 = qh - ah * (2.0 * (x + half_dt * k1) * l_2 / s2)
+                    k3 = qh - ah * (2.0 * (x + half_dt * k2) * l_3 / s3)
+                    k4 = q1 - a1 * (2.0 * (x + dt * k3) * l_4 / s4)
+                    x = x + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if x < 0.0 and len(xs) < first_neg:
+                        first_neg = len(xs)
+                else:
+                    x = x + 0.0  # a dead type's rates are 0.0
+                # clamp at zero as np.clip does: -0.0 becomes 0.0, NaN stays
+                if x <= 0.0:
+                    x = 0.0
+                # x <= l as np.minimum: NaN wins, a tie takes l
+                if not (x < ln or x != x):
+                    x = ln
+                xs.append(x)
+            if live and raw is not None and raw[i] < 0.0:
+                first_neg = min(first_neg, r - 1)
+            if dying[i]:
+                xs[-1] = 0.0  # a death zeroes x, NaN included
+            X[k0 + 1 : k0 + r + 1, i] = xs
+        # a step's clamp warning fires only if it passes the density check
+        err, passed = None, r
+        if raw is not None and any(v < neg_limit for v in raw):
+            t = times[k0 + r - 1] + dt
+            err = FluidIntegrationError(f"tip density fell below {neg_limit:.3g} at t = {t:.6g}")
+            passed = r - 1
+        elif r < c:
+            err = FluidSingularError("all tip densities are zero")
+        if not warned and first_neg < passed:
+            warnings.warn("small negative fluid densities clamped to zero", RuntimeWarning)
+            warned = True
+        if err is not None:
+            raise err
+        L[k0 + 1 : k0 + r + 1] = lnew
+        alive = alive & ~dying
+        k0 += r
     return FluidTrajectory(times, X, L, h, dt)
 
 

@@ -188,13 +188,17 @@ _MAX_GRID_ROWS = 10**7  # rows of an output grid or an integrator's steps
 
 
 def _cap_rows(
-    top: _Block, horizon: float, step: float, field: str = "horizon", by: str = "step"
+    top: _Block, horizon: float, step: float, field: str = "horizon", by: str = "step",
+    rows: float | None = None,
 ) -> None:
-    """Refuse, naming `field`, a horizon over `step` of more rows than the cap."""
-    rows = horizon / step
+    """Refuse, naming `field`, a horizon over `step` of more rows than the
+    cap; `rows` is the exact count a run makes, horizon / step by default."""
+    if rows is None:
+        rows = horizon / step
     if not rows <= _MAX_GRID_ROWS:
+        shown = f"{rows:.3g}" if isinstance(rows, float) else rows
         raise top.error(
-            field, f"horizon over {by} {step:.6g} gives {rows:.3g} rows, "
+            field, f"horizon over {by} {step:.6g} gives {shown} rows, "
             f"more than {_MAX_GRID_ROWS:.0e}"
         )
 
@@ -314,7 +318,13 @@ def _parse_fluid(top: _Block, horizon: float) -> dict:
         raise top.error(
             "step", f"must be at most delay/100 = {delay / 100.0:.6g}, got {step}"
         )
-    _cap_rows(top, horizon, step or delay / 100.0)
+    # refused by the steps `integrate` makes: it rounds the step down to
+    # delay / n_sub, which can make up to 1% more than horizon / step
+    try:
+        _, dt, steps = fluid.step_grid(delay, horizon, step)
+    except OverflowError:  # a step count past the largest float
+        dt, steps = step or delay / 100.0, math.inf
+    _cap_rows(top, horizon, dt, rows=steps)
     return params
 
 

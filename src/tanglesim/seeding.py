@@ -4,12 +4,14 @@ from __future__ import annotations
 import contextlib
 import functools
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 from operator import length_hint
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def seed_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -112,8 +114,13 @@ def double_stream(rng: np.random.Generator) -> tuple[Callable[[], float], Callab
 
 def worker_pool(workers: int):
     """A process pool of ``workers`` processes for ``seeded_runs`` to share
-    across ensembles, or a context holding None for one worker."""
-    return ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
+    across ensembles, or a context holding None for one worker.  The pool's
+    module is imported only here, so a one-worker command never loads it."""
+    if workers <= 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers)
 
 
 def _seeded_block(member: Callable, master_seed: int, span: tuple[int, int]) -> np.ndarray:
@@ -152,7 +159,7 @@ def seeded_runs(
     if len(spans) == 1:
         return task(spans[0])
     if pool is None:
-        with ProcessPoolExecutor(len(spans)) as pool:
+        with worker_pool(len(spans)) as pool:
             return seeded_runs(member, master_seed, runs, workers, pool)
     for (start, stop), rows in zip(spans, pool.map(task, spans)):
         if start == 0:

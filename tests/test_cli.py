@@ -1,4 +1,5 @@
 """End-to-end CLI tests driven through main(argv)."""
+import concurrent.futures
 import json
 import math
 import os
@@ -10,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import tanglesim
-from tanglesim import AgentTangleSim, ComplianceNetwork, JunctionConfig, harness, reduced, seeding
+from tanglesim import AgentTangleSim, ComplianceNetwork, JunctionConfig, fluid, harness, reduced
 from tanglesim.cli import main
 from tanglesim.reduced import _TangleSim
 from tanglesim.stability import count_roots
+from test_fluid import oracle_integrate
 from test_stability import shipped_window
 
 
@@ -510,6 +512,46 @@ def test_simulate_run_failure_leaves_no_output(tmp_path, capsys, payload, messag
     assert not (tmp_path / "res").exists()
 
 
+def test_simulate_refuses_a_fluid_file_by_the_steps_integrate_makes(tmp_path, capsys):
+    # step 1/100.5 rounds down to delay / 101: horizon 99,502.48 is
+    # 9,999,999.24 of the given steps but 10,049,751 of the steps made
+    payload = {"kind": "fluid", "delay": 1.0, "step": 1 / 100.5, "x0": [1.0], "l0": [2.0]}
+    scenario = _write(tmp_path, "over.json", {**payload, "horizon": 99502.48})
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert "over.horizon: horizon over step 0.00990099 gives 10049751 rows, more than 1e+07" in err
+    assert not (tmp_path / "res").exists()
+    # the edge: horizon 99,009.9 makes exactly 1e7 steps, 99,009.91 one more
+    assert fluid.step_grid(1.0, 99009.9, 1 / 100.5)[2] == 10**7
+    harness.parse_scenario({**payload, "horizon": 99009.9})
+    with pytest.raises(harness.ScenarioError, match="gives 10000001 rows"):
+        harness.parse_scenario({**payload, "horizon": 99009.91})
+
+
+# type 1 has no pending tips and dies at row 201; type 3 is dead from the start
+_DYING_FLUID = {"kind": "fluid", "delay": 3.0, "x0": [3.0, 0.0, 0.0],
+                "l0": [3.0, 0.2, 1e-13], "horizon": 60.0, "out": "dies"}
+
+
+def test_simulate_writes_a_dying_fluid_type_as_the_oracle_does(tmp_path, capsys):
+    scenario = _write(tmp_path, "dies.json", _DYING_FLUID)
+    with pytest.warns(RuntimeWarning, match="clamped to zero") as caught:
+        assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 0
+    assert len(caught) == 1
+    hx, hl = fluid.constant_history(_DYING_FLUID["x0"], _DYING_FLUID["l0"])
+    with pytest.warns(RuntimeWarning, match="clamped to zero"):
+        want = oracle_integrate(hx, hl, 3.0, 60.0)
+    header, *rows = (tmp_path / "res" / "dies_fluid.csv").read_text().splitlines()
+    cells = list(zip(*(row.split(",") for row in rows)))
+    columns = header.split(",")
+    assert len(rows) == len(want.times)
+    for i in range(3):
+        for var, ref in (("x", want.x), ("l", want.l)):
+            got = cells[columns.index(f"{var}{i + 1}")]
+            assert list(got) == [repr(v) for v in ref[:, i].tolist()]
+    assert want.l[201, 0] == 0.0 < want.l[200, 0]
+
+
 def test_simulate_accepts_the_boundary_inputs(tmp_path, capsys):
     # the largest allowed steps, x0 == l0 and a dead type still run
     for name, payload in (
@@ -679,12 +721,13 @@ def test_check_exits_2_on_one_corrupted_member_of_a_block(tmp_path, capsys, monk
 def test_each_command_starts_at_most_one_process_pool(tmp_path, capsys, monkeypatch):
     made = []
 
-    class Counted(seeding.ProcessPoolExecutor):
+    class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(seeding, "ProcessPoolExecutor", Counted)
+    # seeding imports the pool class from the package when it makes a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     agent = _write(tmp_path, "agent.json", {**_TANGLE, "kind": "tangle-agent"})
     pair = [agent, _write(tmp_path, "reduced.json", _TANGLE)]
     reports = []
@@ -699,3 +742,23 @@ def test_each_command_starts_at_most_one_process_pool(tmp_path, capsys, monkeypa
     made.clear()
     assert main(["simulate", pair[1], "--workers", "3", "--out", str(tmp_path / "res")]) == 0
     assert made == [(3,)]
+
+
+def test_a_one_worker_command_never_imports_the_process_pool(tmp_path):
+    # a fresh interpreter that imports the CLI and parses every shipped file
+    # has not loaded concurrent.futures.process, which only a pool needs
+    script = textwrap.dedent("""
+        import sys
+        from pathlib import Path
+        import tanglesim.cli
+        from tanglesim.harness import parse_roots_spec, parse_scenario
+        for path in sorted(Path(sys.argv[1]).glob("*.json")):
+            (parse_roots_spec if path.name.startswith("roots_") else parse_scenario)(path)
+        print("concurrent.futures.process" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(tanglesim.__file__).parents[1])}
+    scenarios = Path(__file__).parent.parent / "scenarios"
+    proc = subprocess.run([sys.executable, "-c", script, str(scenarios)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -450,8 +450,9 @@ def _wave_history(x0, l0, amp, omega):
 def fluid_cases(draw):
     d = draw(st.integers(1, 7))
     delay = draw(st.sampled_from([1.0, 2.5, 3.0]))
-    # past two delays the delayed rows are integrated rows, not history
-    horizon = delay * draw(st.sampled_from([1.01, 1.5, 2.2, 2.5]))
+    # past two delays the delayed rows are integrated rows, not history;
+    # past 2.99 delays a run crosses from its second lag-safe block on
+    horizon = delay * draw(st.sampled_from([1.01, 1.5, 2.2, 2.5, 4.0, 6.5]))
     l0 = draw(st.lists(st.floats(1e-3, 6.0), min_size=d, max_size=d))
     for i in draw(st.sets(st.integers(0, d - 1), max_size=d - 1)):
         l0[i] = 0.0  # a type that is dead from the start
@@ -484,6 +485,21 @@ def fluid_cases(draw):
 @example(case=(constant_history([0.5, 0.0], [1.0, 2e-3]), 1.0, 2.5, None, lambda t: -3.0))
 @example(case=(constant_history([0.0, 0.0], [0.0, 0.0]), 1.0, 1.5, None, None))
 @example(case=(_mode_history(H, 1e-3), H, 2.5 * H, H / 150, None))
+# type 1 dies at row 203, in the second block, after one clamp warning
+@example(case=(constant_history([3.0, 0.0], [3.0, 0.5]), H, 7 * H, None, None))
+# type 3 is dead from the start without being zero
+@example(case=(constant_history([3.0, 0.0, 0.0], [3.0, 0.2, 1e-13]), H, 7 * H, None, None))
+# -0.0 in the history: a live type's x and a dead type's l
+@example(case=(constant_history([-0.0, 0.0], [1.5, -0.0]), 1.0, 4.0, None, None))
+# a dead type's l of -1e-13 is clamped to 0.0 at the first step
+@example(case=(constant_history([0.0, 1.0], [-1e-13, 2.0]), 1.0, 4.0, None, None))
+# the density check fails at the first step, so its clamp warning never fires
+@example(case=(constant_history([1.0], [10.0]), 1.0, 2.5, None, lambda t: -1e4))
+# the last step ends the second block: rows 100 .. 298
+@example(case=(_wave_history([0.5, 1.0], [1.0, 1.5], [0.3, 0.2], 2.0), 1.0, 2.98, None, None))
+# the one type dies at row 326 with a clamp warning, and the next
+# block's first step finds every tip density zero
+@example(case=(constant_history([0.75], [1.0]), 1.0, 6.5, None, None))
 def test_integrate_matches_numpy_oracle(case):
     (hx, hl), delay, horizon, step, rate = case
     want = _outcome(lambda: oracle_integrate(hx, hl, delay, horizon, step, rate))
@@ -497,6 +513,6 @@ def test_integrate_matches_numpy_summation_order_for_many_types(d):
     rng = np.random.default_rng(d)
     l0 = rng.uniform(0.1, 3.0, d)
     hx, hl = _wave_history(rng.uniform(0.0, 1.0, d) * l0, l0, np.full(d, 0.3), 2.0)
-    want = _outcome(lambda: oracle_integrate(hx, hl, 1.0, 2.3))
-    got = _outcome(lambda: integrate(hx, hl, 1.0, 2.3))
+    want = _outcome(lambda: oracle_integrate(hx, hl, 1.0, 5.0))
+    got = _outcome(lambda: integrate(hx, hl, 1.0, 5.0))
     assert got == want

@@ -526,6 +526,9 @@ def test_simulate_refuses_a_fluid_file_by_the_steps_integrate_makes(tmp_path, ca
     harness.parse_scenario({**payload, "horizon": 99009.9})
     with pytest.raises(harness.ScenarioError, match="gives 10000001 rows"):
         harness.parse_scenario({**payload, "horizon": 99009.91})
+    # a subnormal step: delay / step overflows a float, so no count is made
+    with pytest.raises(harness.ScenarioError, match="gives inf rows"):
+        harness.parse_scenario({**payload, "step": 5e-324, "horizon": 2.0})
 
 
 # type 1 has no pending tips and dies at row 201; type 3 is dead from the start

@@ -451,7 +451,8 @@ def fluid_cases(draw):
     d = draw(st.integers(1, 7))
     delay = draw(st.sampled_from([1.0, 2.5, 3.0]))
     # past two delays the delayed rows are integrated rows, not history;
-    # past 2.99 delays a run crosses from its second lag-safe block on
+    # a lag-safe block is n_sub - 1 steps, so 4 and 6.5 delays cross
+    # several block edges
     horizon = delay * draw(st.sampled_from([1.01, 1.5, 2.2, 2.5, 4.0, 6.5]))
     l0 = draw(st.lists(st.floats(1e-3, 6.0), min_size=d, max_size=d))
     for i in draw(st.sets(st.integers(0, d - 1), max_size=d - 1)):

@@ -535,23 +535,36 @@ def run_tangle_ensemble(
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write one CSV from equal-length 1-D columns, one per header name.
 
-    Its directory is made here, after the model has run.  Rows are built
-    from 512-row ``tolist()`` blocks, so cells are Python numbers of the
-    column's kind, printed by ``repr`` (float columns print ``0.0``, integer
-    columns ``1``), and the Python objects of a whole table never exist at
-    once.  The bytes are those of ``csv.writer`` with its default dialect:
-    comma-separated, ``\\r\\n`` line ends, and no quoting, which neither a
-    number nor a header name needs.
+    Its directory is made here, after the model has run.  Rows are written
+    in 512-row blocks, one ``write`` each, so the Python objects of a whole
+    table never exist at once.  Cells are the ``repr`` of the column's
+    Python numbers (float columns print ``0.0``, integer columns ``1``).
+    Within a block, each distinct float64 bit pattern is formatted once and
+    its text shared by every cell that holds it; keying by bits, not by
+    value, keeps ``-0.0`` apart from ``0.0`` and gives each NaN payload its
+    own key.  The bytes are those of ``csv.writer`` with its default
+    dialect: comma-separated, ``\\r\\n`` line ends, and no quoting, which
+    neither a number nor a header name needs.
     """
     n = len(columns[0])
     if len(columns) != len(header) or any(len(c) != n for c in columns):
         raise ValueError("write_csv needs one equal-length column per header name")
+    floats = [j for j, c in enumerate(columns) if c.dtype == np.float64]
+    others = [j for j, c in enumerate(columns) if c.dtype != np.float64]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for a in range(0, n, 512):
-            for row in zip(*(c[a:a + 512].tolist() for c in columns)):
-                fh.write(",".join(map(repr, row)) + "\r\n")
+            cells = [None] * len(columns)
+            if floats:
+                bits = np.stack([columns[j][a:a + 512] for j in floats]).view(np.uint64)
+                keys, inverse = np.unique(bits.ravel(), return_inverse=True)
+                text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+                for j, col in zip(floats, text.take(inverse).reshape(len(floats), -1).tolist()):
+                    cells[j] = col
+            for j in others:
+                cells[j] = list(map(repr, columns[j][a:a + 512].tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def member_columns(times: np.ndarray, counters: np.ndarray) -> tuple[list[str], list[np.ndarray]]:

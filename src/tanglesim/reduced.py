@@ -252,6 +252,9 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
     depth = 1 << (max(max(m.lag for m in members) + 2, _CHUNK) - 1).bit_length()
     mask = depth - 1
     reads = np.stack([m.reads for m in members])  # (nb, 2, G)
+    # each chunk's reads are one slice of this order
+    order = np.argsort(reads, axis=None, kind="stable")
+    sorted_reads = reads.ravel()[order]
     # out[:, 0..3] holds U at the attaches read, U at the creations read,
     # then C at each, until _fill turns them into the counters
     got = out.reshape(nb, 2, 2, out.shape[2], d)
@@ -288,8 +291,11 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
 
     def gather(k0: int, k1: int) -> None:
         """Copy the prefixes at the reads in k0+1..k1 (U[0] = C[0] = 0)."""
-        m, h, q = np.nonzero((reads > k0) & (reads <= k1))
-        got[m, :, 1 - h, q] = ring[reads[m, h, q] & mask, m].reshape(-1, 2, d)
+        # int32 bounds: int64 ones would cast all the reads on every call
+        bounds = np.array((k0, k1), dtype=np.int32)
+        lo, hi = np.searchsorted(sorted_reads, bounds, side="right")
+        m, h, q = np.unravel_index(order[lo:hi], reads.shape)
+        got[m, :, 1 - h, q] = ring[sorted_reads[lo:hi] & mask, m].reshape(-1, 2, d)
 
     # -- type 1 only, up to the first seed
     type1 = np.zeros(nb, dtype=np.intp)

@@ -560,6 +560,8 @@ def oracle_write_csv(path, header, columns):
 
 _EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 0.1]
 _EDGE_INTS = [2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1, 0, -1]
+_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF8000000000000, 0x7FF0000000000001],
+                 dtype=np.uint64).view(np.float64)
 
 
 @st.composite
@@ -582,6 +584,16 @@ def csv_tables(draw):
 @given(table=csv_tables())
 @example(table=(["x", "i"], [np.resize(np.array(_EDGE_FLOATS), 2 * 513)[::2],
                              np.resize(np.array(_EDGE_INTS, dtype=np.int64), 513)]))
+# cells are keyed by bit pattern: -0.0 and 0.0 in one column and one block,
+# then in two columns, must not share a text
+@example(table=(["x"], [np.array([0.0, -0.0, 1.0, -0.0, 0.0])]))
+@example(table=(["x", "y"], [np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, 0.0])]))
+# a quiet NaN with a payload, a negative NaN, the default NaN and a signalling NaN
+@example(table=(["x", "i"], [_NANS, np.arange(len(_NANS))]))
+# one value in two columns and on both sides of the row 511/512 block edge,
+# with -0.0 next to 0.0 in each block
+@example(table=(["x", "y"], [np.r_[np.full(512, 0.1), -0.0, 0.0],
+                             np.r_[np.zeros(511), -0.0, 0.1, 0.1]]))
 def test_write_csv_gives_the_csv_modules_bytes(table):
     header, columns = table
     with tempfile.TemporaryDirectory() as d:

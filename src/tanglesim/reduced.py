@@ -81,11 +81,9 @@ class _TangleSim:
         """The float64 ``(len(rngs), 4, G, d)`` counters (tips, free,
         pending, created) of one history per generator, each as ``run``
         gives it."""
-        out = None
+        out = np.empty((len(rngs), 4, len(make_grid(horizon, grid_dt)), self.types))
         for j, rng in enumerate(rngs):
             frame = self.run(horizon, rng, grid_dt, check)
-            if out is None:
-                out = np.empty((len(rngs), 4) + frame.tips.shape)
             out[j] = frame.tips, frame.free, frame.pending, frame.created
         return out
 
@@ -133,6 +131,8 @@ class ReducedTangleSim(_TangleSim):
         # the horizon is read as one more grid time, for the check at the end
         g = np.append(np.minimum(grid, horizon), horizon)
         out = np.zeros((len(rngs), 4, len(g), self.types))
+        if not rngs:
+            return out[:, :, :-1]
         members = [_member(self, horizon, g, rng) for rng in rngs]
         seeds = [mem.seeds for mem in members]
         _lockstep(members, self.types, check, out)
@@ -181,6 +181,9 @@ def _schedule(arrivals: np.ndarray, injections, horizon: float):
 
 
 _CHUNK = 256  # creation indices whose inputs are gathered at once
+# the most steps in one lag-safe sub-block: longer ones raise the memory
+# peak and not the speed
+_SUB = 32
 
 
 @dataclass
@@ -236,13 +239,22 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
     U[k] - U[A].  The prefixes live in one ring deeper than any attach lag,
     a row of U then C of every type for each member; after each chunk of
     steps, the values the grid reads are copied from the ring into ``out``.
-    Up to the first seed in the block every creation is honest and of type
-    1: a step reads and writes U of type 1 alone, and C of type 1, the
-    creation count, is written after the chunk's steps.  From there on a
-    step also draws the type and writes the whole row.  A member past its
-    last creation steps on with every transaction attached, type 1 and
-    uniform 0, which covers one of its free tips and leaves its counters as
-    they are.
+
+    A step reads the ring at its A <= k, so each chunk runs in lag-safe
+    sub-blocks: runs of steps whose A are all at most the last row written
+    before the run.  One numpy pass over a sub-block takes U and C at A and
+    the tips, draws the types and gives each step the tips and U at A of
+    its type; a step then only carries the running U of that type on
+    through ``cover``.  Up to the first seed in the block every creation is
+    honest and of type 1, and C of type 1 is the creation count.  From
+    there on the sub-block also draws the types, and C of every type after
+    each step is a running count of the draws.  A member past its last
+    creation steps on with no further attaches, type 1 and uniform 0: its A
+    stays at its last value, so it never shortens a sub-block.  Once the
+    ring wraps it reads a later row of its own, as if more of its creations
+    had attached; every count a step reads comes from that one row, so the
+    counters stay valid and the checks hold.  Nothing reads the rows it
+    writes.
     """
     nb = len(members)
     cols = np.arange(nb)
@@ -253,40 +265,54 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
     mask = depth - 1
     reads = np.stack([m.reads for m in members])  # (nb, 2, G)
     # each chunk's reads are one slice of this order
-    order = np.argsort(reads, axis=None, kind="stable")
+    order = np.argsort(reads, axis=None, kind="stable").astype(np.min_scalar_type(reads.size))
     sorted_reads = reads.ravel()[order]
     # out[:, 0..3] holds U at the attaches read, U at the creations read,
     # then C at each, until _fill turns them into the counters
     got = out.reshape(nb, 2, 2, out.shape[2], d)
     ring = np.zeros((depth, nb, 2 * d), dtype=np.int32)
     rows = ring.reshape(depth * nb, 2 * d)
-    flat = ring.ravel()
-    A = np.empty((_CHUNK, nb))
+    A = np.empty((_CHUNK, nb), dtype=np.int32)
     R1 = np.empty((_CHUNK, nb))
     R2 = np.empty((_CHUNK, nb))
     F = np.empty((_CHUNK, nb), dtype=np.int8)
-    at = np.empty((_CHUNK, nb), dtype=np.intp)  # A's row in ``rows``
-    prev = np.zeros(nb)  # A of the step before the chunk
+    prev = np.zeros(nb, dtype=np.int32)  # A of the step before the chunk
+    at = np.empty((_SUB, nb), dtype=np.intp)  # a sub-block's A as rows of ``rows``
+    both = np.empty((_SUB, nb, 2 * d), dtype=np.int32)  # U then C at those
+    made = np.empty((_SUB, nb, d), dtype=np.int32)  # a sub-block's new rows, U or C
 
-    def chunk(k0: int, k1: int) -> int:
+    def sub_blocks(k0: int, k1: int):
+        """Draw the inputs of creations k0..k1-1 and yield each lag-safe
+        sub-block (j, e) of their rows, with U then C at A in
+        ``both[:e - j]``; after the last, gather the chunk's reads."""
         c = k1 - k0
         _inputs(members, k0, k1, prev, A, R1, R2, F)
-        np.copyto(at[:c], A[:c], casting="unsafe")
-        at[:c] &= mask
-        at[:c] *= nb
-        at[:c] += cols
-        return c
+        # row j may join a sub-block that starts at row s <= j if no A of
+        # row j passes k0 + s, the last row written before it
+        ends = np.searchsorted(A[:c].max(axis=1), np.arange(k0, k1), side="right").tolist()
+        j = 0
+        while j < c:
+            e = min(ends[j], j + _SUB)
+            np.bitwise_and(A[j:e], mask, out=at[:e - j])
+            at[:e - j] *= nb
+            at[:e - j] += cols
+            rows.take(at[:e - j], axis=0, out=both[:e - j], mode="clip")
+            yield j, e
+            j = e
+        gather(k0, k1)
+        prev[:] = A[c - 1]
 
-    def cover(r, i, uk, x, w, t):
+    def cover(r, i, uk, x, w, den, nxt=None):
         """U of type i after a step that covers 0, 1 or 2 of its x free
-        tips (w pending, t tips) by the uniform r."""
-        den = t * t
+        tips (w pending, ``den`` its tips squared) by the uniform r."""
         p0 = w * w / den
         s = p0 + (w + w + 1.0) * x / den
-        nxt = uk + (r >= p0) + (r >= s)
+        nxt = np.add(uk, r >= p0, out=nxt)
+        nxt += r >= s
         if check and ((x < nxt - uk).any() or (w < 0).any()):
             m = int(np.argmax((x < nxt - uk) | (w < 0)))
-            raise _violation(int(i[m]), x[m] - nxt[m] + uk[m], w[m] + nxt[m] - uk[m], t[m])
+            t = x[m] + w[m]
+            raise _violation(int(i[m]), x[m] - nxt[m] + uk[m], w[m] + nxt[m] - uk[m], t)
         return nxt
 
     def gather(k0: int, k1: int) -> None:
@@ -299,69 +325,80 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
 
     # -- type 1 only, up to the first seed
     type1 = np.zeros(nb, dtype=np.intp)
-    u1 = ring[:, :, 0]
+    u1 = np.empty((_SUB, nb))  # U of type 1 after each step of a sub-block
     uk = np.zeros(nb)
     for k0 in range(0, first, _CHUNK):
-        c = chunk(k0, min(k0 + _CHUNK, first))
-        at[:c] *= 2 * d  # where U of type 1 at A sits in ``flat``
-        prev[:] = A[c - 1]
-        A[:c] += 1.0  # the attached transactions and genesis
-        for j in range(c):
-            w = uk - flat.take(at[j])
-            x = A[j] - uk
-            uk = cover(R2[j], type1, uk, x, w, x + w)
-            u1[(k0 + j + 1) & mask] = uk
-        made = np.arange(k0 + 1, k0 + c + 1)
-        ring[made & mask, :, d] = made[:, None]
-        gather(k0, k0 + c)
+        for j, e in sub_blocks(k0, min(k0 + _CHUNK, first)):
+            ua = both[:e - j, :, 0]
+            t = 1.0 + both[:e - j, :, d] - ua  # genesis and the attached creations
+            for r, a, tt, den, nxt in zip(R2[j:e], ua, t, t * t, u1):
+                w = uk - a
+                uk = cover(r, type1, uk, tt - w, w, den, nxt)
+            uk = uk.copy()  # u1 is written over by the next sub-block
+            k = np.arange(k0 + j + 1, k0 + e + 1)
+            ring[k & mask, :, 0] = u1[:e - j]
+            ring[k & mask, :, d] = k[:, None]
 
     # -- every type, from the first seed on
-    state = ring[first & mask].astype(float)  # U then C after the last step
-    sflat = state.ravel()
+    U = ring[first & mask, :, :d].astype(float)  # U after the last step
+    uflat = U.ravel()
+    C = ring[first & mask, :, d:].copy()
     base = np.zeros((nb, d))
     base[:, 0] = 1.0
-    offs = cols * (2 * d)
     offd = cols * d
+    types = np.arange(d)
     for k0 in range(first, K, _CHUNK):
-        c = chunk(k0, min(k0 + _CHUNK, K))
-        forced = F[:c] >= 0
+        k1 = min(k0 + _CHUNK, K)
         seeded = {}
         for m, mem in enumerate(members):
             for start, _, i, _, seed in mem.segments:
-                if seed and k0 <= start < k0 + c:
+                if seed and k0 <= start < k1:
                     seeded.setdefault(start - k0, []).append((m, i))
-        for j in range(c):
-            both = rows.take(at[j], axis=0)  # U then C of each type at A
-            if j in seeded:
-                if check:
-                    _check_seeds(seeded[j], A[j - 1] if j else prev, state, ring, mask)
-                for m, i in seeded[j]:
+        for j, e in sub_blocks(k0, k1):
+            L = e - j
+            tips = base + both[:L, :, d:] - both[:L, :, :d]
+            for s in range(j, e):
+                for m, i in seeded.get(s, ()):
                     base[m, i] = 1.0
-            tips = base + both[:, d:] - both[:, :d]
+                    tips[s - j:, m, i] += 1.0
             # the type: i with probability tips[i]**2 / sum(tips**2)
-            cum = np.add.accumulate(tips * tips, axis=1)
-            r = R1[j] * cum[:, -1]
-            i = np.where(forced[j], F[j], np.add.reduce(r[:, None] > cum[:, :-1], axis=1))
-            fu = offs + i
-            t = tips.ravel().take(offd + i)
-            uk = sflat.take(fu)
-            w = uk - both.ravel().take(fu)
-            sflat[fu] = cover(R2[j], i, uk, t - w, w, t)
-            sflat[fu + d] += 1.0
-            ring[(k0 + j + 1) & mask] = state
-        gather(k0, k0 + c)
-        prev[:] = A[c - 1]
+            cum = np.add.accumulate(tips * tips, axis=2)
+            r = R1[j:e] * cum[:, :, -1]
+            i = np.where(F[j:e] >= 0, F[j:e], np.add.reduce(r[:, :, None] > cum[:, :, :-1], axis=2))
+            del cum, r
+            fu = offd + i
+            g = fu + np.arange(0, L * nb * d, nb * d)[:, None]  # in tips.ravel()
+            t = tips.ravel().take(g)
+            ua = both[:L].ravel().take(g + g - i)  # U of type i at A
+            del tips, g
+            for s, (f, r, ii, a, tt, den, row) in enumerate(
+                zip(fu, R2[j:e], i, ua, t, t * t, made), start=j
+            ):
+                if check and s in seeded:
+                    _check_seeds(seeded[s], A[s - 1] if s else prev, U, ring, mask)
+                uk = uflat.take(f)
+                w = uk - a
+                uflat[f] = cover(r, ii, uk, tt - w, w, den)
+                row[...] = U
+            k = np.arange(k0 + j + 1, k0 + e + 1) & mask
+            ring[k, :, :d] = made[:L]
+            np.cumsum(i[:, :, None] == types, axis=0, out=made[:L])
+            made[:L] += C
+            ring[k, :, d:] = made[:L]
+            C[:] = made[L - 1]
 
 
 def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R1, R2, F) -> None:
     """Fill rows 0..k1-k0-1 of the chunk inputs with creations k0..k1-1 of
     every member: the attaches before each (A, counted on from ``prev``,
-    those before creation k0-1), its type uniform (R1, 0 when it draws
-    none), its coverage uniform (R2) and its forced type (F, -1 when
-    honest).  Steps of type 1 alone read A and R2 only.  A member's
-    uniforms are drawn span by span of its schedule, in creation order, so
-    they are the doubles of its scalar draws (``Generator.random(n)``
-    yields those of n scalar calls).
+    those before creation k0-1, by one cumsum over the rows of steps), its
+    type uniform (R1, 0 when it draws none), its coverage uniform (R2) and
+    its forced type (F, -1 when honest).  Steps of type 1 alone read A and
+    R2 only.  A member's uniforms are drawn span by span of its schedule,
+    in creation order, so they are the doubles of its scalar draws
+    (``Generator.random(n)`` yields those of n scalar calls).  Past its
+    last creation a member makes no attaches and steps as type 1 with
+    uniform 0.
     """
     c = k1 - k0
     R1[:c] = 0.0  # honest and no type draw, unless a span below says otherwise
@@ -369,13 +406,12 @@ def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R1, R2, F) -> Non
     for m, mem in enumerate(members):
         hi = min(max(mem.n, k0), k1)
         if hi < k1:
-            # past the last creation: all attached, type 1, uniform 0
-            A[hi - k0:c, m] = np.arange(hi, k1)
+            A[hi - k0:c, m] = 0
             R2[hi - k0:c, m] = 0.0
             F[hi - k0:c, m] = 0
         if hi == k0:
             continue
-        A[:hi - k0, m] = np.cumsum(mem.steps[k0:hi]) + prev[m]
+        A[:hi - k0, m] = mem.steps[k0:hi]
         for s, e, f, p, _ in mem.segments:
             a, b = max(s, k0), min(e, hi)
             if a >= b:
@@ -389,6 +425,8 @@ def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R1, R2, F) -> Non
                 R2[rows, m] = pair[:, 1]
             else:
                 R2[rows, m] = mem.rng.random(b - a)
+    np.cumsum(A[:c], axis=0, out=A[:c])
+    A[:c] += prev
 
 
 def _check_seeds(seeds, before, state, ring, mask) -> None:

@@ -636,6 +636,12 @@ def test_rerun_bit_identical():
     assert np.array_equal(a.created, b.created)
 
 
+def test_an_empty_block_is_an_empty_float_stack():
+    sim = AgentTangleSim(ArrivalProcess(5.0), 1.0, types=2)
+    out = sim.run_block(10.0, [], grid_dt=0.5)
+    assert out.shape == (0, 4, 21, 2) and out.dtype == np.float64
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_full_invariant_recheck_after_every_event(seed):

@@ -596,6 +596,91 @@ def test_first_seed_at_a_chunk_edge_matches_the_oracle(first):
         assert np.array_equal(block[r], _counters(kernel_run(sim, horizon, rng, grid_dt, True)))
 
 
+# -- lag-safe sub-blocks at their edges -----------------------------------------
+# The lockstep cuts each chunk into runs of steps that read no ring row
+# written inside the run; these pin the cuts that are one step long, the
+# members that finish inside a run and the seeds that land inside one.
+
+def _matches_both_oracles(sim, horizon, rngs, grid_dt, check=True):
+    """``rngs()`` makes the block's generators afresh; every row of the
+    block, run with ``check``, is both oracles' frame of its member."""
+    block = sim.run_block(horizon, rngs(), grid_dt, check)
+    for r, (a, b) in enumerate(zip(rngs(), rngs())):
+        assert np.array_equal(block[r], _counters(kernel_run(sim, horizon, a, grid_dt, check)))
+        assert np.array_equal(block[r], _counters(scalar_run(sim, horizon, b, grid_dt)))
+    return block
+
+
+def _attaches_before_each_creation(sim, horizon):
+    """A at each creation of a fixed lattice, the same for every member."""
+    ct, _, _ = _schedule(sim.arrivals.times(horizon, None), sim.injections, horizon)
+    return np.searchsorted(ct + sim.delay, ct, side="right")
+
+
+@pytest.mark.parametrize("injections", [(), (Injection(2.25, 2, 1),)], ids=["type1", "seeded"])
+def test_a_zero_attach_lag_on_every_row_matches_the_oracles(injections):
+    # a lattice gap of 0.5 above the delay of 0.3: every creation sees all
+    # the ones before it attached, so every sub-block is one step; a burst
+    # of one seeds type 2 at 2.25 and makes no creation
+    sim = ReducedTangleSim(ArrivalProcess(2.0, "fixed"), 0.3, types=1 + len(injections),
+                           injections=injections)
+    A = _attaches_before_each_creation(sim, 30.0)
+    assert np.array_equal(A, np.arange(len(A)))
+    _matches_both_oracles(sim, 30.0, lambda: [seed_stream(1, r) for r in range(4)], 0.25)
+
+
+class _Sparse:
+    """A generator whose arrival gaps are ``scale`` times numpy's, so its
+    member makes fewer creations than the others of its block."""
+
+    def __init__(self, rng, scale):
+        self.rng = rng
+        self.scale = scale
+
+    def exponential(self, *args, **kwargs):
+        return self.scale * self.rng.exponential(*args, **kwargs)
+
+    def random(self, *args):
+        return self.rng.random(*args)
+
+
+@pytest.mark.parametrize("types", [1, 2])
+def test_members_that_finish_inside_a_sub_block_keep_the_check_quiet(types):
+    # about 180 creations in flight make sub-blocks run long, and the
+    # members' creation counts differ, so members finish inside one; the
+    # sparse member ends some 800 creations before the others, more than
+    # the ring holds, and steps on through rows the ring has reused
+    sim = ReducedTangleSim(ArrivalProcess(60.0), 3.0, types=types,
+                           injections=(Injection(8.0, 2, 40),) if types == 2 else ())
+    rngs = lambda: [seed_stream(5, 0), _Sparse(seed_stream(5, 1), 3.0), seed_stream(5, 2),
+                    _Sparse(seed_stream(5, 3), 1.05)]
+    block = _matches_both_oracles(sim, 20.0, rngs, 0.5)
+    made = block[:, 3, -1].sum(axis=1)
+    assert len(set(made.tolist())) == 4 and made.max() - made.min() > 512
+
+
+def test_a_seed_inside_a_sub_block_matches_the_oracles():
+    # lattice rate 10 and delay 1: nothing attaches before 1.1, so every
+    # step up to then reads the genesis row.  Type 2, seeded at 0.25 at
+    # creation 2, starts the steps of every type; type 3, seeded at 0.55
+    # at creation 6, lies inside the sub-block that starts at 2.  The
+    # honest steps 3-5 between the seeds pick type 1 or 2, each of one
+    # tip, and must not see type 3 yet; its seed is checked against the
+    # running U
+    sim = ReducedTangleSim(ArrivalProcess(10.0, "fixed"), 1.0, types=3,
+                           injections=(Injection(0.25, 2, 2), Injection(0.55, 3, 3)))
+    ct, blocks, _ = _schedule(sim.arrivals.times(12.0, None), sim.injections, 12.0)
+    assert [start for start, _, _, seed in blocks if seed] == [2, 6]
+    assert _attaches_before_each_creation(sim, 12.0)[:12].max() == 0
+    _matches_both_oracles(sim, 12.0, lambda: [seed_stream(9, r) for r in range(5)], 0.3)
+
+
+def test_an_empty_block_is_an_empty_float_stack():
+    sim = ReducedTangleSim(ArrivalProcess(5.0), 1.0, types=2)
+    out = sim.run_block(10.0, [], grid_dt=0.5)
+    assert out.shape == (0, 4, 21, 2) and out.dtype == np.float64
+
+
 class _Overdrawn:
     """A generator whose uniforms are 1.5, past [0, 1): every creation
     covers two free tips, more than a type with one free tip holds."""

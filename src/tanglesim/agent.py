@@ -36,18 +36,17 @@ class AgentTangleSim(_TangleSim):
         """
         grid = make_grid(horizon, grid_dt)  # refuses a horizon <= 0
         end = min(grid[-1], horizon)
-        arrivals = self.arrivals.times(horizon, rng)
-        ct, blocks, seeds = _schedule(arrivals, self.injections, horizon)
-        ct = ct[: int(np.searchsorted(ct, end, side="right"))]
-        typ, cov, live = _kernel(ct, blocks, seeds, self.delay, self.types, end, rng, check)
-        frame = _fill_grid(grid, horizon, self.delay, ct, typ, cov, seeds, self.types)
+        ct, A, blocks, seeds, reads = _schedule(self, horizon, rng, np.minimum(grid, horizon))
+        n = int(reads[1, -1])  # the creations made by ``end``
+        typ, cov, live = _kernel(ct[:n], A[:n], blocks, seeds, self.delay, self.types, end, rng, check)
+        frame = _fill_grid(grid, reads, typ, cov, seeds, self.types)
         for name, counts in live.items():
             if not np.array_equal(getattr(frame, name)[-1], counts):
                 raise InvariantError(f"the last grid row of {name} differs from the graph")
         return frame
 
 
-def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
+def _kernel(ct, A, blocks, seeds, delay, types, end, rng, check):
     """Grow the graph through the schedule; return each creation's 0-based
     type and the number of tips it newly marks pending (0, 1 or 2).
 
@@ -65,8 +64,7 @@ def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
     """
     n = len(ct)
     attach_times = ct + delay
-    # attaches that precede each creation; attaches win ties
-    due = np.searchsorted(attach_times, ct, side="right").tolist()
+    due = A.tolist()
     at_times = attach_times.tolist()
     word = word_stream(rng)
     # one slot per site that can be made: genesis, creations, seeds
@@ -105,14 +103,13 @@ def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
 
     # a block's seed is the step before its first creation; with ``check``
     # a last block of one such step (type -1) attaches what is due by ``end``
-    for start, stop, forced, seed in [*blocks, (n, n, -1, True)] if check else blocks:
+    for start, stop, forced, draws, seed in [*blocks, (n, n, -1, False, True)] if check else blocks:
         if seed:
             t = seeds[forced] if forced >= 0 else end
             # a seed after ``end`` is not made; nor are its members, as
             # ``ct`` stops at ``end``
             seed = t <= end
             e = int(np.searchsorted(attach_times, t, side="right"))
-        multi = forced < 0 and types > 1
         f = max(forced, 0)
         bucket = tips[f]
         for k in range(start - seed, min(stop, n)):
@@ -178,7 +175,7 @@ def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
                 if check:
                     verify(f)
                 continue
-            if multi:  # two picks over all tips, redrawn until types match
+            if draws:  # two picks over all tips, redrawn until types match
                 if live < 2:  # a bound of 1 draws no word
                     if not live:
                         raise ExtinctLedgerError("no tips anywhere in the ledger")
@@ -257,19 +254,18 @@ def _kernel(ct, blocks, seeds, delay, types, end, rng, check):
     }
 
 
-def _fill_grid(grid, horizon, delay, ct, typ, cov, seeds, types) -> TrajectoryFrame:
+def _fill_grid(grid, reads, typ, cov, seeds, types) -> TrajectoryFrame:
     """Counters at each grid time, counting every event at or before it,
     as the reduced model fills them: each type's prefix sums of coverage
-    and of creations, read at the attaches and at the creations made by
-    the grid time.  ``make_grid`` rounds, so the last grid time can pass
-    ``horizon``; grid times past it see the state at the horizon.
+    and of creations, read at the schedule's ``reads`` (the attaches, then
+    the creations, made by each grid time cut at the horizon).  A grid time
+    past the horizon sees the state at the horizon; no seed comes after
+    the horizon, so the grid itself sets ``_fill``'s base.
     """
-    g = np.minimum(grid, horizon)
     mine = typ[:, None] == np.arange(types)
-    prefix = np.zeros((2, len(ct) + 1, types))  # U then C
+    prefix = np.zeros((2, len(typ) + 1, types))  # U then C
     np.cumsum(mine * cov[:, None], axis=0, out=prefix[0, 1:])
     np.cumsum(mine, axis=0, out=prefix[1, 1:])
-    reads = [np.searchsorted(ct + delay, g, side="right"), np.searchsorted(ct, g, side="right")]
-    out = prefix[:, reads].reshape(1, 4, len(g), types)
-    _fill([seeds], g, False, out)
+    out = prefix[:, reads].reshape(1, 4, len(grid), types)
+    _fill([seeds], grid, False, out)
     return TrajectoryFrame(grid, *out[0])

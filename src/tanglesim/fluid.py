@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-RateFn = Callable[[float], float]
 HistoryFn = Callable[[float], Sequence[float]]
 
 L_FLOOR = 1e-12
@@ -117,7 +116,6 @@ def integrate(
     delay: float,
     horizon: float,
     step: float | None = None,
-    rate: RateFn | None = None,
 ) -> FluidTrajectory:
     """Integrate the delayed system from a history given on [0, delay].
 
@@ -137,13 +135,12 @@ def integrate(
     live type at or below L_FLOOR), where the error check, warning, clamp
     and deaths apply; a zero sum of squares raises FluidSingularError at its
     step.  Every operation keeps the order of the elementwise numpy
-    formulation (dx_i/dt = a(t-h) p_i(t-h) - a(t) u_i(t), dl_i/dt =
-    a(t-h) p_i(t-h) - a(t-h) u_i(t-h), with p_i = l_i^2 / S and u_i =
-    2 x_i l_i / S for S = sum_j l_j^2), so the output is bit-identical to
-    it, warnings and errors included.
+    formulation (dx_i/dt = p_i(t-h) - u_i(t), dl_i/dt = p_i(t-h) -
+    u_i(t-h), with p_i = l_i^2 / S and u_i = 2 x_i l_i / S for S =
+    sum_j l_j^2), so the output is bit-identical to it, warnings and
+    errors included.
     """
     n_sub, dt, n_steps = step_grid(delay, horizon, step)
-    h = float(delay)
     x0 = np.asarray(x_history(0.0), dtype=float)
     d = x0.shape[0]
     times = np.arange(n_steps + 1) * dt
@@ -165,11 +162,6 @@ def integrate(
     k0 = n_sub
     while k0 < n_steps:
         n = min(span, n_steps - k0)
-        a = np.ones((n, 6)) if rate is None else np.array([
-            (rate(t), rate(t + dt / 2.0), rate(t + dt),
-             rate(t - h), rate(t + dt / 2.0 - h), rate(t + dt - h))
-            for t in times[k0 : k0 + n].tolist()
-        ], dtype=float)
         with np.errstate(all="ignore"):
             # delayed rows m and m + 1; the midpoint between them is the
             # cubic through the four stored rows j0 .. j0 + 3
@@ -181,18 +173,17 @@ def integrate(
             w2 = -s * (s - 1) * (s - 3) / 2.0
             w3 = s * (s - 1) * (s - 2) / 6.0
             dens, p, dl = [], [], []
-            for xd, ld, ad in (
-                (X[m : m + n], L[m : m + n], a[:, 3:4]),
+            for xd, ld in (
+                (X[m : m + n], L[m : m + n]),
                 (w0 * X[j0] + w1 * X[j0 + 1] + w2 * X[j0 + 2] + w3 * X[j0 + 3],
-                 w0 * L[j0] + w1 * L[j0 + 1] + w2 * L[j0 + 2] + w3 * L[j0 + 3],
-                 a[:, 4:5]),
-                (X[m + 1 : m + n + 1], L[m + 1 : m + n + 1], a[:, 5:6]),
+                 w0 * L[j0] + w1 * L[j0 + 1] + w2 * L[j0 + 2] + w3 * L[j0 + 3]),
+                (X[m + 1 : m + n + 1], L[m + 1 : m + n + 1]),
             ):
                 den = _row_squares(ld)[:, None]
-                share = ad * (ld * ld / den)
+                share = ld * ld / den
                 dens.append(den[:, 0])
                 p.append(share)
-                dl.append(np.where(alive, share - ad * (2.0 * xd * ld / den), 0.0))
+                dl.append(np.where(alive, share - 2.0 * xd * ld / den, 0.0))
             dl0, dlh, dl1 = dl
             inc = sixth_dt * (dl0 + 2.0 * dlh + 2.0 * dlh + dl1)
             lrows = np.cumsum(np.concatenate((L[k0 : k0 + 1], inc)), axis=0)
@@ -213,21 +204,21 @@ def integrate(
             lnew[-1] = np.where(lnew[-1] <= 0.0, 0.0, lnew[-1])
             dying = alive & (lnew[-1] <= L_FLOOR)
             lnew[-1, dying] = 0.0
-        shared = [v[:r].tolist() for v in sums[3:]] + a[:r, :3].T.tolist()
+        shared = [v[:r].tolist() for v in sums[3:]]
         cols = zip(*(v[:r].T.tolist() for v in (*p, *stages, lnew)))
         first_neg = r  # the first step with a negative new x or l on a live type
         for i, (x, live, (p0, ph, p1, la, lb, lc, ld, lnext)) in enumerate(
             zip(X[k0].tolist(), alive.tolist(), cols)
         ):
             xs = []
-            for q0, qh, q1, l_1, l_2, l_3, l_4, s1, s2, s3, s4, a0, ah, a1, ln in zip(
+            for q0, qh, q1, l_1, l_2, l_3, l_4, s1, s2, s3, s4, ln in zip(
                 p0, ph, p1, la, lb, lc, ld, *shared, lnext
             ):
                 if live:
-                    k1 = q0 - a0 * (2.0 * x * l_1 / s1)
-                    k2 = qh - ah * (2.0 * (x + half_dt * k1) * l_2 / s2)
-                    k3 = qh - ah * (2.0 * (x + half_dt * k2) * l_3 / s3)
-                    k4 = q1 - a1 * (2.0 * (x + dt * k3) * l_4 / s4)
+                    k1 = q0 - 2.0 * x * l_1 / s1
+                    k2 = qh - 2.0 * (x + half_dt * k1) * l_2 / s2
+                    k3 = qh - 2.0 * (x + half_dt * k2) * l_3 / s3
+                    k4 = q1 - 2.0 * (x + dt * k3) * l_4 / s4
                     x = x + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     if x < 0.0 and len(xs) < first_neg:
                         first_neg = len(xs)
@@ -261,7 +252,7 @@ def integrate(
         L[k0 + 1 : k0 + r + 1] = lnew
         alive = alive & ~dying
         k0 += r
-    return FluidTrajectory(times, X, L, h, dt)
+    return FluidTrajectory(times, X, L, float(delay), dt)
 
 
 def constant_history(x0, l0) -> tuple[HistoryFn, HistoryFn]:

@@ -23,7 +23,7 @@ from . import compliance, fluid, junction, stability
 from .agent import AgentTangleSim
 from .arrivals import ArrivalProcess
 from .reduced import Injection, ReducedTangleSim
-from .seeding import seeded_runs, worker_pool
+from .seeding import seeded_runs, spans, worker_pool
 from .trajectory import make_grid
 
 KINDS = ("tangle-reduced", "tangle-agent", "fluid", "compliance-net", "junction")
@@ -184,7 +184,7 @@ def config_hash(scenario: Scenario) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-_MAX_GRID_ROWS = 10**7  # rows of an output grid or an integrator's steps
+_MAX_GRID_ROWS = 10**7  # rows of a grid or an integrator's steps; a tangle run's creations
 
 
 def _cap_rows(
@@ -235,6 +235,12 @@ def _parse_tangle(
         params["types"],
         tuple(Injection(i["time"], i["type"], i["count"]) for i in params["injections"]),
     ))
+    stop = params["stop_arrivals_at"]
+    honest = params["rate"] * (horizon if stop is None else min(stop, horizon))
+    made = honest + sum(i["count"] for i in params["injections"] if i["time"] <= horizon)
+    if not made <= _MAX_GRID_ROWS:
+        field = "rate" if honest > _MAX_GRID_ROWS else "injections"
+        raise top.error(field, f"expects {made:.3g} creations per run, more than {_MAX_GRID_ROWS:.0e}")
     return params, sim
 
 
@@ -750,13 +756,15 @@ def validate(
             f"horizon {agent_scenario.horizon} leaves no grid time after the transient"
             f" (t > 5 * max delay = {t_min}); nothing to compare"
         )
-    # mean L and X of each model, (2, G, d); the agent ensemble's stack
-    # is freed before the reduced ensemble runs, and both run on one pool
-    with worker_pool(workers) as pool:
+    _integer(workers, "workers", minimum=1)
+    # mean L and X of each model, (2, G, d); the agent ensemble's stack is freed
+    # before the reduced one runs; both share a pool sized by the larger's blocks
+    pair = (agent_scenario, reduced_scenario)
+    with worker_pool(max(len(spans(sc.runs, workers)) for sc in pair)) as pool:
         ma, mr = (
             run_tangle_ensemble(sc.model, sc.params["grid_dt"], sc.horizon, sc.seed, sc.runs,
                                 workers, pool=pool)[1][:, :2].mean(axis=0)
-            for sc in (agent_scenario, reduced_scenario)
+            for sc in pair
         )
     ma, mr = ma[:, mask], mr[:, mask]
     rel = (np.abs(ma - mr) / np.maximum(np.abs(mr), 1.0)).max(axis=1)

@@ -141,28 +141,34 @@ class ReducedTangleSim(_TangleSim):
         return out[:, :, :-1]
 
 
-def _schedule(arrivals: np.ndarray, injections, horizon: float):
-    """Creation times in processing order, cut into blocks; both tangle
-    models run on this schedule.
+def _schedule(sim: _TangleSim, horizon: float, rng, g: np.ndarray):
+    """The event order both tangle models run on, made only here: draws
+    the arrival times from ``rng`` and returns the creation times in
+    processing order (burst members precede honest arrivals at the same
+    instant); A, the attaches made before each creation (attaches win
+    ties); the blocks; {type: seed time}; and the int32 ``(2, len(g))``
+    attaches, then creations, made at or before each time of ``g``.
 
-    A block is ``(start, stop, forced, seed)``: creations ``start..stop-1``
-    are honest (``forced`` is -1) or members of one burst of 0-based type
-    ``forced``; ``seed`` marks the first burst of a type, which seeds the
-    type with one attached free tip before its members.  Burst members
-    precede honest arrivals at the same instant.  Whether a type is seeded
-    does not depend on the counters: a type only gains tips once seeded and
-    never loses its last one (an attach covering two pending tips adds a
-    free one), so the first burst of each type is the one that seeds it.
-    Returns the creation times, the blocks and {type: seed time}.
+    A block is ``(start, stop, forced, draws, seed)``: creations
+    ``start..stop-1`` are honest (``forced`` is -1) or members of one burst
+    of 0-based type ``forced``; ``draws`` marks honest creations after the
+    first seed, the only ones that draw a type (before it every tip is of
+    type 1); ``seed`` marks the first burst of a type, which seeds the type
+    with one attached free tip before its members.  Whether a type is
+    seeded does not depend on the counters: a type only gains tips once
+    seeded and never loses its last one (an attach covering two pending
+    tips adds a free one), so the first burst of each type is the one that
+    seeds it.
     """
-    bursts = [inj for inj in injections if inj.time <= horizon]
+    arrivals = sim.arrivals.times(horizon, rng)
+    bursts = [inj for inj in sim.injections if inj.time <= horizon]
     cuts = np.searchsorted(arrivals, [inj.time for inj in bursts], side="left")
     pieces, blocks, seeds = [], [], {}
     n = done = 0
     for inj, cut in zip(bursts, cuts.tolist()):
         if cut > done:
             pieces.append(arrivals[done:cut])
-            blocks.append((n, n + cut - done, -1, False))
+            blocks.append((n, n + cut - done, -1, bool(seeds), False))
             n += cut - done
             done = cut
         i = inj.type_label - 1
@@ -171,13 +177,16 @@ def _schedule(arrivals: np.ndarray, injections, horizon: float):
             seeds[i] = inj.time
         m = inj.count - seed
         pieces.append(np.full(m, inj.time))
-        blocks.append((n, n + m, i, seed))
+        blocks.append((n, n + m, i, False, seed))
         n += m
     if len(arrivals) > done:
         pieces.append(arrivals[done:])
-        blocks.append((n, n + len(arrivals) - done, -1, False))
+        blocks.append((n, n + len(arrivals) - done, -1, bool(seeds), False))
     ct = np.concatenate(pieces) if pieces else np.empty(0)
-    return ct, blocks, seeds
+    attach = ct + sim.delay
+    A = np.searchsorted(attach, ct, side="right")
+    reads = np.stack((np.searchsorted(attach, g, side="right"), np.searchsorted(ct, g, side="right")))
+    return ct, A, blocks, seeds, reads.astype(np.int32)
 
 
 _CHUNK = 256  # creation indices whose inputs are gathered at once
@@ -191,34 +200,22 @@ class _Member:
     """What the lockstep reads of one member's schedule."""
 
     rng: np.random.Generator
-    n: int  # creations
     # attaches between each creation and the one before, in the smallest
-    # unsigned type that holds them
+    # unsigned type that holds them, one per creation
     steps: np.ndarray
     lag: int  # the most creations made but not attached at a creation
-    # (start, stop, forced type or -1, draws a type uniform, seeds its type)
-    segments: list
+    blocks: list  # the schedule's (start, stop, forced, draws, seed)
     seeds: dict  # {0-based type: seed time}
-    # creations made by each grid time, then attaches made by it (2, G)
-    reads: np.ndarray
+    reads: np.ndarray  # the schedule's (2, G) attaches then creations
 
 
 def _member(sim: ReducedTangleSim, horizon: float, g: np.ndarray, rng) -> _Member:
-    arrivals = sim.arrivals.times(horizon, rng)
-    ct, blocks, seeds = _schedule(arrivals, sim.injections, horizon)
-    attach = ct + sim.delay
-    # attaches that precede each creation; attaches win ties
-    att = np.searchsorted(attach, ct, side="right")
-    n = len(ct)
-    steps = np.diff(att, prepend=0)
-    lag = int((np.arange(n) - att).max(initial=0))
-    segments, seeded = [], 1
-    for start, stop, forced, seed in blocks:
-        seeded += seed
-        segments.append((start, stop, forced, forced < 0 and seeded > 1, seed))
-    reads = np.stack((np.searchsorted(ct, g, side="right"), np.searchsorted(attach, g, side="right")))
+    """One member's schedule, as ``_schedule`` gives it for the grid ``g``."""
+    ct, A, blocks, seeds, reads = _schedule(sim, horizon, rng, g)
+    steps = np.diff(A, prepend=0)
+    lag = int((np.arange(len(ct)) - A).max(initial=0))
     steps = steps.astype(np.min_scalar_type(steps.max(initial=0)))
-    return _Member(rng, n, steps, lag, segments, seeds, reads.astype(np.int32))
+    return _Member(rng, steps, lag, blocks, seeds, reads)
 
 
 def _violation(i: int, free, pend, tips) -> InvariantError:
@@ -238,7 +235,9 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
     tips = base + C[A] - U[A], free = base + C[A] - U[k] and pending =
     U[k] - U[A].  The prefixes live in one ring deeper than any attach lag,
     a row of U then C of every type for each member; after each chunk of
-    steps, the values the grid reads are copied from the ring into ``out``.
+    steps, the values the grid reads are copied from the ring into ``out``:
+    a member's reads, its schedule's attaches then creations made by each
+    grid time, give rows 0 and 1 of U and of C.
 
     A step reads the ring at its A <= k, so each chunk runs in lag-safe
     sub-blocks: runs of steps whose A are all at most the last row written
@@ -258,8 +257,8 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
     """
     nb = len(members)
     cols = np.arange(nb)
-    K = max(m.n for m in members)
-    first = min((s[0] for m in members for s in m.segments if s[4]), default=K)
+    K = max(len(m.steps) for m in members)
+    first = min((s[0] for m in members for s in m.blocks if s[4]), default=K)
     # a seed check reads one creation further back than a step does
     depth = 1 << (max(max(m.lag for m in members) + 2, _CHUNK) - 1).bit_length()
     mask = depth - 1
@@ -321,7 +320,7 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
         bounds = np.array((k0, k1), dtype=np.int32)
         lo, hi = np.searchsorted(sorted_reads, bounds, side="right")
         m, h, q = np.unravel_index(order[lo:hi], reads.shape)
-        got[m, :, 1 - h, q] = ring[sorted_reads[lo:hi] & mask, m].reshape(-1, 2, d)
+        got[m, :, h, q] = ring[sorted_reads[lo:hi] & mask, m].reshape(-1, 2, d)
 
     # -- type 1 only, up to the first seed
     type1 = np.zeros(nb, dtype=np.intp)
@@ -351,7 +350,7 @@ def _lockstep(members: list[_Member], d: int, check, out) -> None:
         k1 = min(k0 + _CHUNK, K)
         seeded = {}
         for m, mem in enumerate(members):
-            for start, _, i, _, seed in mem.segments:
+            for start, _, i, _, seed in mem.blocks:
                 if seed and k0 <= start < k1:
                     seeded.setdefault(start - k0, []).append((m, i))
         for j, e in sub_blocks(k0, k1):
@@ -404,7 +403,7 @@ def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R1, R2, F) -> Non
     R1[:c] = 0.0  # honest and no type draw, unless a span below says otherwise
     F[:c] = -1
     for m, mem in enumerate(members):
-        hi = min(max(mem.n, k0), k1)
+        hi = min(max(len(mem.steps), k0), k1)
         if hi < k1:
             A[hi - k0:c, m] = 0
             R2[hi - k0:c, m] = 0.0
@@ -412,7 +411,7 @@ def _inputs(members: list[_Member], k0: int, k1: int, prev, A, R1, R2, F) -> Non
         if hi == k0:
             continue
         A[:hi - k0, m] = mem.steps[k0:hi]
-        for s, e, f, p, _ in mem.segments:
+        for s, e, f, p, _ in mem.blocks:
             a, b = max(s, k0), min(e, hi)
             if a >= b:
                 continue
@@ -447,9 +446,9 @@ def _fill(seeds, g, check, out) -> None:
     U[nc], pending = tips - free and created = base + C[nc], with nc the
     creations and na the attaches at or before the grid time and ``base``
     1 from a type's seed time on (``seeds`` holds each member's {0-based
-    type: seed time}; type 1 is seeded from the start).  ``g`` is the grid
-    cut at the horizon: ``make_grid`` rounds, so the last grid time can
-    pass it, and that time sees the state at the horizon.  ``check``
+    type: seed time}; type 1 is seeded from the start).  ``g`` holds the
+    grid times, which only set ``base``: a time past the horizon gives the
+    base at the horizon, as no seed comes after it.  ``check``
     refuses a negative free or pending count at the last grid time, which
     sees the attaches after the last creation."""
     d = out.shape[-1]

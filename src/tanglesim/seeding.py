@@ -123,6 +123,12 @@ def worker_pool(workers: int):
     return ProcessPoolExecutor(workers)
 
 
+def spans(runs: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous blocks of ``ceil(runs / workers)`` runs, the last one shorter."""
+    size = -(-runs // workers)
+    return [(start, min(start + size, runs)) for start in range(0, runs, size)]
+
+
 def _seeded_block(member: Callable, master_seed: int, span: tuple[int, int]) -> np.ndarray:
     """The float64 stacked results of runs ``span[0]..span[1]-1``."""
     return np.asarray(member([seed_stream(master_seed, r) for r in range(*span)]), dtype=float)
@@ -141,8 +147,7 @@ def seeded_runs(
     ``member(rngs)`` gives the array of the stacked results of a block of
     consecutive runs, one row per generator and rows of one shape for every
     run, which lets a model step the runs of a block together.  The runs are cut into
-    contiguous blocks of ``ceil(runs / workers)`` runs (the last one
-    shorter), at most one per worker.  A single block runs in this process;
+    the blocks of ``spans``, at most one per worker.  A single block runs in this process;
     several run one task per block on ``pool`` (or on a pool made for this
     call), so ``member`` must pickle.  A block's rows do not depend on the
     other runs in it, and the blocks land in run-index order, so the stack
@@ -153,15 +158,14 @@ def seeded_runs(
         raise ValueError("runs must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    size = -(-runs // workers)
-    spans = [(start, min(start + size, runs)) for start in range(0, runs, size)]
+    blocks = spans(runs, workers)
     task = functools.partial(_seeded_block, member, master_seed)
-    if len(spans) == 1:
-        return task(spans[0])
+    if len(blocks) == 1:
+        return task(blocks[0])
     if pool is None:
-        with worker_pool(len(spans)) as pool:
+        with worker_pool(len(blocks)) as pool:
             return seeded_runs(member, master_seed, runs, workers, pool)
-    for (start, stop), rows in zip(spans, pool.map(task, spans)):
+    for (start, stop), rows in zip(blocks, pool.map(task, blocks)):
         if start == 0:
             stack = np.empty((runs,) + rows.shape[1:])
         stack[start:stop] = rows

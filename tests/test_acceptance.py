@@ -179,7 +179,7 @@ def test_a05_fluid_equilibria(capsys):
     residual = 0.0
     for d, sup in combos:
         st = static_solution(d, 3.0, support=sup)
-        dx, dl = fluid_rhs(st.x, st.l, st.x, st.l, 1.0, 1.0)
+        dx, dl = fluid_rhs(st.x, st.l, st.x, st.l)
         residual = max(residual, float(np.abs(dx).max()), float(np.abs(dl).max()))
     dev = 0.0
     for d, sup in ((1, None), (2, (0,))):

@@ -346,12 +346,14 @@ def event_loop_run(sim, horizon, rng, grid_dt=0.5):
 
 
 def _scheduled(sim, horizon, rng, grid_dt):
-    """The schedule `AgentTangleSim.run` grows its graph through, cut at the
-    last grid time, and that time."""
+    """The schedule `AgentTangleSim.run` grows its graph through (creation
+    times, the attaches before each, blocks, seed times), cut at the last
+    grid time, and that time."""
     grid = make_grid(horizon, grid_dt)
     end = min(grid[-1], horizon)
-    ct, blocks, seeds = _schedule(sim.arrivals.times(horizon, rng), sim.injections, horizon)
-    return ct[: int(np.searchsorted(ct, end, side="right"))], blocks, seeds, end
+    ct, A, blocks, seeds, _ = _schedule(sim, horizon, rng, np.minimum(grid, horizon))
+    n = int(np.searchsorted(ct, end, side="right"))
+    return ct[:n], A[:n], blocks, seeds, end
 
 
 def graph_kernel(sim, ct, blocks, seeds, end, rng):
@@ -367,7 +369,7 @@ def graph_kernel(sim, ct, blocks, seeds, end, rng):
         while waiting and waiting[0].attached_at <= t:
             tangle.attach(waiting.popleft())
 
-    for start, stop, forced, seed in blocks:
+    for start, stop, forced, _, seed in blocks:
         if seed:
             if seeds[forced] > end:
                 break
@@ -802,15 +804,41 @@ def test_run_matches_event_loop_oracle(config, seed):
             "injections": (Injection(1.5, 2, 6), Injection(4.0, 2, 8))},
     seed=11, check=True, odd=False,
 )
+@example(
+    # three types and no burst: every tip stays type 1, so no creation
+    # ever draws over several types
+    config={"types": 3, "horizon": 6.25, "rate": 8.0, "kind": "poisson",
+            "delay": 1.0, "stop": None, "grid_dt": 0.5, "injections": ()},
+    seed=4, check=True, odd=False,
+)
+@example(
+    config={"types": 3, "horizon": 6.25, "rate": 8.0, "kind": "poisson",
+            "delay": 1.0, "stop": None, "grid_dt": 0.5, "injections": ()},
+    seed=4, check=False, odd=True,
+)
+@example(
+    # the first burst comes after some 20 attaches: the honest creations
+    # before it pick within type 1, those after it over both types
+    config={"types": 2, "horizon": 6.25, "rate": 8.0, "kind": "poisson",
+            "delay": 0.5, "stop": None, "grid_dt": 0.5,
+            "injections": (Injection(3.25, 2, 5),)},
+    seed=7, check=True, odd=False,
+)
+@example(
+    config={"types": 2, "horizon": 6.25, "rate": 8.0, "kind": "poisson",
+            "delay": 0.5, "stop": None, "grid_dt": 0.5,
+            "injections": (Injection(3.25, 2, 5),)},
+    seed=7, check=False, odd=False,
+)
 def test_kernel_matches_the_object_graph_draw_for_draw(config, seed, check, odd):
     sim = _agent(config)
     rng = np.random.default_rng(seed)
-    ct, blocks, seeds, end = _scheduled(sim, config["horizon"], rng, config["grid_dt"])
+    ct, A, blocks, seeds, end = _scheduled(sim, config["horizon"], rng, config["grid_dt"])
     if odd:  # one 32-bit draw buffers the spare half of a 64-bit word
         rng.integers(1000)
     twin = copy.deepcopy(rng)  # both sides draw tips after the arrivals
     want = graph_kernel(sim, ct, blocks, seeds, end, rng)
-    typ, cov, live = _kernel(ct, blocks, seeds, sim.delay, sim.types, end, twin, check)
+    typ, cov, live = _kernel(ct, A, blocks, seeds, sim.delay, sim.types, end, twin, check)
     assert np.array_equal(typ, want[0]) and np.array_equal(cov, want[1])
     assert bool(live) == check
 

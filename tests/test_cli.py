@@ -495,6 +495,33 @@ def test_simulate_refuses_a_junction_horizon_with_too_many_units(tmp_path, capsy
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("kind", ["agent", "reduced"])
+@pytest.mark.parametrize(
+    "change, field",
+    [({"rate": 1e9, "horizon": 1000.0}, "rate: expects 1e+12 creations"),
+     ({"injections": [{"time": 2.0, "type": 2, "count": 10**12}]}, "injections: expects 1e+12 creations")],
+    ids=["rate", "burst"],
+)
+def test_simulate_refuses_a_run_of_too_many_creations(tmp_path, capsys, kind, change, field):
+    # 1e12 expected creations would end in numpy's MemoryError, in the
+    # arrival draw or the schedule; the file is refused at parse time
+    scenario = _write(tmp_path, "huge.json", {**_TANGLE, "kind": f"tangle-{kind}", **change})
+    assert main(["simulate", scenario, "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert f"huge.{field} per run, more than 1e+07" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_the_creation_cap_counts_arrivals_to_their_stop_and_bursts_to_the_horizon():
+    # 1e9 * 0.01 = 1e7 honest creations is at the cap, and a burst past the
+    # horizon is never made; one more creation is over it
+    edge = {**_TANGLE, "rate": 1e9, "stop_arrivals_at": 0.01,
+            "injections": [{"time": 9.0, "type": 2, "count": 10**12}]}
+    harness.parse_scenario(edge)
+    with pytest.raises(harness.ScenarioError, match=r"\.injections: expects 1e\+07 creations"):
+        harness.parse_scenario({**edge, "injections": [{"time": 8.0, "type": 2, "count": 1}]})
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -661,10 +688,11 @@ _CORRUPT = {
         from tanglesim import reduced
         schedule = reduced._schedule
         def corrupt(*args):
-            ct, blocks, seeds = schedule(*args)
-            start, stop, forced, seed = blocks[-1]
+            ct, A, blocks, seeds, reads = schedule(*args)
+            start, stop, forced, draws, seed = blocks[-1]
             half = (start + stop) // 2
-            return ct, blocks[:-1] + [(start, half, forced, seed), (half, stop, 0, True)], seeds
+            blocks = blocks[:-1] + [(start, half, forced, draws, seed), (half, stop, 0, False, True)]
+            return ct, A, blocks, seeds, reads
         reduced._schedule = corrupt
     """),
     "tangle-agent": ("the last grid row of pending differs", """
@@ -705,13 +733,14 @@ def test_check_exits_2_on_one_corrupted_member_of_a_block(tmp_path, capsys, monk
     made = []
 
     def corrupt(*args):
-        ct, blocks, seeds = schedule(*args)
+        ct, A, blocks, seeds, reads = schedule(*args)
         made.append(1)
         if len(made) % 4 != 2:
-            return ct, blocks, seeds
-        start, stop, forced, seed = blocks[-1]
+            return ct, A, blocks, seeds, reads
+        start, stop, forced, draws, seed = blocks[-1]
         half = (start + stop) // 2
-        return ct, blocks[:-1] + [(start, half, forced, seed), (half, stop, 0, True)], seeds
+        blocks = blocks[:-1] + [(start, half, forced, draws, seed), (half, stop, 0, False, True)]
+        return ct, A, blocks, seeds, reads
 
     monkeypatch.setattr(reduced, "_schedule", corrupt)
     scenario = _write(tmp_path, "small.json", {**_TANGLE, "types": 1, "runs": 4})
@@ -745,6 +774,38 @@ def test_each_command_starts_at_most_one_process_pool(tmp_path, capsys, monkeypa
     made.clear()
     assert main(["simulate", pair[1], "--workers", "3", "--out", str(tmp_path / "res")]) == 0
     assert made == [(3,)]
+
+
+def test_validate_sizes_its_pool_by_the_larger_ensembles_blocks(tmp_path, capsys, monkeypatch):
+    # an in-process pool that records its size: 8 workers on 3 runs make 3
+    # blocks, so a pool of 8 would start 5 idle processes
+    made = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    agent = _write(tmp_path, "agent.json", {**_TANGLE, "kind": "tangle-agent"})
+    reduced = _write(tmp_path, "reduced.json", _TANGLE)
+    reports = []
+    for argv in ([agent, reduced, "--workers", "8"],
+                 [agent, _write(tmp_path, "more.json", {**_TANGLE, "runs": 7}), "--workers", "4"]):
+        assert main(["validate", *argv]) in (0, 1)
+        reports.append(capsys.readouterr().out)
+    # 7 runs on 4 workers are 4 blocks of 2, 2, 2 and 1
+    assert made == [3, 4]
+    assert main(["validate", agent, reduced]) in (0, 1)
+    assert made == [3, 4] and capsys.readouterr().out == reports[0]
 
 
 def test_a_one_worker_command_never_imports_the_process_pool(tmp_path):

@@ -26,6 +26,7 @@ from tanglesim.fluid import (
     constant_history,
     integrate,
     static_solution,
+    step_grid,
 )
 from tanglesim.harness import parse_scenario, run_scenario
 from unbalanced_mode import find_x0, mode_ratio
@@ -53,17 +54,16 @@ def selection_rates(x, l) -> np.ndarray:
     return (2.0 * x) * l / denom
 
 
-def fluid_rhs(x_now, l_now, x_del, l_del, a_now: float, a_del: float):
+def fluid_rhs(x_now, l_now, x_del, l_del):
     """Time derivatives (dx/dt, dl/dt) given current and delay-lagged state.
 
-    dx_i/dt = a(t-h) p_i(t-h) - a(t) u_i(t)
-    dl_i/dt = a(t-h) p_i(t-h) - a(t-h) u_i(t-h)
+    dx_i/dt = p_i(t-h) - u_i(t)
+    dl_i/dt = p_i(t-h) - u_i(t-h)
     """
     p_del = tip_shares(l_del)
     u_del = selection_rates(x_del, l_del)
     u_now = selection_rates(x_now, l_now)
-    inflow = a_del * p_del
-    return inflow - a_now * u_now, inflow - a_del * u_del
+    return p_del - u_now, p_del - u_del
 
 
 def interp_row(arr: np.ndarray, q: float, k_max: int) -> np.ndarray:
@@ -80,7 +80,7 @@ def interp_row(arr: np.ndarray, q: float, k_max: int) -> np.ndarray:
     return w0 * arr[j0] + w1 * arr[j0 + 1] + w2 * arr[j0 + 2] + w3 * arr[j0 + 3]
 
 
-def oracle_integrate(x_history, l_history, delay, horizon, step=None, rate=None):
+def oracle_integrate(x_history, l_history, delay, horizon, step=None):
     """`integrate` as one numpy expression per stage on whole state rows."""
     h = float(delay)
     if not h > 0:
@@ -94,7 +94,6 @@ def oracle_integrate(x_history, l_history, delay, horizon, step=None, rate=None)
     n_sub = max(int(math.ceil(h / step - 1e-9)), 100)
     dt = h / n_sub
     n_steps = int(math.ceil(horizon / dt - 1e-9))
-    a = rate if rate is not None else (lambda t: 1.0)
 
     x0 = np.asarray(x_history(0.0), dtype=float)
     d = x0.shape[0]
@@ -115,8 +114,8 @@ def oracle_integrate(x_history, l_history, delay, horizon, step=None, rate=None)
     def delayed(q: float, k_done: int) -> tuple[np.ndarray, np.ndarray]:
         return interp_row(X, q, k_done), interp_row(L, q, k_done)
 
-    def rhs_masked(xv, lv, xd, ld, a_now, a_del):
-        dx, dl = fluid_rhs(xv, lv, xd, ld, a_now, a_del)
+    def rhs_masked(xv, lv, xd, ld):
+        dx, dl = fluid_rhs(xv, lv, xd, ld)
         dx[~alive] = 0.0
         dl[~alive] = 0.0
         return dx, dl
@@ -126,19 +125,11 @@ def oracle_integrate(x_history, l_history, delay, horizon, step=None, rate=None)
         xd0, ld0 = X[k - n_sub], L[k - n_sub]
         xdh, ldh = delayed(k - n_sub + 0.5, k)
         xd1, ld1 = X[k - n_sub + 1], L[k - n_sub + 1]
-        a0, ah, a1 = a(t), a(t + dt / 2.0), a(t + dt)
-        a0d, ahd, a1d = a(t - h), a(t + dt / 2.0 - h), a(t + dt - h)
 
-        k1x, k1l = rhs_masked(X[k], L[k], xd0, ld0, a0, a0d)
-        k2x, k2l = rhs_masked(
-            X[k] + 0.5 * dt * k1x, L[k] + 0.5 * dt * k1l, xdh, ldh, ah, ahd
-        )
-        k3x, k3l = rhs_masked(
-            X[k] + 0.5 * dt * k2x, L[k] + 0.5 * dt * k2l, xdh, ldh, ah, ahd
-        )
-        k4x, k4l = rhs_masked(
-            X[k] + dt * k3x, L[k] + dt * k3l, xd1, ld1, a1, a1d
-        )
+        k1x, k1l = rhs_masked(X[k], L[k], xd0, ld0)
+        k2x, k2l = rhs_masked(X[k] + 0.5 * dt * k1x, L[k] + 0.5 * dt * k1l, xdh, ldh)
+        k3x, k3l = rhs_masked(X[k] + 0.5 * dt * k2x, L[k] + 0.5 * dt * k2l, xdh, ldh)
+        k4x, k4l = rhs_masked(X[k] + dt * k3x, L[k] + dt * k3l, xd1, ld1)
         xn = X[k] + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         ln = L[k] + dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
 
@@ -222,7 +213,7 @@ def test_selection_rates_at_static_state_equal_shares_bitwise():
 
 def test_rhs_vanishes_exactly_at_static_state():
     st = static_solution(4, H)
-    dx, dl = fluid_rhs(st.x, st.l, st.x, st.l, 1.0, 1.0)
+    dx, dl = fluid_rhs(st.x, st.l, st.x, st.l)
     assert np.all(dx == 0.0)
     assert np.all(dl == 0.0)
 
@@ -401,13 +392,24 @@ def test_integrate_rejects_inconsistent_history():
         integrate(hx, hl, H, 10 * H)
 
 
+def _row_history(xs, ls, dt):
+    """History rows xs[k], ls[k] at time k * dt; the last row holds on."""
+    def at(rows):
+        return lambda t: np.atleast_1d(np.asarray(rows[min(round(t / dt), len(rows) - 1)], float))
+
+    return at(xs), at(ls)
+
+
+# l dips from 8.9 to 1 and back over history rows 0-3 while x peaks: the
+# cubic through those rows puts the midpoint of rows 1 and 2 at l = 0.0125
+# and x = 1.125, a selection rate of 180, which drives l below the guard
+# at the second integrated step
+_RUNAWAY = _row_history([0.0, 1.0, 1.0, 0.0, 0.5], [8.9, 1.0, 1.0, 8.9, 1.0], H / 100)
+
+
 def test_integrate_flags_runaway_negative_density():
-    # off-equilibrium start (u < p) with a large negative rate drives the
-    # tip density through the negativity guard; the clamp warns first
-    hx, hl = constant_history([1.0], [10.0])
-    with pytest.raises(FluidIntegrationError), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        integrate(hx, hl, H, 10 * H, rate=lambda t: -50.0)
+    with pytest.raises(FluidIntegrationError, match=r"at t = 3\.06$"):
+        integrate(*_RUNAWAY, H, 10 * H)
 
 
 def test_no_warnings_on_clean_runs():
@@ -459,52 +461,59 @@ def fluid_cases(draw):
         l0[i] = 0.0  # a type that is dead from the start
     frac = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
     x0 = [f * v for f, v in zip(frac, l0)]
-    history = draw(st.sampled_from(["constant", "wave", "mode"]))
+    step = draw(st.sampled_from([None, 1 / 100, 1 / 150, 1 / 237]))
+    step = None if step is None else step * delay
+    history = draw(st.sampled_from(["constant", "wave", "mode", "dip"]))
     if history == "mode" and d == 2:
         hist = _mode_history(delay, draw(st.floats(1e-4, 0.3)))
     elif history == "wave":
         amp = draw(st.lists(st.floats(0.0, 0.9), min_size=d, max_size=d))
         hist = _wave_history(x0, l0, amp, draw(st.floats(0.1, 5.0)))
+    elif history == "dip":
+        # _RUNAWAY's shape: l dips from c * l0 to l0 and back over rows 0-3
+        # while x peaks at l, so the cubic midpoint of rows 1 and 2 has l
+        # of (9 - c) / 8 * l0; near c = 9 that drives densities below zero
+        # (clamp warnings, dying types and the negative-density error)
+        c = 9.0 - draw(st.floats(0.0, 1.0)) ** 4
+        ls = [np.multiply(l0, v) for v in (c, 1.0, 1.0, c)] + [l0]
+        xs = [0.0 * ls[0], ls[1], ls[2], 0.0 * ls[3], x0]
+        hist = _row_history(xs, ls, step_grid(delay, horizon, step)[1])
     else:
         hist = constant_history(x0, l0)
-    # negative rates drive densities below zero: clamp warnings, dying
-    # types and, at the strong end, the negative-density error
-    rate = draw(st.sampled_from([None, "constant", "wave"]))
-    if rate == "constant":
-        c = draw(st.floats(-60.0, 3.0))
-        rate = lambda t: c  # noqa: E731
-    elif rate == "wave":
-        c, b = draw(st.floats(-20.0, 3.0)), draw(st.floats(0.0, 3.0))
-        rate = lambda t: c + b * math.sin(t)  # noqa: E731
-    step = draw(st.sampled_from([None, 1 / 100, 1 / 150, 1 / 237]))
-    return hist, delay, horizon, None if step is None else step * delay, rate
+    return hist, delay, horizon, step
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=fluid_cases())
-@example(case=(constant_history([1.0], [10.0]), H, 2.5 * H, None, lambda t: -50.0))
-@example(case=(constant_history([0.5, 0.0], [1.0, 2e-3]), 1.0, 2.5, None, lambda t: -3.0))
-@example(case=(constant_history([0.0, 0.0], [0.0, 0.0]), 1.0, 1.5, None, None))
-@example(case=(_mode_history(H, 1e-3), H, 2.5 * H, H / 150, None))
+@example(case=(_RUNAWAY, H, 2.5 * H, None))
+# type 2 has no tips before t = 1 and 0.01 from then on, all free, while
+# type 1 is dead from t = 1: type 2's x overshoots below zero at the first
+# step, and the clamp warns without a death
+@example(case=(_row_history([[0.5, 0.0]] * 100 + [[0.0, 0.01]], [[1.0, 0.0]] * 100 + [[0.0, 0.01]], 0.01),
+               1.0, 2.5, None))
+@example(case=(constant_history([0.0, 0.0], [0.0, 0.0]), 1.0, 1.5, None))
+@example(case=(_mode_history(H, 1e-3), H, 2.5 * H, H / 150))
 # type 1 dies at row 203, in the second block, after one clamp warning
-@example(case=(constant_history([3.0, 0.0], [3.0, 0.5]), H, 7 * H, None, None))
+@example(case=(constant_history([3.0, 0.0], [3.0, 0.5]), H, 7 * H, None))
 # type 3 is dead from the start without being zero
-@example(case=(constant_history([3.0, 0.0, 0.0], [3.0, 0.2, 1e-13]), H, 7 * H, None, None))
+@example(case=(constant_history([3.0, 0.0, 0.0], [3.0, 0.2, 1e-13]), H, 7 * H, None))
 # -0.0 in the history: a live type's x and a dead type's l
-@example(case=(constant_history([-0.0, 0.0], [1.5, -0.0]), 1.0, 4.0, None, None))
+@example(case=(constant_history([-0.0, 0.0], [1.5, -0.0]), 1.0, 4.0, None))
 # a dead type's l of -1e-13 is clamped to 0.0 at the first step
-@example(case=(constant_history([0.0, 1.0], [-1e-13, 2.0]), 1.0, 4.0, None, None))
-# the density check fails at the first step, so its clamp warning never fires
-@example(case=(constant_history([1.0], [10.0]), 1.0, 2.5, None, lambda t: -1e4))
+@example(case=(constant_history([0.0, 1.0], [-1e-13, 2.0]), 1.0, 4.0, None))
+# the cubic through rows 0-3 puts the first midpoint at l = 0.003125: the
+# density check fails at the first step, so its clamp warning never fires
+@example(case=(_row_history([0.0, 1.0, 0.0, 0.0, 0.5], [1.0, 1.0, 4.19, 1.0, 1.0], 0.01),
+               1.0, 2.5, None))
 # the last step ends the second block: rows 100 .. 298
-@example(case=(_wave_history([0.5, 1.0], [1.0, 1.5], [0.3, 0.2], 2.0), 1.0, 2.98, None, None))
+@example(case=(_wave_history([0.5, 1.0], [1.0, 1.5], [0.3, 0.2], 2.0), 1.0, 2.98, None))
 # the one type dies at row 326 with a clamp warning, and the next
 # block's first step finds every tip density zero
-@example(case=(constant_history([0.75], [1.0]), 1.0, 6.5, None, None))
+@example(case=(constant_history([0.75], [1.0]), 1.0, 6.5, None))
 def test_integrate_matches_numpy_oracle(case):
-    (hx, hl), delay, horizon, step, rate = case
-    want = _outcome(lambda: oracle_integrate(hx, hl, delay, horizon, step, rate))
-    got = _outcome(lambda: integrate(hx, hl, delay, horizon, step, rate))
+    (hx, hl), delay, horizon, step = case
+    want = _outcome(lambda: oracle_integrate(hx, hl, delay, horizon, step))
+    got = _outcome(lambda: integrate(hx, hl, delay, horizon, step))
     assert got == want
 
 

@@ -181,12 +181,14 @@ def scalar_run(sim: ReducedTangleSim, horizon, rng, grid_dt=0.5):
 
 def kernel_run(sim: ReducedTangleSim, horizon, rng, grid_dt=0.5, check=False):
     """One member on the shared schedule: `_kernel` draws each creation's
-    type and coverage, and the agent's grid fill turns those into a frame."""
+    type and coverage, and the agent's grid fill turns those into a frame
+    at the attaches and creations made by each grid time."""
     grid = make_grid(horizon, grid_dt)
-    arrivals = sim.arrivals.times(horizon, rng)
-    ct, blocks, seeds = _schedule(arrivals, sim.injections, horizon)
+    g = np.minimum(grid, horizon)
+    ct, _, blocks, seeds, _ = _schedule(sim, horizon, rng, g)
     typ, cov = _kernel(ct, blocks, sim.delay, sim.types, horizon, rng, check)
-    return _fill_grid(grid, horizon, sim.delay, ct, typ, cov, seeds, sim.types)
+    reads = [np.searchsorted(ct + sim.delay, g, side="right"), np.searchsorted(ct, g, side="right")]
+    return _fill_grid(grid, np.array(reads), typ, cov, seeds, sim.types)
 
 
 def _kernel(ct, blocks, delay, types, horizon, rng, check):
@@ -222,7 +224,7 @@ def _kernel(ct, blocks, delay, types, horizon, rng, check):
                 )
 
     a = 0
-    for start, stop, forced, seed in blocks:
+    for start, stop, forced, _, seed in blocks:
         if seed:
             tips[forced] = free[forced] = 1
             seeded += 1
@@ -519,10 +521,17 @@ def _counters(frame) -> np.ndarray:
     return np.stack((frame.tips, frame.free, frame.pending, frame.created))
 
 
+_NO_BURSTS = {"types": 3, "horizon": 10.0, "rate": 8.0, "kind": "poisson", "delay": 1.0,
+              "stop": None, "grid_dt": 0.5, "injections": ()}
+
+
 @settings(max_examples=80, deadline=None)
 @given(config=reduced_configs(), seed=st.integers(min_value=0, max_value=2**32 - 1),
-       data=st.data())
-def test_blocks_match_the_per_member_oracles(config, seed, data):
+       runs=st.integers(1, 6), cuts=st.sets(st.integers(1, 5)), check=st.booleans())
+# three types and no burst: every creation is of type 1 and draws no type
+@example(config=_NO_BURSTS, seed=6, runs=4, cuts={1, 3}, check=True)
+@example(config=_NO_BURSTS, seed=6, runs=4, cuts={2}, check=False)
+def test_blocks_match_the_per_member_oracles(config, seed, runs, cuts, check):
     # 1-6 runs cut into blocks of any sizes (a block of one is `run`), with
     # checks on or off: row r is run r's frame from both oracles
     sim = ReducedTangleSim(
@@ -532,10 +541,7 @@ def test_blocks_match_the_per_member_oracles(config, seed, data):
         injections=config["injections"],
     )
     horizon, grid_dt = config["horizon"], config["grid_dt"]
-    runs = data.draw(st.integers(1, 6), label="runs")
-    cuts = data.draw(st.sets(st.integers(1, runs - 1)), label="cuts") if runs > 1 else set()
-    edges = [0, *sorted(cuts), runs]
-    check = data.draw(st.booleans(), label="check")
+    edges = [0, *sorted(c for c in cuts if c < runs), runs]
     rows = np.concatenate([
         sim.run_block(horizon, [seed_stream(seed, r) for r in range(a, b)], grid_dt, check)
         for a, b in zip(edges, edges[1:])
@@ -587,8 +593,8 @@ def test_first_seed_at_a_chunk_edge_matches_the_oracle(first):
     sim = ReducedTangleSim(ArrivalProcess(10.0, "fixed"), 1.0, types=2,
                            injections=(Injection((first + 0.5) / 10, 2, 6),))
     horizon, grid_dt = 40.0, 0.1
-    ct, blocks, _ = _schedule(sim.arrivals.times(horizon, None), sim.injections, horizon)
-    assert [start for start, _, _, seed in blocks if seed] == [first]
+    ct, _, blocks, _, _ = _schedule(sim, horizon, None, make_grid(horizon, grid_dt))
+    assert [start for start, _, _, _, seed in blocks if seed] == [first]
     assert first in np.searchsorted(ct, make_grid(horizon, grid_dt), side="right")
     rngs = lambda: [seed_stream(6, r) for r in range(4)]
     block = sim.run_block(horizon, rngs(), grid_dt, check=True)
@@ -613,7 +619,7 @@ def _matches_both_oracles(sim, horizon, rngs, grid_dt, check=True):
 
 def _attaches_before_each_creation(sim, horizon):
     """A at each creation of a fixed lattice, the same for every member."""
-    ct, _, _ = _schedule(sim.arrivals.times(horizon, None), sim.injections, horizon)
+    ct = _schedule(sim, horizon, None, np.empty(0))[0]
     return np.searchsorted(ct + sim.delay, ct, side="right")
 
 
@@ -669,8 +675,8 @@ def test_a_seed_inside_a_sub_block_matches_the_oracles():
     # running U
     sim = ReducedTangleSim(ArrivalProcess(10.0, "fixed"), 1.0, types=3,
                            injections=(Injection(0.25, 2, 2), Injection(0.55, 3, 3)))
-    ct, blocks, _ = _schedule(sim.arrivals.times(12.0, None), sim.injections, 12.0)
-    assert [start for start, _, _, seed in blocks if seed] == [2, 6]
+    blocks = _schedule(sim, 12.0, None, np.empty(0))[2]
+    assert [start for start, _, _, _, seed in blocks if seed] == [2, 6]
     assert _attaches_before_each_creation(sim, 12.0)[:12].max() == 0
     _matches_both_oracles(sim, 12.0, lambda: [seed_stream(9, r) for r in range(5)], 0.3)
 

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tanglesim import ComplianceNetwork
+from tanglesim import ComplianceNetwork, stability
 from tanglesim.stability import (
     CHUNK_POINTS,
+    GUARD,
     IM_POINTS,
     MAX_DEPTH,
     MIN_MODULUS,
@@ -338,11 +339,40 @@ def _networks(draw):
     )
 
 
+_RING = ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0, target=0.9, baseline=0.5)
+
+
+def _chain(n):
+    # feed-forward: activity i reads only j > i, so M(z) is nilpotent and
+    # every grid point has radius 0 below a positive norm bound
+    return ComplianceNetwork.build(
+        targets=np.linspace(0.9, 0.7, n), baselines=np.linspace(0.5, 0.3, n),
+        cost_sens=np.ones(n), ctrl_gain=np.ones(n), coupling=np.triu(np.full((n, n), 0.2), 1),
+        lags=np.triu(np.ones((n, n)), 1), window=5.0,
+    )
+
+
+_ZERO = ComplianceNetwork.build(targets=[0.9], baselines=[0.5], cost_sens=[1.0],
+                                ctrl_gain=[1.0], coupling=[[0.0]], lags=[[0.0]], window=5.0)
+_STRONG_RING = ComplianceNetwork.ring(8, coupling=2.0, lag=1.0, window=5.0,
+                                      target=0.9, baseline=0.5)
+_PRUNED = ComplianceNetwork.build(  # the norm bound leaves 31 candidates
+    targets=[0.0, 0.87, 0.24], baselines=[0.33, 0.24, 0.39], cost_sens=[2.65, 2.7, 1.59],
+    ctrl_gain=[1.93, 1.83, 1.37],
+    coupling=[[0.0, 0.36, 1.74], [2.0, 0.0, 0.23], [0.78, 1.85, 0.0]],
+    lags=[[0.0, 2.01, 1.88], [0.86, 0.0, 0.02], [2.57, 1.75, 0.0]], window=5.4,
+)
+
+
+def _scan_examples(test):
+    for net in (_tiny_delta_net(), _RING, _STRONG_RING, _chain(3), _chain(8), _ZERO, _PRUNED):
+        test = example(net=net)(test)
+    return test
+
+
 @settings(max_examples=12, deadline=None)
 @given(net=_networks())
-@example(net=_tiny_delta_net())
-@example(net=ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0,
-                                    target=0.9, baseline=0.5))
+@_scan_examples
 def test_scan_matches_the_point_by_point_oracle(net):
     rep = check_sufficient_condition(net)
     worst, witness, skipped = oracle_scan(net)
@@ -351,6 +381,74 @@ def test_scan_matches_the_point_by_point_oracle(net):
     assert rep.skipped_poles == skipped
     assert rep.grid_shape == (RE_POINTS, IM_POINTS)
     assert rep.margin == rep.threshold - worst
+
+
+def norm_bound(z: complex, network) -> float:
+    """max_i sum_j |D_ij| e^(-tau_ji Re z) / |z + E_i k_i|, the row-sum
+    norm of M(z), which bounds its spectral radius."""
+    delta = network.cost_sens * network.ctrl_gain
+    rows = (np.abs(network.coupling) * np.exp(-z.real * network.lags_to)).sum(axis=1)
+    return float((rows / np.abs(z + delta)).max())
+
+
+@settings(max_examples=12, deadline=None)
+@given(net=_networks())
+@_scan_examples
+def test_norm_bound_holds_at_every_grid_point(net):
+    delta = net.cost_sens * net.ctrl_gain
+    for x in np.linspace(0.0, 10.0 * float(delta.max()), RE_POINTS):
+        for y in np.linspace(-100.0 / net.window, 100.0 / net.window, IM_POINTS):
+            z = complex(x, y)
+            if any(abs(z + d) < POLE_GAP for d in delta):
+                continue
+            lam = float(np.abs(np.linalg.eigvals(compliance_matrix(z, net))).max())
+            assert norm_bound(z, net) * (1.0 + GUARD) >= lam, z
+
+
+def _eigensolved(monkeypatch, net):
+    """The scan of net: how many matrices it hands to np.linalg.eigvals,
+    and the points it builds M at, in call order."""
+    solve, build = np.linalg.eigvals, stability.compliance_matrix
+    counts, points = [], []
+
+    def counting(a):
+        counts.append(math.prod(np.shape(a)[:-2]))
+        return solve(a)
+
+    def recording(z, network):
+        points.append(np.atleast_1d(z))
+        return build(z, network)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(stability, "compliance_matrix", recording)
+    check_sufficient_condition(net)
+    monkeypatch.undo()
+    return sum(counts), points
+
+
+def test_scan_eigensolves_only_the_points_the_bound_keeps(monkeypatch):
+    assert _eigensolved(monkeypatch, _RING)[0] <= 2
+    assert 2 < _eigensolved(monkeypatch, _PRUNED)[0] < RE_POINTS * IM_POINTS
+    # nilpotent: nothing is pruned, and the floor point is solved twice
+    assert _eigensolved(monkeypatch, _chain(8))[0] == RE_POINTS * IM_POINTS + 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(net=_networks())
+@_scan_examples
+def test_scan_prunes_only_points_bounded_below_the_floor(net):
+    # the first point solved is the floor; every other non-pole grid point
+    # the scan leaves out must have a norm bound below that floor
+    with pytest.MonkeyPatch.context() as mp:
+        _, points = _eigensolved(mp, net)
+    floor = float(np.abs(np.linalg.eigvals(compliance_matrix(complex(points[0][0]), net))).max())
+    solved = set(np.concatenate(points[1:]).tolist())
+    delta = net.cost_sens * net.ctrl_gain
+    for x in np.linspace(0.0, 10.0 * float(delta.max()), RE_POINTS):
+        for y in np.linspace(-100.0 / net.window, 100.0 / net.window, IM_POINTS):
+            z = complex(x, y)
+            if z not in solved and not any(abs(z + d) < POLE_GAP for d in delta):
+                assert norm_bound(z, net) < floor, z
 
 
 def test_scan_skips_and_counts_a_pole_on_the_grid():
@@ -567,9 +665,6 @@ def test_window_characteristic_counts_the_zeros_the_pole_form_hides(case):
 
     inside = sum(_inside(float(p), region) for p in poles)
     assert resolved(window_characteristic(net)) == resolved(shipped_window(net)) + inside
-
-
-_RING = ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0, target=0.9, baseline=0.5)
 
 
 @pytest.mark.parametrize("samples", [64, 256])

@@ -205,7 +205,7 @@ def check_sufficient_condition(network) -> SufficientConditionReport:
     dist = np.hypot((xs[:, None] + delta)[:, None, :], zs.imag[..., None])  # |z + E_i k_i|
     keep = ~(dist < POLE_GAP).any(axis=2)
     row_sums = (np.abs(network.coupling) * np.exp(-xs[:, None, None] * network.lags_to)).sum(axis=2)
-    bound = (row_sums[keep.nonzero()[0]] / dist[keep]).max(axis=1)
+    bound = np.divide(row_sums[:, None, :], dist, out=dist, where=keep[..., None]).max(axis=2)[keep]
     zs = zs[keep]
     floor = np.abs(np.linalg.eigvals(compliance_matrix(zs[bound.argmax()], network))).max()
     zs = zs[~(bound * (1.0 + GUARD) < floor)]

@@ -3,7 +3,7 @@
 The growth-rate root is cross-checked with an independently coded Newton
 iteration, the winding-number counter against polynomials with known root
 sets, and the ring spectrum's closed form against dense eigensolves of the
-full transfer matrix.  The row-batched spectral scan must equal the
+full transfer matrix.  The norm-pruned spectral scan must equal the
 point-by-point scan kept here as its oracle, bit for bit, and the batched
 contour walk must give the count of the point-by-point recursive walk kept
 here as its oracle.  The entire window characteristic must count the zeros
@@ -383,26 +383,12 @@ def test_scan_matches_the_point_by_point_oracle(net):
     assert rep.margin == rep.threshold - worst
 
 
-def norm_bound(z: complex, network) -> float:
+def norm_bound(zs: np.ndarray, network) -> np.ndarray:
     """max_i sum_j |D_ij| e^(-tau_ji Re z) / |z + E_i k_i|, the row-sum
-    norm of M(z), which bounds its spectral radius."""
+    norm of M(z), which bounds its spectral radius, at each point of zs."""
     delta = network.cost_sens * network.ctrl_gain
-    rows = (np.abs(network.coupling) * np.exp(-z.real * network.lags_to)).sum(axis=1)
-    return float((rows / np.abs(z + delta)).max())
-
-
-@settings(max_examples=12, deadline=None)
-@given(net=_networks())
-@_scan_examples
-def test_norm_bound_holds_at_every_grid_point(net):
-    delta = net.cost_sens * net.ctrl_gain
-    for x in np.linspace(0.0, 10.0 * float(delta.max()), RE_POINTS):
-        for y in np.linspace(-100.0 / net.window, 100.0 / net.window, IM_POINTS):
-            z = complex(x, y)
-            if any(abs(z + d) < POLE_GAP for d in delta):
-                continue
-            lam = float(np.abs(np.linalg.eigvals(compliance_matrix(z, net))).max())
-            assert norm_bound(z, net) * (1.0 + GUARD) >= lam, z
+    rows = (np.abs(network.coupling) * np.exp(-zs.real[:, None, None] * network.lags_to)).sum(axis=2)
+    return (rows / np.abs(zs[:, None] + delta)).max(axis=1)
 
 
 def _eigensolved(monkeypatch, net):
@@ -436,19 +422,22 @@ def test_scan_eigensolves_only_the_points_the_bound_keeps(monkeypatch):
 @settings(max_examples=12, deadline=None)
 @given(net=_networks())
 @_scan_examples
-def test_scan_prunes_only_points_bounded_below_the_floor(net):
-    # the first point solved is the floor; every other non-pole grid point
-    # the scan leaves out must have a norm bound below that floor
+def test_norm_bound_holds_and_prunes_only_points_below_the_floor(net):
+    # at every non-pole grid point the guarded bound covers the one-point
+    # eigensolve, and a point the scan leaves out has a bound below the
+    # floor, the max |eig| at the first point it solves
     with pytest.MonkeyPatch.context() as mp:
         _, points = _eigensolved(mp, net)
     floor = float(np.abs(np.linalg.eigvals(compliance_matrix(complex(points[0][0]), net))).max())
     solved = set(np.concatenate(points[1:]).tolist())
     delta = net.cost_sens * net.ctrl_gain
+    ys = np.linspace(-100.0 / net.window, 100.0 / net.window, IM_POINTS)
     for x in np.linspace(0.0, 10.0 * float(delta.max()), RE_POINTS):
-        for y in np.linspace(-100.0 / net.window, 100.0 / net.window, IM_POINTS):
-            z = complex(x, y)
-            if z not in solved and not any(abs(z + d) < POLE_GAP for d in delta):
-                assert norm_bound(z, net) < floor, z
+        for z, bound in zip(x + 1j * ys, norm_bound(x + 1j * ys, net)):
+            if any(abs(z + d) < POLE_GAP for d in delta):
+                continue
+            assert bound * (1.0 + GUARD) >= np.abs(np.linalg.eigvals(compliance_matrix(z, net))).max(), z
+            assert z in solved or bound < floor, z
 
 
 def test_scan_skips_and_counts_a_pole_on_the_grid():

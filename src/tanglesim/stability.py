@@ -202,10 +202,10 @@ def check_sufficient_condition(network) -> SufficientConditionReport:
     xs = np.linspace(0.0, 10.0 * float(delta.max()), RE_POINTS)
     zs = np.empty((RE_POINTS, IM_POINTS), dtype=complex)
     zs.real, zs.imag = xs[:, None], np.linspace(-100.0 / w, 100.0 / w, IM_POINTS)
-    dist = np.hypot((xs[:, None] + delta)[:, None, :], zs.imag[..., None])  # |z + E_i k_i|
-    keep = ~(dist < POLE_GAP).any(axis=2)
+    dist = np.hypot((xs + delta[:, None])[..., None], zs.imag)  # [i, ...]: |z + E_i k_i|
+    keep = ~(dist < POLE_GAP).any(axis=0)
     row_sums = (np.abs(network.coupling) * np.exp(-xs[:, None, None] * network.lags_to)).sum(axis=2)
-    bound = np.divide(row_sums[:, None, :], dist, out=dist, where=keep[..., None]).max(axis=2)[keep]
+    bound = np.divide(row_sums.T[..., None], dist, out=dist, where=keep).max(axis=0)[keep]
     zs = zs[keep]
     floor = np.abs(np.linalg.eigvals(compliance_matrix(zs[bound.argmax()], network))).max()
     zs = zs[~(bound * (1.0 + GUARD) < floor)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,12 @@ class JunctionConfig:
     arrival_rate: float = 1.0  # Poisson mean of total arrivals per unit
 
     def __post_init__(self) -> None:
+        try:  # an int or a numpy int; 2.5 would switch only every 5 units
+            operator.index(self.switch_period)
+        except TypeError:
+            raise ValueError(
+                f"switch_period must be a whole number, got {self.switch_period!r}"
+            ) from None
         if self.switch_period < 1:
             raise ValueError(f"switch_period must be at least 1, got {self.switch_period}")
         if not self.cross_time > 0:
@@ -115,10 +122,15 @@ def run(config: JunctionConfig, Q: np.ndarray, rng: np.random.Generator) -> np.n
     0 of ``compliance_path``); returns the (len(Q),) row vbar, the mean
     queue length at the integer units 0..len(Q)-1.
 
-    Order within unit u: Poisson arrivals spread by one multinomial draw,
-    red-queue incursion attempts (one uniform per nonempty red queue, each
-    an incursion with probability 1 - Q[u-1]), green service throttled by
-    the incursions since the last switch, and the signal switch check.
+    The loop goes one switch period at a time (the last one may be cut
+    short by the horizon): the green queue, its two reds and the strike
+    count are set once per period.  Order within unit u: Poisson arrivals
+    spread by one multinomial draw (none without arrivals), red-queue
+    incursion attempts (one uniform per nonempty red queue, lower index
+    first, each an incursion with probability 1 - Q[u-1]), and green service
+    throttled by the incursions since the last switch, read from a table of
+    ``service_capacity`` built once per run.  The loop keeps integer queue
+    totals and divides them by 3 once at the end.
 
     The draws are those of numpy's scalar calls ``rng.poisson(rate)``,
     ``rng.multinomial(n, [1/3] * 3)`` and ``rng.random()``, bit for bit,
@@ -144,63 +156,66 @@ def run(config: JunctionConfig, Q: np.ndarray, rng: np.random.Generator) -> np.n
     third = 1.0 / 3.0
     # per binomial: p, 1 - p, and numpy's inversion set-up by n: (1 - p)**n, bound
     cells = [(p, 1.0 - p, {}) for p in (third, third / (1.0 - third))]
+    qs = np.asarray(Q, dtype=float)[:-1].tolist()
+    # green service by incursions since the last switch, at most two a unit
+    caps = [service_capacity(config, s) for s in range(2 * min(period, len(qs)) + 1)]
     queues = [0, 0, 0]
-    phase = strikes = 0  # green queue; incursions since the last switch
-    capacity = full = service_capacity(config, 0)  # green service this unit; with no strikes
-    vbar = [0.0]
-    reds = ((1, 2), (0, 2), (0, 1))
-    for unit, q in enumerate(np.asarray(Q, dtype=float)[:-1].tolist(), 1):
-        uniform = draw  # the unit's doubles: the stream, or rng once handed back
-        left = 0  # arrivals not yet given a queue
-        if rate >= 10.0:  # numpy's PTRS
-            hand_back()
-            uniform = random
-            left = poisson(rate)
-        elif rate > 0.0:
-            prod = uniform()
-            while prod > enlam:
-                left += 1
-                prod *= uniform()
-        for cell, (p, p_not, inversion) in enumerate(cells):
-            if left == 0:
-                break
-            if uniform is random or p * left > 30.0:  # numpy's BTPE, or a handed-back unit
+    totals = [0]  # vehicles queued after each unit
+    for start in range(0, len(qs), period):
+        green = start // period % 3
+        red1, red2 = ((1, 2), (0, 2), (0, 1))[green]
+        strikes = 0  # incursions since the last switch
+        for q in qs[start:start + period]:
+            uniform = draw  # the unit's doubles: the stream, or rng once handed back
+            left = 0  # arrivals not yet given a queue
+            if rate >= 10.0:  # numpy's PTRS
                 hand_back()
                 uniform = random
-                k = binomial(left, p)
-            else:
-                params = inversion.get(left)
-                if params is None:
-                    mean = left * p
-                    params = inversion[left] = (
-                        math.exp(left * math.log(p_not)),
-                        int(min(left, mean + 10.0 * math.sqrt(mean * p_not + 1))),
-                    )
-                qn, bound = params
-                k, px, u = 0, qn, uniform()
-                while u > px:
-                    k += 1
-                    if k > bound:
-                        k, px, u = 0, qn, uniform()
+                left = poisson(rate)
+            elif rate > 0.0:
+                prod = uniform()
+                while prod > enlam:
+                    left += 1
+                    prod *= uniform()
+            if left:
+                for cell, (p, p_not, inversion) in enumerate(cells):
+                    if uniform is random or p * left > 30.0:  # numpy's BTPE, or a handed-back unit
+                        hand_back()
+                        uniform = random
+                        k = binomial(left, p)
                     else:
-                        u -= px
-                        px = (left - k + 1) * p * px / (k * p_not)
-            queues[cell] += k
-            left -= k
-        queues[2] += left
-        jump = 1.0 - q
-        for r in reds[phase]:
-            if queues[r] > 0 and uniform() < jump:
+                        params = inversion.get(left)
+                        if params is None:
+                            mean = left * p
+                            params = inversion[left] = (
+                                math.exp(left * math.log(p_not)),
+                                int(min(left, mean + 10.0 * math.sqrt(mean * p_not + 1))),
+                            )
+                        qn, bound = params
+                        k, px, u = 0, qn, uniform()
+                        while u > px:
+                            k += 1
+                            if k > bound:
+                                k, px, u = 0, qn, uniform()
+                            else:
+                                u -= px
+                                px = (left - k + 1) * p * px / (k * p_not)
+                    queues[cell] += k
+                    left -= k
+                    if left == 0:
+                        break
+                queues[2] += left
+            jump = 1.0 - q
+            if queues[red1] > 0 and uniform() < jump:
                 strikes += 1
-                capacity = service_capacity(config, strikes)
-        queues[phase] -= min(queues[phase], capacity)
-        if unit % period == 0:
-            phase = (phase + 1) % 3
-            strikes = 0
-            capacity = full
-        vbar.append(sum(queues) / 3.0)
+            if queues[red2] > 0 and uniform() < jump:
+                strikes += 1
+            g, c = queues[green], caps[strikes]
+            queues[green] = g - c if g > c else 0
+            totals.append(queues[0] + queues[1] + queues[2])
     hand_back()
-    return np.array(vbar)
+    # each total converts to a double and divides as in sum(queues) / 3.0
+    return np.array(totals, dtype=float) / 3.0
 
 
 def _run_block(config: JunctionConfig, Q: np.ndarray, rngs: list) -> np.ndarray:

@@ -124,6 +124,14 @@ _CONTROLLERS = st.builds(
 @example(config=JunctionConfig(arrival_rate=9.99), mode=0.8, horizon=120, seed=2)
 @example(config=JunctionConfig(arrival_rate=10.0), mode=ControllerParams(), horizon=120, seed=3)
 @example(config=JunctionConfig(arrival_rate=120.0), mode=0.5, horizon=120, seed=4)
+# the loop's shapes: the shipped fixed file's regime (about 120 cars
+# queued, capacity 0 for most of each period), the shipped controller, a
+# run that ends mid-period, one-unit periods, and both reds drawing each unit
+@example(config=JunctionConfig(), mode=0.8, horizon=1000, seed=77)
+@example(config=JunctionConfig(), mode=ControllerParams(), horizon=600, seed=9)
+@example(config=JunctionConfig(switch_period=7), mode=ControllerParams(), horizon=45, seed=5)
+@example(config=JunctionConfig(switch_period=1), mode=0.5, horizon=120, seed=6)
+@example(config=JunctionConfig(arrival_rate=9.99), mode=0.0, horizon=120, seed=7)
 def test_run_matches_the_state_object_oracle(config, mode, horizon, seed):
     kw = {"controller": mode} if isinstance(mode, ControllerParams) else {"fixed_Q": mode}
     path = compliance_path(horizon, **kw)
@@ -166,6 +174,10 @@ def test_service_capacity_scales_with_slowdown():
 def test_config_validation():
     with pytest.raises(ValueError):
         JunctionConfig(switch_period=0)
+    for period in (2.5, 10.0):
+        with pytest.raises(ValueError, match="switch_period"):
+            JunctionConfig(switch_period=period)
+    assert JunctionConfig(switch_period=np.int64(7)).switch_period == 7
     with pytest.raises(ValueError):
         JunctionConfig(cross_time=0.0)
     with pytest.raises(ValueError):

@@ -3,19 +3,23 @@
 The service law and controller map are pinned with hand-computed values.
 The controller sees Q, never the queues, so Q and C are one deterministic
 path per ensemble (``compliance_path``) and ``run`` steps only the queues
-along its Q row.  ``run`` is one loop over plain ints and floats that
-re-derives numpy 2.x's scalar Poisson, multinomial and uniform draws from a
-buffered stream of doubles.  Its readable form, a queue state object
-advanced by ``step`` with numpy's own ``poisson``, ``multinomial`` and
-``random`` calls and the controller update after each unit, is kept here as
-the oracle: ``run`` must equal its vbar row bit for bit and leave the
-generator where the oracle leaves it, ``compliance_path`` must equal its Q
-and C rows, over arrival rates that reach every regime
-(no draw at rate 0, multiplication below 10, PTRS from 10, BTPE binomials
-from about 90).  That property is what catches a numpy release whose
+along its Q row.  ``run`` loops over plain ints and floats one switch
+period at a time, with a capacity table in place of per-unit
+``service_capacity`` calls, and re-derives numpy 2.x's scalar Poisson,
+multinomial and uniform draws from a buffered stream of doubles.  Its
+readable form, a queue state object advanced by ``step`` with numpy's own
+``poisson``, ``multinomial`` and ``random`` calls and the controller update
+after each unit, is kept here as the oracle: ``run`` must equal its vbar
+row bit for bit and leave the generator where the oracle leaves it, and
+``compliance_path`` must equal its Q and C rows.  The property runs over
+arrival rates that reach every regime (no draw at rate 0, multiplication
+below 10, PTRS from 10, BTPE binomials from about 90) and over the loop's
+shapes: the shipped files' regimes, a run that ends mid-period, and
+one-unit periods.  That property is what catches a numpy release whose
 algorithms differ.  One branch no seed reaches: a BTPE binomial in a unit
 whose arrivals came from the stream needs more than 60 arrivals at a rate
-below 10.  The hand-back it takes is pinned in ``test_seeding.py``.  The oracle is also fuzzed for vehicle conservation.
+below 10.  The hand-back it takes is pinned in ``test_seeding.py``.  The
+oracle is also fuzzed for vehicle conservation.
 The closed-loop fixed point is matched against plain iteration of the
 controller map.  An ensemble's ``q_mean`` and ``c_mean`` are pinned to the
 mean of ``runs`` stacked copies of the path, bit for bit: that is what the

@@ -2,27 +2,27 @@
 
 Three queues share one intersection; the signal gives one queue a green
 phase of fixed length, cycling round-robin.  Each time unit brings Poisson
-arrivals spread uniformly over the queues.  A car at a red queue jumps the
-light with probability 1 - Q; the incursion blocks the junction rather than
-clearing the car (the violator stays in its queue) and every incursion since
-the last signal switch stretches the effective crossing time, throttling the
-green queue's service.  The deposit controller adjusts Q through the cost of
-entry.
+arrivals spread uniformly over the queues; by Poisson splitting that is an
+independent Poisson(arrival_rate / 3) count per queue, which is how ``run``
+draws them.  A car at a red queue jumps the light with probability 1 - Q;
+the incursion blocks the junction rather than clearing the car (the
+violator stays in its queue) and every incursion since the last signal
+switch stretches the effective crossing time, throttling the green queue's
+service.  The deposit controller adjusts Q through the cost of entry.
 """
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import double_stream, seeded_runs
+from .seeding import seeded_runs
 
 
 # numpy's largest Poisson mean (its POISSON_LAM_MAX, in this form), above
-# which ``Generator.poisson`` raises
+# which ``Generator.poisson`` raises; the total arrival mean is held to it
 _POISSON_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
@@ -35,20 +35,20 @@ class JunctionConfig:
     arrival_rate: float = 1.0  # Poisson mean of total arrivals per unit
 
     def __post_init__(self) -> None:
-        try:  # an int or a numpy int; 2.5 would switch only every 5 units
-            operator.index(self.switch_period)
-        except TypeError:
-            raise ValueError(
-                f"switch_period must be a whole number, got {self.switch_period!r}"
-            ) from None
-        if self.switch_period < 1:
-            raise ValueError(f"switch_period must be at least 1, got {self.switch_period}")
+        # an int or a numpy int: a switch_period of 2.5 would switch only
+        # every 5 units, and a service_rate of 2.5 would serve int(2.5) = 2
+        for name in ("switch_period", "service_rate"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if not self.cross_time > 0:
             raise ValueError(f"cross_time must be positive, got {self.cross_time}")
         if not self.slowdown >= 0:
             raise ValueError(f"slowdown must be non-negative, got {self.slowdown}")
-        if self.service_rate < 1:
-            raise ValueError(f"service_rate must be at least 1, got {self.service_rate}")
         if not self.arrival_rate >= 0:
             raise ValueError(f"arrival_rate must be non-negative, got {self.arrival_rate}")
         if not self.arrival_rate <= _POISSON_MAX:
@@ -122,98 +122,46 @@ def run(config: JunctionConfig, Q: np.ndarray, rng: np.random.Generator) -> np.n
     0 of ``compliance_path``); returns the (len(Q),) row vbar, the mean
     queue length at the integer units 0..len(Q)-1.
 
-    The loop goes one switch period at a time (the last one may be cut
-    short by the horizon): the green queue, its two reds and the strike
-    count are set once per period.  Order within unit u: Poisson arrivals
-    spread by one multinomial draw (none without arrivals), red-queue
-    incursion attempts (one uniform per nonempty red queue, lower index
-    first, each an incursion with probability 1 - Q[u-1]), and green service
-    throttled by the incursions since the last switch, read from a table of
-    ``service_capacity`` built once per run.  The loop keeps integer queue
-    totals and divides them by 3 once at the end.
-
-    The draws are those of numpy's scalar calls ``rng.poisson(rate)``,
-    ``rng.multinomial(n, [1/3] * 3)`` and ``rng.random()``, bit for bit,
-    and ``rng`` (PCG64) ends where those calls leave it.  The kernel mirrors
-    numpy 2.x's algorithms on the doubles of ``seeding.double_stream``:
-    Poisson by multiplication for 0 < rate < 10 (no draw at rate 0), and the
-    multinomial as numpy's two binomials, each by inversion, with ``exp``,
-    ``log`` and ``sqrt`` from ``math`` (the C library's, as numpy's C code
-    uses).  Where numpy takes another method, PTRS for rate >= 10 (Hormann
-    1993) or BTPE for a binomial with n p > 30 (Kachitvichyanukul and
-    Schmeiser 1988), the stream hands ``rng`` back and the rest of the unit
-    runs on numpy's own ``poisson``, ``binomial`` and ``random`` calls; the
-    next unit's first draw starts a new chunk.  A numpy release that changes
-    these algorithms breaks the bit-for-bit property in the tests.
+    The run makes all its draws first, with two array calls on ``rng``:
+    ``rng.poisson(arrival_rate / 3, (units, 3))``, each queue's arrivals in
+    each unit, then ``rng.random((units, 2))``, each unit's uniforms for its
+    two red queues, lower index first.  The loop then goes one switch period
+    at a time (the last one may be cut short by the horizon): the green
+    queue, its two reds and the strike count are set once per period.
+    Order within unit u: arrivals, red-queue incursions (a nonempty red
+    queue's uniform below 1 - Q[u-1] is one; an empty queue's uniform goes
+    unused), and green service throttled by the incursions since the last
+    switch, read from a table of ``service_capacity`` built once per run.
+    The loop keeps integer queue totals and divides them by 3 once at the
+    end.
     """
-    draw, hand_back = double_stream(rng)
-    poisson, binomial, random = rng.poisson, rng.binomial, rng.random
-    rate, period = config.arrival_rate, config.switch_period
-    enlam = math.exp(-rate)
-    # numpy's multinomial over three equal cells: a binomial of p = 1/3 over
-    # all arrivals, then one of (1/3) / (1 - 1/3) = 0.49999999999999994 over
-    # the rest, which the last cell takes
-    third = 1.0 / 3.0
-    # per binomial: p, 1 - p, and numpy's inversion set-up by n: (1 - p)**n, bound
-    cells = [(p, 1.0 - p, {}) for p in (third, third / (1.0 - third))]
     qs = np.asarray(Q, dtype=float)[:-1].tolist()
+    units, period = len(qs), config.switch_period
+    arrivals = rng.poisson(config.arrival_rate / 3.0, (units, 3)).tolist()
+    uniforms = rng.random((units, 2)).tolist()
     # green service by incursions since the last switch, at most two a unit
-    caps = [service_capacity(config, s) for s in range(2 * min(period, len(qs)) + 1)]
+    caps = [service_capacity(config, s) for s in range(2 * min(period, units) + 1)]
     queues = [0, 0, 0]
     totals = [0]  # vehicles queued after each unit
-    for start in range(0, len(qs), period):
+    for start in range(0, units, period):
+        stop = start + period
         green = start // period % 3
         red1, red2 = ((1, 2), (0, 2), (0, 1))[green]
+        g, r1, r2 = queues[green], queues[red1], queues[red2]
         strikes = 0  # incursions since the last switch
-        for q in qs[start:start + period]:
-            uniform = draw  # the unit's doubles: the stream, or rng once handed back
-            left = 0  # arrivals not yet given a queue
-            if rate >= 10.0:  # numpy's PTRS
-                hand_back()
-                uniform = random
-                left = poisson(rate)
-            elif rate > 0.0:
-                prod = uniform()
-                while prod > enlam:
-                    left += 1
-                    prod *= uniform()
-            if left:
-                for cell, (p, p_not, inversion) in enumerate(cells):
-                    if uniform is random or p * left > 30.0:  # numpy's BTPE, or a handed-back unit
-                        hand_back()
-                        uniform = random
-                        k = binomial(left, p)
-                    else:
-                        params = inversion.get(left)
-                        if params is None:
-                            mean = left * p
-                            params = inversion[left] = (
-                                math.exp(left * math.log(p_not)),
-                                int(min(left, mean + 10.0 * math.sqrt(mean * p_not + 1))),
-                            )
-                        qn, bound = params
-                        k, px, u = 0, qn, uniform()
-                        while u > px:
-                            k += 1
-                            if k > bound:
-                                k, px, u = 0, qn, uniform()
-                            else:
-                                u -= px
-                                px = (left - k + 1) * p * px / (k * p_not)
-                    queues[cell] += k
-                    left -= k
-                    if left == 0:
-                        break
-                queues[2] += left
+        for q, a, (u1, u2) in zip(qs[start:stop], arrivals[start:stop], uniforms[start:stop]):
+            g += a[green]
+            r1 += a[red1]
+            r2 += a[red2]
             jump = 1.0 - q
-            if queues[red1] > 0 and uniform() < jump:
+            if r1 and u1 < jump:
                 strikes += 1
-            if queues[red2] > 0 and uniform() < jump:
+            if r2 and u2 < jump:
                 strikes += 1
-            g, c = queues[green], caps[strikes]
-            queues[green] = g - c if g > c else 0
-            totals.append(queues[0] + queues[1] + queues[2])
-    hand_back()
+            c = caps[strikes]
+            g = g - c if g > c else 0
+            totals.append(g + r1 + r2)
+        queues[green], queues[red1], queues[red2] = g, r1, r2
     # each total converts to a double and divides as in sum(queues) / 3.0
     return np.array(totals, dtype=float) / 3.0
 

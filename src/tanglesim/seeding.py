@@ -3,9 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from collections import deque
 from itertools import chain
-from operator import length_hint
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -30,12 +28,12 @@ def seed_stream(master_seed: int, index: int) -> np.random.Generator:
 _WORDS = 1024  # 64-bit words per random_raw call
 
 
-def _pcg64(rng: np.random.Generator, what: str) -> np.random.PCG64:
+def _pcg64(rng: np.random.Generator) -> np.random.PCG64:
     """``rng``'s bit generator, which a stream of raw words needs to be PCG64."""
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         raise ValueError(
-            f"stream-exact {what} need a PCG64 generator, got {type(bitgen).__name__}"
+            f"stream-exact integers need a PCG64 generator, got {type(bitgen).__name__}"
         )
     return bitgen
 
@@ -53,7 +51,7 @@ def word_stream(rng: np.random.Generator) -> Callable[[], int]:
     from ``random_raw`` in chunks, after the half buffered at entry, so the
     generator's state afterwards is not that of the scalar calls.
     """
-    bitgen = _pcg64(rng, "integers")
+    bitgen = _pcg64(rng)
     state = bitgen.state
     spare = [state["uinteger"]] if state["has_uint32"] else []
 
@@ -74,42 +72,6 @@ def lemire_redraw(m: int, n: int, word: Callable[[], int]) -> int:
     while m & 0xFFFFFFFF < floor:
         m = word() * n
     return m >> 32
-
-
-def double_stream(rng: np.random.Generator) -> tuple[Callable[[], float], Callable[[], None]]:
-    """``(draw, hand_back)``: ``draw()`` gives the values of successive
-    scalar ``rng.random()`` calls; ``rng`` must run on PCG64.
-
-    numpy makes such a double from one 64-bit word ``w`` as
-    ``(w >> 11) * 2**-53``, and never touches the buffered 32-bit half.
-    Here the words come from ``random_raw`` in chunks, drawn when a draw
-    needs one.  ``hand_back()`` brings ``rng`` to the state that the scalar
-    calls would have left: it restores the state saved before the current
-    chunk and draws the words consumed from it again.  The next ``draw()``
-    after a hand-back starts a new chunk from wherever ``rng`` then is, so
-    a caller can mix the stream with ``rng``'s own calls, handing back
-    before each of them.
-    """
-    bitgen = _pcg64(rng, "doubles")
-    saved = None  # the state before the current chunk; None once handed back
-    chunk = iter(())
-
-    def chunks():
-        nonlocal saved, chunk
-        while True:
-            saved = bitgen.state
-            chunk = iter(((bitgen.random_raw(_WORDS) >> 11) * 2.0**-53).tolist())
-            yield chunk
-
-    def hand_back() -> None:
-        nonlocal saved
-        if saved is not None:
-            bitgen.state = saved
-            bitgen.random_raw(_WORDS - length_hint(chunk))
-            saved = None
-            deque(chunk, maxlen=0)  # so the next draw starts a new chunk
-
-    return chain.from_iterable(chunks()).__next__, hand_back
 
 
 def worker_pool(workers: int):

@@ -3,23 +3,25 @@
 The service law and controller map are pinned with hand-computed values.
 The controller sees Q, never the queues, so Q and C are one deterministic
 path per ensemble (``compliance_path``) and ``run`` steps only the queues
-along its Q row.  ``run`` loops over plain ints and floats one switch
-period at a time, with a capacity table in place of per-unit
-``service_capacity`` calls, and re-derives numpy 2.x's scalar Poisson,
-multinomial and uniform draws from a buffered stream of doubles.  Its
-readable form, a queue state object advanced by ``step`` with numpy's own
-``poisson``, ``multinomial`` and ``random`` calls and the controller update
-after each unit, is kept here as the oracle: ``run`` must equal its vbar
-row bit for bit and leave the generator where the oracle leaves it, and
+along its Q row.  ``run`` makes a member's draws with two numpy array
+calls, each queue's Poisson(rate / 3) arrivals per unit and two red
+uniforms per unit, then loops over plain ints and floats one switch period
+at a time, with a capacity table in place of per-unit ``service_capacity``
+calls.  Its readable form, a queue state object advanced by ``advance`` on
+the same draws laid out the same way, with the controller update after
+each unit, is kept here as the oracle: ``run`` must equal its vbar row bit
+for bit and leave the generator where the oracle leaves it, and
 ``compliance_path`` must equal its Q and C rows.  The property runs over
-arrival rates that reach every regime (no draw at rate 0, multiplication
-below 10, PTRS from 10, BTPE binomials from about 90) and over the loop's
-shapes: the shipped files' regimes, a run that ends mid-period, and
-one-unit periods.  That property is what catches a numpy release whose
-algorithms differ.  One branch no seed reaches: a BTPE binomial in a unit
-whose arrivals came from the stream needs more than 60 arrivals at a rate
-below 10.  The hand-back it takes is pinned in ``test_seeding.py``.  The
-oracle is also fuzzed for vehicle conservation.
+arrival rates from 0 to 150 and over the loop's shapes: the shipped files'
+regimes, a run that ends mid-period, and one-unit periods.
+
+``step`` advances the state on numpy's scalar calls instead: one
+``poisson(rate)`` spread by one multinomial over the three queues, then one
+``random()`` per nonempty red queue.  That was the model's draw order
+before ``run`` drew its arrivals per queue; by Poisson splitting the two
+have the same law, and a fixed-seed ensemble test holds ``run`` to
+``step``'s means within sampling error.  ``step`` also carries the
+single-unit dynamics tests and the vehicle-conservation fuzz.
 The closed-loop fixed point is matched against plain iteration of the
 controller map.  An ensemble's ``q_mean`` and ``c_mean`` are pinned to the
 mean of ``runs`` stacked copies of the path, bit for bit: that is what the
@@ -60,20 +62,24 @@ class JunctionState:
         return float(self.queues.sum()) / 3.0
 
 
-def step(state: JunctionState, config: JunctionConfig, rng: np.random.Generator):
-    """Advance one time unit in place; returns (arrivals, violations, served).
+def advance(state: JunctionState, config: JunctionConfig, arrivals, red_uniform):
+    """Advance one time unit in place on its draws; returns (arrivals,
+    violations, served).
 
-    Order within the unit: arrivals, red-queue incursion attempts (at most
-    one per nonempty red queue, each with probability 1 - Q), green service
-    throttled by the incursions accumulated this phase, then the signal
-    switch check.  Vehicle conservation: arrivals - served = change in the
-    total queue length (incursions move no vehicles).
+    ``arrivals`` holds the unit's arrivals per queue, and ``red_uniform(k)``
+    gives the uniform of the k-th red queue (lower index first); it is
+    called only for a nonempty red queue.  Order within the unit: arrivals,
+    red-queue incursion attempts (at most one per nonempty red queue, each
+    with probability 1 - Q), green service throttled by the incursions
+    accumulated this phase, then the signal switch check.  Vehicle
+    conservation: arrivals - served = change in the total queue length
+    (incursions move no vehicles).
     """
-    arrivals = int(rng.poisson(config.arrival_rate))
-    state.queues += rng.multinomial(arrivals, (1 / 3, 1 / 3, 1 / 3))
+    state.queues += arrivals
     violations = 0
-    for r in range(3):
-        if r != state.phase and state.queues[r] > 0 and rng.random() < 1.0 - state.Q:
+    reds = [r for r in range(3) if r != state.phase]
+    for k, r in enumerate(reds):
+        if state.queues[r] > 0 and red_uniform(k) < 1.0 - state.Q:
             violations += 1
     state.phase_violations += violations
     cap = service_capacity(config, state.phase_violations)
@@ -83,17 +89,36 @@ def step(state: JunctionState, config: JunctionConfig, rng: np.random.Generator)
     if state.unit % config.switch_period == 0:
         state.phase = (state.phase + 1) % 3
         state.phase_violations = 0
-    return arrivals, violations, served
+    return int(sum(arrivals)), violations, served
 
 
-def oracle_run(config, horizon, rng, fixed_Q=None, controller=None) -> np.ndarray:
-    """``run`` through the state object: rows vbar, Q, C."""
+def step(state: JunctionState, config: JunctionConfig, rng: np.random.Generator):
+    """``advance`` on numpy's scalar calls: ``poisson(rate)`` arrivals
+    spread by one multinomial, then one ``random()`` per nonempty red queue."""
+    arrivals = rng.multinomial(rng.poisson(config.arrival_rate), (1 / 3, 1 / 3, 1 / 3))
+    return advance(state, config, arrivals, lambda k: rng.random())
+
+
+def kernel_draws(config: JunctionConfig, units: int, rng: np.random.Generator):
+    """The (units, 3) arrivals and (units, 2) red uniforms, drawn as ``run``
+    draws them."""
+    return rng.poisson(config.arrival_rate / 3, (units, 3)), rng.random((units, 2))
+
+
+def oracle_run(config, horizon, rng, fixed_Q=None, controller=None, scalar=False) -> np.ndarray:
+    """``run`` through the state object: rows vbar, Q, C.  The units step
+    on ``kernel_draws``, or with ``scalar`` on ``step``'s scalar calls."""
     q0 = fixed_Q if fixed_Q is not None else 0.0
     state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=q0, C=0.0)
+    if not scalar:
+        arrivals, uniforms = kernel_draws(config, horizon, rng)
     out = np.zeros((3, horizon + 1))
     out[1, 0] = state.Q
     for t in range(1, horizon + 1):
-        step(state, config, rng)
+        if scalar:
+            step(state, config, rng)
+        else:
+            advance(state, config, arrivals[t - 1], uniforms[t - 1].__getitem__)
         if controller is not None:
             state.C, state.Q = controller_step(state.C, state.Q, controller)
         out[:, t] = state.vbar, state.Q, state.C
@@ -122,8 +147,8 @@ _CONTROLLERS = st.builds(
        mode=st.one_of(st.sampled_from([0.0, 0.8, 1.0]), st.floats(0.0, 1.0), _CONTROLLERS),
        horizon=st.integers(1, 120),
        seed=st.integers(0, 2**32 - 1))
-# the regimes of numpy's draws: no Poisson draw at rate 0, multiplication
-# below 10, PTRS from 10, and BTPE binomials at 120 (n p > 30)
+# arrival rates 0 (no arrivals), 9.99 and 10, and 120: a queue's mean of 40
+# is past 10, where numpy's Poisson changes method
 @example(config=JunctionConfig(arrival_rate=0.0), mode=0.0, horizon=50, seed=1)
 @example(config=JunctionConfig(arrival_rate=9.99), mode=0.8, horizon=120, seed=2)
 @example(config=JunctionConfig(arrival_rate=10.0), mode=ControllerParams(), horizon=120, seed=3)
@@ -186,6 +211,10 @@ def test_config_validation():
         JunctionConfig(cross_time=0.0)
     with pytest.raises(ValueError):
         JunctionConfig(service_rate=0)
+    # int(2.5) would serve 2 cars a unit without a word
+    with pytest.raises(ValueError, match="service_rate"):
+        JunctionConfig(service_rate=2.5)
+    assert JunctionConfig(service_rate=np.int64(4)).service_rate == 4
     # numpy's Poisson serves means up to about 9.2234e18
     assert JunctionConfig(arrival_rate=9.2e18).arrival_rate == 9.2e18
     with pytest.raises(ValueError, match="arrival_rate"):
@@ -300,26 +329,39 @@ def test_compliance_path_requires_exactly_one_mode():
         compliance_path(0, fixed_Q=0.9)
 
 
-def test_run_needs_a_pcg64_generator():
-    # the kernel reads PCG64's raw words; another generator's random() differs
-    with pytest.raises(ValueError, match="PCG64"):
-        run(JunctionConfig(), np.full(11, 0.9), np.random.Generator(np.random.MT19937(54)))
-
-
 def test_fixed_mode_records_constant_q():
     cfg = JunctionConfig()
     q, c = compliance_path(50, fixed_Q=0.8)
     assert np.all(q == 0.8)
     assert np.all(c == 0.0)
     vbar = run(cfg, q, seed_stream(55, 0))
-    # the recorded mean queue is the state's after each unit on the same stream
+    # the recorded mean queue is the state's after each unit on the same draws
     state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=0.8)
-    rng = seed_stream(55, 0)
+    arrivals, uniforms = kernel_draws(cfg, 50, seed_stream(55, 0))
     want = [state.vbar]
-    for _ in range(50):
-        step(state, cfg, rng)
+    for a, u in zip(arrivals, uniforms):
+        advance(state, cfg, a, u.__getitem__)
         want.append(state.vbar)
     assert vbar.tolist() == want
+
+
+@pytest.mark.parametrize("config, mode, seed", [
+    (JunctionConfig(), {"fixed_Q": 0.8}, 81),
+    (JunctionConfig(), {"controller": ControllerParams()}, 82),
+    (JunctionConfig(switch_period=7, arrival_rate=12.0), {"controller": ControllerParams()}, 83),
+], ids=["fixed-0.8", "closed-loop", "rate12-period7"])
+def test_run_has_the_law_of_the_scalar_calls(config, mode, seed):
+    # Poisson(rate) spread uniformly over three queues is three independent
+    # Poisson(rate / 3) queues: run's mean queue must match step's within
+    # sampling error, 300 independent runs a side
+    runs, horizon = 300, 200
+    ens = run_ensemble(config, runs=runs, horizon=horizon, master_seed=seed, **mode)
+    old = np.stack([oracle_run(config, horizon, seed_stream(seed + 100, r), scalar=True, **mode)[0]
+                    for r in range(runs)])
+    t = np.arange(20, horizon + 1, 20)
+    se = np.sqrt((ens.vbar_std[t] ** 2 + old[:, t].var(axis=0)) / runs)
+    z = (ens.vbar_mean[t] - old[:, t].mean(axis=0)) / se
+    assert np.all(np.abs(z) < 4), z
 
 
 def test_closed_loop_q_tracks_the_deterministic_map():

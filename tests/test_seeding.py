@@ -1,11 +1,11 @@
-"""`word_stream` with `lemire_redraw`, and `double_stream`, against numpy's
-own scalar `Generator.integers` and `Generator.random` calls."""
+"""`word_stream` with `lemire_redraw` against numpy's own scalar
+`Generator.integers` calls."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tanglesim.seeding import double_stream, lemire_redraw, word_stream
+from tanglesim.seeding import lemire_redraw, word_stream
 
 # the edges of the method: no word (1), the raw word (2**32), the largest
 # rejection threshold (2**31 + 1) and small bounds
@@ -56,37 +56,8 @@ def test_stream_gives_the_values_of_scalar_integers_calls(seed, how, bounds):
     assert [draw(n) for n in bounds] == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    how=st.sampled_from(["fresh", "exponential", "odd"]),
-    first=st.integers(0, 2600),
-    then=st.integers(0, 1500),
-)
-# more than two chunks of 1,024 words, with a half-word buffered at entry
-@example(seed=0, how="odd", first=2500, then=0)
-# a hand-back at a chunk's end, and before any draw
-@example(seed=1, how="fresh", first=1024, then=1025)
-@example(seed=2, how="odd", first=0, then=3)
-def test_double_stream_gives_scalar_random_values_and_hands_back_their_state(seed, how, first, then):
-    numpy_rng = _start(np.random.default_rng(seed), how)
-    rng = _start(np.random.default_rng(seed), how)
-    draw, hand_back = double_stream(rng)
-    assert [draw() for _ in range(first)] == [numpy_rng.random() for _ in range(first)]
-    hand_back()
-    assert rng.bit_generator.state == numpy_rng.bit_generator.state
-    # the generator's own calls in between; one 32-bit draw flips the
-    # buffered half, which random() leaves alone
-    assert rng.integers(1000) == numpy_rng.integers(1000)
-    assert [draw() for _ in range(then)] == [numpy_rng.random() for _ in range(then)]
-    hand_back()
-    hand_back()  # a second hand-back changes nothing
-    assert rng.bit_generator.state == numpy_rng.bit_generator.state
-
-
 def test_streams_refuse_other_bit_generators():
-    for stream in (word_stream, double_stream):
-        with pytest.raises(ValueError, match="PCG64"):
-            stream(np.random.Generator(np.random.MT19937(1)))
-        with pytest.raises(ValueError, match="PCG64"):
-            stream(np.random.Generator(np.random.PCG64DXSM(1)))
+    with pytest.raises(ValueError, match="PCG64"):
+        word_stream(np.random.Generator(np.random.MT19937(1)))
+    with pytest.raises(ValueError, match="PCG64"):
+        word_stream(np.random.Generator(np.random.PCG64DXSM(1)))

@@ -8,12 +8,11 @@ ground-truth model the per-type counter simulation is validated against.
 """
 from __future__ import annotations
 
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 
 import numpy as np
 
 from .reduced import ExtinctLedgerError, InvariantError, _TangleSim, _fill, _schedule
-from .seeding import lemire_redraw, word_stream
 from .trajectory import TrajectoryFrame, make_grid
 
 
@@ -54,8 +53,9 @@ def _kernel(ct, A, blocks, seeds, delay, types, end, rng, check):
     and seeds in the order they are made.  One flat loop makes them: each
     step first attaches the creations due before it, then makes a seed or
     a creation.  A tip list drops an entry by moving its last entry into
-    the gap, and tip draws take the lists in type order, each by numpy's
-    Lemire step on ``word_stream``, so the draws are those of the object
+    the gap.  A pick of one of ``n`` tips, taking the lists in type order,
+    is ``int(u * n)`` for the next double ``u`` that successive scalar
+    ``rng.random()`` calls give, so the draws are those of the object
     graph kept in the tests.  The attach checks always run.  With
     ``check``, the counters are checked after every event, a last step
     attaches what is due by ``end`` and the whole graph is rechecked; the
@@ -66,7 +66,9 @@ def _kernel(ct, A, blocks, seeds, delay, types, end, rng, check):
     attach_times = ct + delay
     due = A.tolist()
     at_times = attach_times.tolist()
-    word = word_stream(rng)
+    # u <= 1 - 2**-53, so u * n rounds below n for any n < 2**53; each
+    # pick's chance is 1/n to a relative error of order n / 2**53
+    uniform = chain.from_iterable(iter(lambda: rng.random(1024).tolist(), None)).__next__
     # one slot per site that can be made: genesis, creations, seeds
     size = 1 + n + len(seeds)
     kind = [0] * size  # 0-based type of each site
@@ -176,21 +178,16 @@ def _kernel(ct, A, blocks, seeds, delay, types, end, rng, check):
                     verify(f)
                 continue
             if draws:  # two picks over all tips, redrawn until types match
-                if live < 2:  # a bound of 1 draws no word
-                    if not live:
-                        raise ExtinctLedgerError("no tips anywhere in the ledger")
-                    a = b = max(tips, key=len)[0]
-                    i = kind[a]
-                while live > 1:
-                    m = word() * live
-                    r = m >> 32 if m & 0xFFFFFFFF >= live else lemire_redraw(m, live, word)
+                if not live:
+                    raise ExtinctLedgerError("no tips anywhere in the ledger")
+                while True:
+                    r = int(uniform() * live)
                     for tb in tips:
                         if r < len(tb):
                             break
                         r -= len(tb)
                     a = tb[r]
-                    m = word() * live
-                    r = m >> 32 if m & 0xFFFFFFFF >= live else lemire_redraw(m, live, word)
+                    r = int(uniform() * live)
                     for tb in tips:
                         if r < len(tb):
                             break
@@ -202,15 +199,10 @@ def _kernel(ct, A, blocks, seeds, delay, types, end, rng, check):
             else:  # one type: all tips are in one list, and picks match
                 i = f
                 c = len(bucket)
-                if c > 1:
-                    m = word() * c
-                    a = bucket[m >> 32 if m & 0xFFFFFFFF >= c else lemire_redraw(m, c, word)]
-                    m = word() * c
-                    b = bucket[m >> 32 if m & 0xFFFFFFFF >= c else lemire_redraw(m, c, word)]
-                elif c:
-                    a = b = bucket[0]
-                else:
+                if not c:
                     raise ExtinctLedgerError(f"type {i + 1} has no tips to select")
+                a = bucket[int(uniform() * c)]
+                b = bucket[int(uniform() * c)]
             u = (marks[a] == 0) + (b != a and marks[b] == 0)
             marks[a] += 1
             marks[b] += 1

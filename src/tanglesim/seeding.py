@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -23,55 +22,6 @@ def seed_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
     )
-
-
-_WORDS = 1024  # 64-bit words per random_raw call
-
-
-def _pcg64(rng: np.random.Generator) -> np.random.PCG64:
-    """``rng``'s bit generator, which a stream of raw words needs to be PCG64."""
-    bitgen = rng.bit_generator
-    if type(bitgen) is not np.random.PCG64:
-        raise ValueError(
-            f"stream-exact integers need a PCG64 generator, got {type(bitgen).__name__}"
-        )
-    return bitgen
-
-
-def word_stream(rng: np.random.Generator) -> Callable[[], int]:
-    """``word()`` giving the 32-bit words that successive scalar
-    ``rng.integers(n)`` calls consume; ``rng`` must run on PCG64.
-
-    numpy draws such an integer by Lemire's method (Lemire 2019, "Fast
-    random integer generation in an interval"): with ``m = word() * n``
-    the value is ``m >> 32``, unless ``m & 0xFFFFFFFF < n``, when
-    ``lemire_redraw(m, n, word)`` finishes the draw.  A bound of 1 draws
-    no word.  PCG64 serves each 64-bit output as its low half, then its
-    high half, and keeps the spare half in its state.  Here the words come
-    from ``random_raw`` in chunks, after the half buffered at entry, so the
-    generator's state afterwards is not that of the scalar calls.
-    """
-    bitgen = _pcg64(rng)
-    state = bitgen.state
-    spare = [state["uinteger"]] if state["has_uint32"] else []
-
-    def halves() -> list[int]:
-        w = bitgen.random_raw(_WORDS)
-        return np.stack((w & 0xFFFFFFFF, w >> 32), axis=1).ravel().tolist()
-
-    return chain(spare, chain.from_iterable(iter(halves, None))).__next__
-
-
-def lemire_redraw(m: int, n: int, word: Callable[[], int]) -> int:
-    """The integer below ``n`` (2 <= n <= 2**32) that numpy's draw gives
-    when its first product ``m = word() * n`` has a low half below ``n``:
-    products whose low half is below numpy's threshold, 2**32 mod n, are
-    drawn again.  At n = 2**32 the threshold is 0 and the draw is the word
-    itself, which numpy returns there."""
-    floor = 0x100000000 % n
-    while m & 0xFFFFFFFF < floor:
-        m = word() * n
-    return m >> 32
 
 
 def worker_pool(workers: int):

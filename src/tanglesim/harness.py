@@ -375,6 +375,7 @@ def _parse_junction(
     if not horizon.is_integer():
         raise top.error("horizon", f"a junction runs whole steps, got {horizon}")
     _cap_rows(top, horizon, 1.0)
+    _built(top.path, junction.check_horizon, built, int(horizon))
     return params, (built, mode_kw)
 
 

@@ -22,8 +22,12 @@ from .seeding import seeded_runs
 
 
 # numpy's largest Poisson mean (its POISSON_LAM_MAX, in this form), above
-# which ``Generator.poisson`` raises; the total arrival mean is held to it
+# which ``Generator.poisson`` raises; the total arrival mean is held to it,
+# and so are a run's expected arrivals, which ``run`` counts in int64
 _POISSON_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+# member-units per lane group of ``run``, and per ``run_ensemble`` block,
+# below which a block runs faster in this process than a pool can start
+_LANE_ENTRIES, _MIN_BLOCK_UNITS = 1 << 17, 200_000
 
 
 @dataclass(frozen=True)
@@ -117,61 +121,60 @@ def compliance_path(
     return np.array(rows).T
 
 
-def run(config: JunctionConfig, Q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Simulate one seeded junction run along the compliance row ``Q`` (row
-    0 of ``compliance_path``); returns the (len(Q),) row vbar, the mean
-    queue length at the integer units 0..len(Q)-1.
+def check_horizon(config: JunctionConfig, horizon: int) -> None:
+    """Refuse a run whose int64 counts could overflow: its expected arrivals
+    plus one period's service must stay within ``_POISSON_MAX``."""
+    offered = service_capacity(config, 0) * min(config.switch_period, horizon)
+    if not config.arrival_rate * horizon + offered <= _POISSON_MAX:
+        raise ValueError(f"arrival_rate * horizon, plus the {offered} cars service_rate serves in "
+                         f"a switch period, must be at most {_POISSON_MAX:.10g}, got "
+                         f"{config.arrival_rate} * {horizon}")
 
-    The run makes all its draws first, with two array calls on ``rng``:
-    ``rng.poisson(arrival_rate / 3, (units, 3))``, each queue's arrivals in
-    each unit, then ``rng.random((units, 2))``, each unit's uniforms for its
-    two red queues, lower index first.  The loop then goes one switch period
-    at a time (the last one may be cut short by the horizon): the green
-    queue, its two reds and the strike count are set once per period.
-    Order within unit u: arrivals, red-queue incursions (a nonempty red
-    queue's uniform below 1 - Q[u-1] is one; an empty queue's uniform goes
-    unused), and green service throttled by the incursions since the last
-    switch, read from a table of ``service_capacity`` built once per run.
-    The loop keeps integer queue totals and divides them by 3 once at the
-    end.
-    """
-    qs = np.asarray(Q, dtype=float)[:-1].tolist()
-    units, period = len(qs), config.switch_period
-    arrivals = rng.poisson(config.arrival_rate / 3.0, (units, 3)).tolist()
-    uniforms = rng.random((units, 2)).tolist()
-    # green service by incursions since the last switch, at most two a unit
-    caps = [service_capacity(config, s) for s in range(2 * min(period, units) + 1)]
-    queues = [0, 0, 0]
-    totals = [0]  # vehicles queued after each unit
-    for start in range(0, units, period):
-        stop = start + period
-        green = start // period % 3
-        red1, red2 = ((1, 2), (0, 2), (0, 1))[green]
-        g, r1, r2 = queues[green], queues[red1], queues[red2]
-        strikes = 0  # incursions since the last switch
-        for q, a, (u1, u2) in zip(qs[start:stop], arrivals[start:stop], uniforms[start:stop]):
-            g += a[green]
-            r1 += a[red1]
-            r2 += a[red2]
-            jump = 1.0 - q
-            if r1 and u1 < jump:
-                strikes += 1
-            if r2 and u2 < jump:
-                strikes += 1
-            c = caps[strikes]
-            g = g - c if g > c else 0
-            totals.append(g + r1 + r2)
-        queues[green], queues[red1], queues[red2] = g, r1, r2
+
+def run(config: JunctionConfig, Q: np.ndarray, rngs: list) -> np.ndarray:
+    """The (len(rngs), len(Q)) rows vbar, the mean queue length at each
+    unit, of one run per generator along the compliance row ``Q``.
+
+    Each member draws ``rng.poisson(arrival_rate / 3, (units, 3))``, each
+    queue's arrivals per unit, then ``rng.random((units, 2))``, the uniforms
+    of each unit's two red queues, lower index first.  Order within unit u:
+    arrivals, red-queue incursions (a nonempty red queue's uniform below
+    1 - Q[u-1] is one), then green service throttled by the incursions since
+    the last switch, read from a ``service_capacity`` table.  The members
+    step together in int64 lanes, at most ``_LANE_ENTRIES`` member-units (or
+    one member) a group, one switch period at a time.  In a period the reds only
+    grow, so they and the strike count are cumsums, and the green queue
+    ``g_k = max(g_{k-1} + a_k - c_k, 0)`` is ``S_k - min(0, min S_{j<=k})``,
+    ``S`` being its start plus the cumsum of ``a - c``."""
+    jump = 1.0 - np.asarray(Q, dtype=float)[:-1, None]
+    units, period = len(jump), config.switch_period
+    check_horizon(config, units)
+    caps = np.array([service_capacity(config, s) for s in range(2 * min(period, units) + 1)])
+    out = np.zeros((len(rngs), units + 1))
+    size = max(_LANE_ENTRIES // max(units, 1), 1)
+    for first in range(0, len(rngs), size):
+        group = rngs[first:first + size]
+        held = np.empty((3, units, len(group)), dtype=np.int64)
+        jumps = np.empty((2, units, len(group)), dtype=bool)
+        for j, rng in enumerate(group):
+            held[:, :, j] = rng.poisson(config.arrival_rate / 3.0, (units, 3)).T
+            jumps[:, :, j] = (rng.random((units, 2)) < jump).T
+        held.cumsum(axis=1, out=held)
+        served = np.zeros((3, 1, len(group)), dtype=np.int64)
+        for start in range(0, units, period):
+            stop = start + period
+            green = start // period % 3
+            red1, red2 = ((1, 2), (0, 2), (0, 1))[green]
+            h = held[:, start:stop]
+            h -= served  # each queue as if unserved this period
+            strikes = np.add((h[red1] > 0) & jumps[0, start:stop],
+                             (h[red2] > 0) & jumps[1, start:stop], dtype=np.int64).cumsum(axis=0)
+            S = h[green] - caps[strikes].cumsum(axis=0)
+            g = S - np.minimum(np.minimum.accumulate(S, axis=0), 0)
+            out[first:first + len(group), start + 1:stop + 1] = (h[red1] + h[red2] + g).T
+            served[green] += h[green, -1] - g[-1]
     # each total converts to a double and divides as in sum(queues) / 3.0
-    return np.array(totals, dtype=float) / 3.0
-
-
-def _run_block(config: JunctionConfig, Q: np.ndarray, rngs: list) -> np.ndarray:
-    """The (len(rngs), len(Q)) rows of ``run`` on each generator."""
-    out = np.empty((len(rngs), len(Q)))
-    for j, rng in enumerate(rngs):
-        out[j] = run(config, Q, rng)
-    return out
+    return out / 3.0
 
 
 @dataclass
@@ -193,8 +196,10 @@ def run_ensemble(
     controller: ControllerParams | None = None,
     workers: int = 1,
 ) -> JunctionEnsemble:
-    """Ensemble statistics over independent seeded runs on ``workers``
-    processes (see ``seeding.seeded_runs``).
+    """Ensemble statistics over independent seeded runs (see
+    ``seeding.seeded_runs``) on at most ``workers`` processes, and on fewer
+    if that leaves a block below ``_MIN_BLOCK_UNITS`` member-units: so
+    small a block runs faster in this process than a pool starts.
 
     The compliance path is built once (``compliance_path``) and every run
     steps its queues along its Q row, so the stack holds only the
@@ -204,13 +209,8 @@ def run_ensemble(
     0.8, for Q = 0.8 over 100 runs).
     """
     path = compliance_path(horizon, fixed_Q, controller)
-    stack = seeded_runs(functools.partial(_run_block, config, path[0]), master_seed, runs, workers)
+    workers = min(workers, max(runs * horizon // _MIN_BLOCK_UNITS, 1))
+    stack = seeded_runs(functools.partial(run, config, path[0]), master_seed, runs, workers)
     q_mean, c_mean = np.broadcast_to(path, (runs,) + path.shape).mean(axis=0)
-    return JunctionEnsemble(
-        times=np.arange(horizon + 1),
-        vbar_mean=stack.mean(axis=0),
-        vbar_std=stack.std(axis=0),
-        q_mean=q_mean,
-        c_mean=c_mean,
-        runs=runs,
-    )
+    return JunctionEnsemble(np.arange(horizon + 1), stack.mean(axis=0), stack.std(axis=0),
+                            q_mean, c_mean, runs)

@@ -403,9 +403,9 @@ def test_a11_property_bundle(capsys):
         for f in ("times", "tips", "free", "pending", "created")
     )
     q = compliance_path(300, fixed_Q=0.8)[0]
-    j1 = run(JunctionConfig(), q, seed_stream(125, 0))
-    j2 = run(JunctionConfig(), q, seed_stream(125, 0))
-    rerun_ok = rerun_ok and np.array_equal(j1, j2)  # row vbar
+    j1 = run(JunctionConfig(), q, [seed_stream(125, 0)])
+    j2 = run(JunctionConfig(), q, [seed_stream(125, 0)])
+    rerun_ok = rerun_ok and np.array_equal(j1, j2)  # one member's row vbar
 
     ok = cons_ok and events_ok and agent_ok and prob_ok and exact_ok and rerun_ok
     _report(

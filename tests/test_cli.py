@@ -100,15 +100,23 @@ def test_simulate_rejects_fractional_junction_horizon(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rate, code", [(9.2e18, 0), (9.3e18, 2), (1e19, 2)])
-def test_simulate_refuses_an_arrival_rate_beyond_numpys_poisson(tmp_path, capsys, rate, code):
-    # numpy's Poisson draws means up to about 9.2234e18; a larger one is
-    # refused at parse time, with the field named and before any output
-    scenario = _write(tmp_path, "busy.json", {**_JUNCTION, "config": {"arrival_rate": rate}})
+@pytest.mark.parametrize("rate, horizon, code", [(9.2e18, 1, 0), (9.2e18, 10, 2), (9.3e18, 10, 2),
+                                                 (1e19, 10, 2)],
+                         ids=["9.2e+18-0", "9.2e+18-2", "9.3e+18-2", "1e+19-2"])
+def test_simulate_refuses_an_arrival_rate_beyond_numpys_poisson(tmp_path, capsys, rate, horizon,
+                                                                code):
+    # numpy's Poisson draws means up to about 9.2234e18, and the int64 queue
+    # counts hold a run's arrivals while arrival_rate * horizon stays below
+    # the same bound: a larger rate, or a larger product, is refused at parse
+    # time, with the field named and before any output
+    scenario = _write(tmp_path, "busy.json",
+                      {**_JUNCTION, "horizon": horizon, "config": {"arrival_rate": rate}})
     out = tmp_path / "res"
     assert main(["simulate", scenario, "--out", str(out)]) == code
     if code:
-        assert "busy: arrival_rate must be at most 9.2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"busy: arrival_rate{' * horizon' if rate == 9.2e18 else ''}" in err
+        assert "must be at most 9.2" in err
         assert not out.exists()
     else:
         assert (out / "busy_junction.csv").exists()

@@ -5,15 +5,18 @@ The controller sees Q, never the queues, so Q and C are one deterministic
 path per ensemble (``compliance_path``) and ``run`` steps only the queues
 along its Q row.  ``run`` makes a member's draws with two numpy array
 calls, each queue's Poisson(rate / 3) arrivals per unit and two red
-uniforms per unit, then loops over plain ints and floats one switch period
-at a time, with a capacity table in place of per-unit ``service_capacity``
-calls.  Its readable form, a queue state object advanced by ``advance`` on
-the same draws laid out the same way, with the controller update after
-each unit, is kept here as the oracle: ``run`` must equal its vbar row bit
-for bit and leave the generator where the oracle leaves it, and
-``compliance_path`` must equal its Q and C rows.  The property runs over
-arrival rates from 0 to 150 and over the loop's shapes: the shipped files'
-regimes, a run that ends mid-period, and one-unit periods.
+uniforms per unit, then steps a block of members together in int64 lanes
+one switch period at a time, with a capacity table in place of per-unit
+``service_capacity`` calls.  Its readable form, a queue state object
+advanced by ``advance`` on the same draws laid out the same way, with the
+controller update after each unit, is kept here as the oracle: on a block
+of one to seven generators, each of ``run``'s rows must equal its
+member's oracle vbar row bit for bit and leave that member's generator
+where the oracle leaves it, and ``compliance_path`` must equal its Q and C
+rows.  The property runs over arrival rates from 0 to 150 and over the
+lanes' shapes: the shipped files' regimes, a run that ends mid-period, a
+period longer than the run, one-unit periods, and the largest arrivals
+the int64 counts hold.
 
 ``step`` advances the state on numpy's scalar calls instead: one
 ``poisson(rate)`` spread by one multinomial over the three queues, then one
@@ -34,6 +37,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tanglesim import junction, seeding
 from tanglesim.junction import (
     ControllerParams,
     JunctionConfig,
@@ -146,31 +150,43 @@ _CONTROLLERS = st.builds(
 @given(config=_CONFIGS,
        mode=st.one_of(st.sampled_from([0.0, 0.8, 1.0]), st.floats(0.0, 1.0), _CONTROLLERS),
        horizon=st.integers(1, 120),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1),
+       members=st.integers(1, 7))
 # arrival rates 0 (no arrivals), 9.99 and 10, and 120: a queue's mean of 40
 # is past 10, where numpy's Poisson changes method
-@example(config=JunctionConfig(arrival_rate=0.0), mode=0.0, horizon=50, seed=1)
-@example(config=JunctionConfig(arrival_rate=9.99), mode=0.8, horizon=120, seed=2)
-@example(config=JunctionConfig(arrival_rate=10.0), mode=ControllerParams(), horizon=120, seed=3)
-@example(config=JunctionConfig(arrival_rate=120.0), mode=0.5, horizon=120, seed=4)
-# the loop's shapes: the shipped fixed file's regime (about 120 cars
+@example(config=JunctionConfig(arrival_rate=0.0), mode=0.0, horizon=50, seed=1, members=1)
+@example(config=JunctionConfig(arrival_rate=9.99), mode=0.8, horizon=120, seed=2, members=1)
+@example(config=JunctionConfig(arrival_rate=10.0), mode=ControllerParams(), horizon=120, seed=3,
+         members=1)
+@example(config=JunctionConfig(arrival_rate=120.0), mode=0.5, horizon=120, seed=4, members=1)
+# the lanes' shapes: the shipped fixed file's regime (about 120 cars
 # queued, capacity 0 for most of each period), the shipped controller, a
-# run that ends mid-period, one-unit periods, and both reds drawing each unit
-@example(config=JunctionConfig(), mode=0.8, horizon=1000, seed=77)
-@example(config=JunctionConfig(), mode=ControllerParams(), horizon=600, seed=9)
-@example(config=JunctionConfig(switch_period=7), mode=ControllerParams(), horizon=45, seed=5)
-@example(config=JunctionConfig(switch_period=1), mode=0.5, horizon=120, seed=6)
-@example(config=JunctionConfig(arrival_rate=9.99), mode=0.0, horizon=120, seed=7)
-def test_run_matches_the_state_object_oracle(config, mode, horizon, seed):
+# run that ends mid-period, one-unit periods (alone and in a block of
+# seven), both reds drawing each unit, and a period longer than the run
+@example(config=JunctionConfig(), mode=0.8, horizon=1000, seed=77, members=1)
+@example(config=JunctionConfig(), mode=ControllerParams(), horizon=600, seed=9, members=1)
+@example(config=JunctionConfig(switch_period=7), mode=ControllerParams(), horizon=45, seed=5,
+         members=1)
+@example(config=JunctionConfig(switch_period=1), mode=0.5, horizon=120, seed=6, members=1)
+@example(config=JunctionConfig(switch_period=1), mode=0.5, horizon=120, seed=10, members=7)
+@example(config=JunctionConfig(arrival_rate=9.99), mode=0.0, horizon=120, seed=7, members=1)
+@example(config=JunctionConfig(switch_period=12), mode=0.3, horizon=5, seed=11, members=4)
+# the overflow edge: arrival_rate * horizon just below the int64 bound, on
+# one unit and over one whole ten-unit period
+@example(config=JunctionConfig(arrival_rate=9.2e18), mode=0.5, horizon=1, seed=12, members=3)
+@example(config=JunctionConfig(arrival_rate=9.2e17), mode=0.5, horizon=10, seed=13, members=3)
+def test_run_matches_the_state_object_oracle(config, mode, horizon, seed, members):
     kw = {"controller": mode} if isinstance(mode, ControllerParams) else {"fixed_Q": mode}
     path = compliance_path(horizon, **kw)
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours = [np.random.default_rng(seed + r) for r in range(members)]
+    theirs = [np.random.default_rng(seed + r) for r in range(members)]
     got = run(config, path[0], ours)
-    want = oracle_run(config, horizon, theirs, **kw)
-    assert got.shape == (horizon + 1,) and path.shape == (2, horizon + 1)
-    assert np.array_equal(got, want[0])
-    assert np.array_equal(path, want[1:])
-    assert ours.random() == theirs.random()  # the same draws, no more
+    assert got.shape == (members, horizon + 1) and path.shape == (2, horizon + 1)
+    for row, mine, oracle_rng in zip(got, ours, theirs):
+        want = oracle_run(config, horizon, oracle_rng, **kw)
+        assert np.array_equal(row, want[0])
+        assert np.array_equal(path, want[1:])
+        assert mine.random() == oracle_rng.random()  # the same draws, no more
 
 
 def second_half_slope(times: np.ndarray, values: np.ndarray) -> float:
@@ -219,6 +235,15 @@ def test_config_validation():
     assert JunctionConfig(arrival_rate=9.2e18).arrival_rate == 9.2e18
     with pytest.raises(ValueError, match="arrival_rate"):
         JunctionConfig(arrival_rate=9.3e18)
+    # and the int64 lanes hold arrival_rate * horizon up to the same bound
+    busy = JunctionConfig(arrival_rate=9.2e17)
+    assert run(busy, compliance_path(10, fixed_Q=1.0)[0], [seed_stream(1, 0)]).shape == (1, 11)
+    with pytest.raises(ValueError, match=r"arrival_rate \* horizon"):
+        run(busy, compliance_path(11, fixed_Q=1.0)[0], [seed_stream(1, 0)])
+    # and the cars a switch period can serve, which the lanes sum too
+    with pytest.raises(ValueError, match="service_rate"):
+        run(JunctionConfig(service_rate=10**18), compliance_path(10, fixed_Q=1.0)[0],
+            [seed_stream(1, 0)])
 
 
 # -- controller map ----------------------------------------------------------------
@@ -334,7 +359,7 @@ def test_fixed_mode_records_constant_q():
     q, c = compliance_path(50, fixed_Q=0.8)
     assert np.all(q == 0.8)
     assert np.all(c == 0.0)
-    vbar = run(cfg, q, seed_stream(55, 0))
+    [vbar] = run(cfg, q, [seed_stream(55, 0)])
     # the recorded mean queue is the state's after each unit on the same draws
     state = JunctionState(queues=np.zeros(3, dtype=np.int64), Q=0.8)
     arrivals, uniforms = kernel_draws(cfg, 50, seed_stream(55, 0))
@@ -385,15 +410,33 @@ def test_ensemble_statistics_and_determinism():
     assert not np.array_equal(a.vbar_mean, c.vbar_mean)
 
 
-def test_ensemble_members_are_the_seeded_runs_on_any_worker_count():
+def test_ensemble_members_are_the_seeded_runs_on_any_worker_count(monkeypatch):
+    # blocks of any size, so that 1, 2 and 3 workers make 1, 2 and 3 blocks,
+    # each run in lane groups of two members (60 member-units of 30 units)
+    monkeypatch.setattr(junction, "_MIN_BLOCK_UNITS", 1)
+    monkeypatch.setattr(junction, "_LANE_ENTRIES", 60)
     cfg = JunctionConfig()
     q = compliance_path(30, fixed_Q=0.8)[0]
-    members = [run(cfg, q, seed_stream(60, r)) for r in range(5)]
+    members = [run(cfg, q, [seed_stream(60, r)])[0] for r in range(5)]
     for workers in (1, 2, 3):
         ens = run_ensemble(cfg, runs=5, horizon=30, master_seed=60, fixed_Q=0.8,
                            workers=workers)
         assert np.array_equal(ens.vbar_mean, np.stack(members).mean(axis=0))
         assert np.array_equal(ens.vbar_std, np.stack(members).std(axis=0))
+
+
+def test_a_shipped_size_ensemble_starts_no_pool(monkeypatch):
+    # 100 runs of 1,000 units are one block's worth of work: a pool would
+    # cost more to start than a second worker saves
+    def refuse(workers):
+        raise AssertionError(f"a pool of {workers} was started")
+
+    monkeypatch.setattr(seeding, "worker_pool", refuse)
+    cfg = JunctionConfig()
+    ens = run_ensemble(cfg, runs=100, horizon=1000, master_seed=77, fixed_Q=0.8, workers=2)
+    q = compliance_path(1000, fixed_Q=0.8)[0]
+    assert np.array_equal(ens.vbar_mean, run(cfg, q, [seed_stream(77, r) for r in range(100)])
+                          .mean(axis=0))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

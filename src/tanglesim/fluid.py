@@ -77,19 +77,6 @@ class FluidTrajectory:
 _BLOCK_ENTRIES = 1 << 12
 
 
-def _row_squares(v: np.ndarray) -> np.ndarray:
-    """sum_j v_j^2 of each row, added in the order numpy's ``(r * r).sum()``
-    uses on one row r: left to right below eight terms, numpy's row sum
-    from eight on."""
-    sq = v * v
-    if sq.shape[1] >= 8:
-        return sq.sum(axis=1)
-    total = np.zeros(len(sq))
-    for col in sq.T:
-        total += col
-    return total
-
-
 def step_grid(
     delay: float, horizon: float, step: float | None = None
 ) -> tuple[int, float, int]:
@@ -179,7 +166,7 @@ def integrate(
                  w0 * L[j0] + w1 * L[j0 + 1] + w2 * L[j0 + 2] + w3 * L[j0 + 3]),
                 (X[m + 1 : m + n + 1], L[m + 1 : m + n + 1]),
             ):
-                den = _row_squares(ld)[:, None]
+                den = (ld * ld).sum(axis=1)[:, None]
                 share = ld * ld / den
                 dens.append(den[:, 0])
                 p.append(share)
@@ -192,7 +179,7 @@ def integrate(
             c = int(clamp.argmax()) + 1 if clamp.any() else n
             l1 = lrows[:c]
             stages = (l1, l1 + half_dt * dl0[:c], l1 + half_dt * dlh[:c], l1 + dt * dlh[:c])
-            sums = [den[:c] for den in dens] + [_row_squares(v) for v in stages]
+            sums = [den[:c] for den in dens] + [(v * v).sum(axis=1) for v in stages]
             zero = (np.array(sums) == 0.0).any(axis=0)
         # the steps that run: to the block's end, or up to the singular one
         r = int(zero.argmax()) if zero.any() else c

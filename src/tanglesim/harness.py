@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -167,7 +167,7 @@ class Scenario:
     out_stem: str | None = None
     per_run: bool = False
     # built from params at parse time: the tangle sim, the ComplianceNetwork,
-    # a junction's (JunctionConfig, mode keywords), or None for fluid
+    # a junction's (JunctionConfig, compliance path), or None for fluid
     model: Any = field(default=None, compare=False, repr=False)
 
 
@@ -334,49 +334,43 @@ def _parse_fluid(top: _Block, horizon: float) -> dict:
     return params
 
 
+def _fields(top: _Block, key: str, cls, positive: tuple[str, ...] = ()):
+    """``cls`` built from the fields the optional block ``key`` gives, each
+    read by the type of its dataclass default (an int default takes only an
+    integer), and from ``cls``'s own defaults for the fields it leaves out."""
+    block = top.block(key)
+    given = {}
+    if block is not None:
+        for f in fields(cls):
+            if f.name in block.data:
+                given[f.name] = (block.integer(f.name) if isinstance(f.default, int)
+                                 else block.number(f.name, positive=f.name in positive))
+        block.done()
+    return _built(top.path, cls, **given)
+
+
 def _parse_junction(
     top: _Block, horizon: float
-) -> tuple[dict, tuple[junction.JunctionConfig, dict]]:
-    cfg = top.block("config")
-    config = {}
-    if cfg is not None:
-        config = {
-            "switch_period": cfg.integer("switch_period", 10),
-            "cross_time": cfg.number("cross_time", 1.0),
-            "slowdown": cfg.number("slowdown", 1.0),
-            "service_rate": cfg.integer("service_rate", 3),
-            # stricter than the config, which allows a junction without traffic
-            "arrival_rate": cfg.number("arrival_rate", 1.0, positive=True),
-        }
-        cfg.done()
+) -> tuple[dict, tuple[junction.JunctionConfig, np.ndarray]]:
+    # stricter than the config, which allows a junction without traffic
+    config = _fields(top, "config", junction.JunctionConfig, positive=("arrival_rate",))
     mode = top.take("mode")
-    params: dict[str, Any] = {"config": config, "mode": mode}
+    params: dict[str, Any] = {"config": asdict(config), "mode": mode}
+    Q = controller = None
     if mode == "fixed":
-        params["Q"] = top.number("Q")
-        if not 0.0 <= params["Q"] <= 1.0:
+        Q = params["Q"] = top.number("Q")
+        if not 0.0 <= Q <= 1.0:
             raise top.error("Q", "must lie in [0, 1]")
     elif mode == "closed-loop":
-        ctl = top.block("controller")
-        controller = {}
-        if ctl is not None:
-            controller = {
-                "slope": ctl.number("slope", 0.6),
-                "memory": ctl.number("memory", 1.0),
-                "gain": ctl.number("gain", 0.1),
-                "target": ctl.number("target", 0.95),
-            }
-            ctl.done()
-        params["controller"] = controller
+        controller = _fields(top, "controller", junction.ControllerParams)
+        params["controller"] = asdict(controller)
     else:
         raise top.error("mode", "expected 'fixed' or 'closed-loop'")
-    built = _built(top.path, junction.JunctionConfig, **config)
-    mode_kw = ({"fixed_Q": params["Q"]} if mode == "fixed"
-               else {"controller": _built(top.path, junction.ControllerParams, **controller)})
     if not horizon.is_integer():
         raise top.error("horizon", f"a junction runs whole steps, got {horizon}")
     _cap_rows(top, horizon, 1.0)
-    _built(top.path, junction.check_horizon, built, int(horizon))
-    return params, (built, mode_kw)
+    _built(top.path, junction.check_horizon, config, int(horizon))
+    return params, (config, junction.compliance_path(int(horizon), Q, controller))
 
 
 def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenario:
@@ -686,15 +680,7 @@ def run_scenario(
             [traj.times] + [col for _, a in series for col in a.T],
         )
     else:  # junction
-        config, mode_kw = scenario.model
-        ens = junction.run_ensemble(
-            config,
-            runs=scenario.runs,
-            horizon=int(scenario.horizon),
-            master_seed=scenario.seed,
-            workers=workers,
-            **mode_kw,
-        )
+        ens = junction.run_ensemble(*scenario.model, scenario.runs, scenario.seed, workers)
         emit(
             "junction",
             ["time", "vbar_mean", "vbar_std", "q_mean", "c_mean"],

@@ -13,6 +13,7 @@ service.  The deposit controller adjusts Q through the cost of entry.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -51,6 +52,14 @@ class JunctionConfig:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if not self.cross_time > 0:
             raise ValueError(f"cross_time must be positive, got {self.cross_time}")
+        # service_capacity converts service_rate * cross_time to a double
+        # and the lanes count the cars served in int64
+        if not self.service_rate <= _POISSON_MAX:
+            raise ValueError(f"service_rate must be at most {_POISSON_MAX:.10g}, "
+                             f"got {self.service_rate}")
+        if not math.isfinite(self.service_rate * self.cross_time):
+            raise ValueError(f"service_rate * cross_time must be finite, got "
+                             f"{self.service_rate} * {self.cross_time}")
         if not self.slowdown >= 0:
             raise ValueError(f"slowdown must be non-negative, got {self.slowdown}")
         if not self.arrival_rate >= 0:
@@ -189,26 +198,25 @@ class JunctionEnsemble:
 
 def run_ensemble(
     config: JunctionConfig,
+    path: np.ndarray,
     runs: int,
-    horizon: int,
     master_seed: int,
-    fixed_Q: float | None = None,
-    controller: ControllerParams | None = None,
     workers: int = 1,
 ) -> JunctionEnsemble:
     """Ensemble statistics over independent seeded runs (see
-    ``seeding.seeded_runs``) on at most ``workers`` processes, and on fewer
-    if that leaves a block below ``_MIN_BLOCK_UNITS`` member-units: so
-    small a block runs faster in this process than a pool starts.
+    ``seeding.seeded_runs``) along the ``(2, horizon+1)`` compliance path
+    ``path``, the rows Q, C that ``compliance_path`` builds, on at most
+    ``workers`` processes, and on fewer if that leaves a block below
+    ``_MIN_BLOCK_UNITS`` member-units: so small a block runs faster in this
+    process than a pool starts.
 
-    The compliance path is built once (``compliance_path``) and every run
-    steps its queues along its Q row, so the stack holds only the
-    ``(runs, horizon+1)`` vbar rows.  ``q_mean`` and ``c_mean`` are the
-    means over ``runs`` copies of the path, which round to the bytes of an
-    ensemble that recorded Q and C in every run (0.7999999999999985, not
-    0.8, for Q = 0.8 over 100 runs).
+    Every run steps its queues along the path's Q row, so the stack holds
+    only the ``(runs, horizon+1)`` vbar rows.  ``q_mean`` and ``c_mean``
+    are the means over ``runs`` copies of the path, which round to the
+    bytes of an ensemble that recorded Q and C in every run
+    (0.7999999999999985, not 0.8, for Q = 0.8 over 100 runs).
     """
-    path = compliance_path(horizon, fixed_Q, controller)
+    horizon = path.shape[1] - 1
     workers = min(workers, max(runs * horizon // _MIN_BLOCK_UNITS, 1))
     stack = seeded_runs(functools.partial(run, config, path[0]), master_seed, runs, workers)
     q_mean, c_mean = np.broadcast_to(path, (runs,) + path.shape).mean(axis=0)

@@ -300,7 +300,7 @@ def test_a09_junction_degradation(capsys):
     end = {}
     se = {}
     for q in qs:
-        ens = run_ensemble(cfg, runs=100, horizon=1000, master_seed=77, fixed_Q=q)
+        ens = run_ensemble(cfg, compliance_path(1000, fixed_Q=q), runs=100, master_seed=77)
         slope[q] = second_half_slope(ens.times, ens.vbar_mean)
         end[q] = float(ens.vbar_mean[-1])
         se[q] = float(ens.vbar_std[-1]) / math.sqrt(ens.runs)

@@ -440,6 +440,12 @@ _JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs":
         (_TANGLE, {"grid_dt": 1e-300}, "bad.grid_dt"),
         # a ring takes one value for all its activities
         (_RING, {"targets": [0.9, 0.9, 0.9, 0.9]}, "bad.targets: expected a number, got [0.9"),
+        # a service_rate past the int64 counts' bound, and a service_rate *
+        # cross_time past the largest double, which service_capacity cannot
+        # turn into a car count
+        (_JUNCTION, {"config": {"service_rate": 10**400}}, "bad: service_rate must be at most"),
+        (_JUNCTION, {"config": {"service_rate": 10**18, "cross_time": 1e300}},
+         "bad: service_rate * cross_time must be finite"),
     ],
 )
 def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, change, field):

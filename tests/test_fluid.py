@@ -517,9 +517,11 @@ def test_integrate_matches_numpy_oracle(case):
     assert got == want
 
 
-@pytest.mark.parametrize("d", [8, 9, 16, 23, 130])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 23, 130])
 def test_integrate_matches_numpy_summation_order_for_many_types(d):
-    # from eight terms numpy sums l*l pairwise, and the kernel calls numpy there
+    # the kernel's row sums of l*l are numpy's, which add a row of one to
+    # seven terms left to right and one of eight or more pairwise, as the
+    # oracle's sum over one row does
     rng = np.random.default_rng(d)
     l0 = rng.uniform(0.1, 3.0, d)
     hx, hl = _wave_history(rng.uniform(0.0, 1.0, d) * l0, l0, np.full(d, 0.3), 2.0)

@@ -3,7 +3,7 @@ import csv
 import functools
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from tanglesim.harness import (
     validate,
     write_csv,
 )
+from tanglesim.junction import ControllerParams, JunctionConfig, compliance_path
 from tanglesim.seeding import seed_stream, seeded_runs, worker_pool
 
 
@@ -163,6 +164,50 @@ def test_junction_modes():
         )
 
 
+_JUNCTION = {"kind": "junction", "horizon": 30.0, "mode": "closed-loop"}
+_BLOCKS = {"config": JunctionConfig, "controller": ControllerParams}
+# a valid value other than the default for each field of either block
+_GIVEN = {"switch_period": 7, "cross_time": 1.5, "slowdown": 0.25, "service_rate": 5,
+          "arrival_rate": 2.5, "slope": 0.8, "memory": 0.9, "gain": 0.3, "target": 0.5}
+
+
+@pytest.mark.parametrize("block, name", [(b, f.name) for b, cls in _BLOCKS.items()
+                                         for f in fields(cls)])
+def test_a_junction_field_given_alone_builds_what_its_constructor_builds(block, name):
+    want = _BLOCKS[block](**{name: _GIVEN[name]})
+    sc = parse_scenario({**_JUNCTION, block: {name: _GIVEN[name]}})
+    config, path = sc.model
+    assert sc.params[block] == asdict(want)
+    if block == "config":
+        assert config == want
+        assert np.array_equal(path, compliance_path(30, controller=ControllerParams()))
+    else:
+        assert config == JunctionConfig()
+        assert np.array_equal(path, compliance_path(30, controller=want))
+
+
+@pytest.mark.parametrize("block", sorted(_BLOCKS))
+def test_a_junction_hashes_the_same_whether_its_defaults_are_absent_empty_or_spelled_out(block):
+    spelled = asdict(_BLOCKS[block]())
+    hashes = {config_hash(parse_scenario({**_JUNCTION, **given}))
+              for given in ({}, {block: {}}, {block: spelled})}
+    assert len(hashes) == 1
+    first = fields(_BLOCKS[block])[0].name
+    assert config_hash(parse_scenario({**_JUNCTION, block: {first: _GIVEN[first]}})) not in hashes
+
+
+@pytest.mark.parametrize("block", sorted(_BLOCKS))
+def test_a_junction_block_refuses_an_unknown_key_by_name(block):
+    with pytest.raises(ScenarioError, match=rf"{block}: unknown field\(s\) \['bogus'\]"):
+        parse_scenario({**_JUNCTION, block: {"bogus": 1.0}})
+
+
+@pytest.mark.parametrize("name", ["switch_period", "service_rate"])
+def test_a_junction_count_must_be_an_integer(name):
+    with pytest.raises(ScenarioError, match=rf"scenario\.config\.{name}: expected an integer, got 2\.5"):
+        parse_scenario({**_JUNCTION, "config": {name: 2.5}})
+
+
 def test_parse_from_file_and_bad_json(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(_reduced_dict()))
@@ -182,8 +227,8 @@ _SHIPPED_HASHES = {
     "double_spend_attack": "c1214779ab7f1443e408fd18e971875e6dbf0079a347aade188683e2cf0088fb",
     "fluid_equilibrium": "9c11eb24b2efbacb56356605dad489db6a599b029dffa3e31c5ef583cc9b7543",
     "fluid_window_surplus": "7c1285b2a87a365c93669a80d0f23364d2e4aeeaa47b240dd344b97bdfe042be",
-    "junction_controller": "7c69c98b7d0fc719822c85db547e7f1bbec9a1dcd0d7f7fc9a87f643c294b19e",
-    "junction_fixed": "bd138b83e4ac43b8f3e50ae7b9d33fe3a07f58108d116f47e08348e98bb0c2df",
+    "junction_controller": "ca817b9d248f71cf150a3f2f89099ffe421bdd7e25dd75b2a57491580d272880",
+    "junction_fixed": "c301c376881285f226e5628ee131b94158f3f4e7e70a5d8c25de44cdbb7bde07",
     "ring_compliance": "8d0732a8ce8220b247cf6d551cfdd785dae35b522a73dcc238efa37926855555",
     "steady_state": "71a2fcfe10fe4be48adac428478283315e9de97b1ef0b79c62f86d8fc19c5bd4",
     "validation_agent": "702bb7b55882424df6227e758fb0f7e39abe590dc2d93102a2203aa492d9eddc",

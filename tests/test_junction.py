@@ -231,6 +231,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="service_rate"):
         JunctionConfig(service_rate=2.5)
     assert JunctionConfig(service_rate=np.int64(4)).service_rate == 4
+    # a service_rate above the int64 counts' bound (10**400 does not even
+    # convert to a double), or a service_rate * cross_time past the largest
+    # double, is refused here, not by an OverflowError or int(inf) in a run
+    with pytest.raises(ValueError, match="service_rate must be at most"):
+        JunctionConfig(service_rate=10**400)
+    with pytest.raises(ValueError, match=r"service_rate \* cross_time must be finite"):
+        JunctionConfig(service_rate=10**18, cross_time=1e300)
     # numpy's Poisson serves means up to about 9.2234e18
     assert JunctionConfig(arrival_rate=9.2e18).arrival_rate == 9.2e18
     with pytest.raises(ValueError, match="arrival_rate"):
@@ -380,7 +387,7 @@ def test_run_has_the_law_of_the_scalar_calls(config, mode, seed):
     # Poisson(rate / 3) queues: run's mean queue must match step's within
     # sampling error, 300 independent runs a side
     runs, horizon = 300, 200
-    ens = run_ensemble(config, runs=runs, horizon=horizon, master_seed=seed, **mode)
+    ens = run_ensemble(config, compliance_path(horizon, **mode), runs, master_seed=seed)
     old = np.stack([oracle_run(config, horizon, seed_stream(seed + 100, r), scalar=True, **mode)[0]
                     for r in range(runs)])
     t = np.arange(20, horizon + 1, 20)
@@ -400,13 +407,13 @@ def test_closed_loop_q_tracks_the_deterministic_map():
 
 
 def test_ensemble_statistics_and_determinism():
-    cfg = JunctionConfig()
-    a = run_ensemble(cfg, runs=20, horizon=100, master_seed=57, fixed_Q=0.9)
-    b = run_ensemble(cfg, runs=20, horizon=100, master_seed=57, fixed_Q=0.9)
+    cfg, path = JunctionConfig(), compliance_path(100, fixed_Q=0.9)
+    a = run_ensemble(cfg, path, runs=20, master_seed=57)
+    b = run_ensemble(cfg, path, runs=20, master_seed=57)
     assert np.array_equal(a.vbar_mean, b.vbar_mean)
     assert np.array_equal(a.vbar_std, b.vbar_std)
     assert a.runs == 20
-    c = run_ensemble(cfg, runs=20, horizon=100, master_seed=58, fixed_Q=0.9)
+    c = run_ensemble(cfg, path, runs=20, master_seed=58)
     assert not np.array_equal(a.vbar_mean, c.vbar_mean)
 
 
@@ -416,11 +423,10 @@ def test_ensemble_members_are_the_seeded_runs_on_any_worker_count(monkeypatch):
     monkeypatch.setattr(junction, "_MIN_BLOCK_UNITS", 1)
     monkeypatch.setattr(junction, "_LANE_ENTRIES", 60)
     cfg = JunctionConfig()
-    q = compliance_path(30, fixed_Q=0.8)[0]
-    members = [run(cfg, q, [seed_stream(60, r)])[0] for r in range(5)]
+    path = compliance_path(30, fixed_Q=0.8)
+    members = [run(cfg, path[0], [seed_stream(60, r)])[0] for r in range(5)]
     for workers in (1, 2, 3):
-        ens = run_ensemble(cfg, runs=5, horizon=30, master_seed=60, fixed_Q=0.8,
-                           workers=workers)
+        ens = run_ensemble(cfg, path, runs=5, master_seed=60, workers=workers)
         assert np.array_equal(ens.vbar_mean, np.stack(members).mean(axis=0))
         assert np.array_equal(ens.vbar_std, np.stack(members).std(axis=0))
 
@@ -432,10 +438,9 @@ def test_a_shipped_size_ensemble_starts_no_pool(monkeypatch):
         raise AssertionError(f"a pool of {workers} was started")
 
     monkeypatch.setattr(seeding, "worker_pool", refuse)
-    cfg = JunctionConfig()
-    ens = run_ensemble(cfg, runs=100, horizon=1000, master_seed=77, fixed_Q=0.8, workers=2)
-    q = compliance_path(1000, fixed_Q=0.8)[0]
-    assert np.array_equal(ens.vbar_mean, run(cfg, q, [seed_stream(77, r) for r in range(100)])
+    cfg, path = JunctionConfig(), compliance_path(1000, fixed_Q=0.8)
+    ens = run_ensemble(cfg, path, runs=100, master_seed=77, workers=2)
+    assert np.array_equal(ens.vbar_mean, run(cfg, path[0], [seed_stream(77, r) for r in range(100)])
                           .mean(axis=0))
 
 
@@ -447,8 +452,7 @@ def test_ensemble_q_and_c_means_are_the_means_of_stacked_copies(mode, runs, work
     # the bytes of the CSVs from when every run recorded Q and C: numpy's
     # mean over a stride-0 axis must round as over ``runs`` real copies
     path = compliance_path(60, **mode)
-    ens = run_ensemble(JunctionConfig(), runs=runs, horizon=60, master_seed=61,
-                       workers=workers, **mode)
+    ens = run_ensemble(JunctionConfig(), path, runs, master_seed=61, workers=workers)
     want = np.stack([path] * runs).mean(axis=0)
     assert ens.q_mean.tobytes() == want[0].tobytes()
     assert ens.c_mean.tobytes() == want[1].tobytes()
@@ -459,14 +463,14 @@ def test_ensemble_q_and_c_means_are_the_means_of_stacked_copies(mode, runs, work
 @pytest.mark.parametrize("runs, workers", [(0, 1), (3, 0)])
 def test_ensemble_rejects_empty_or_workerless_ensembles(runs, workers):
     with pytest.raises(ValueError, match="runs" if runs < 1 else "workers"):
-        run_ensemble(JunctionConfig(), runs=runs, horizon=10, master_seed=1,
-                     fixed_Q=0.9, workers=workers)
+        run_ensemble(JunctionConfig(), compliance_path(10, fixed_Q=0.9), runs, master_seed=1,
+                     workers=workers)
 
 
 def test_low_compliance_grows_queues_faster():
     cfg = JunctionConfig()
-    hi = run_ensemble(cfg, runs=30, horizon=400, master_seed=59, fixed_Q=1.0)
-    lo = run_ensemble(cfg, runs=30, horizon=400, master_seed=59, fixed_Q=0.7)
+    hi = run_ensemble(cfg, compliance_path(400, fixed_Q=1.0), runs=30, master_seed=59)
+    lo = run_ensemble(cfg, compliance_path(400, fixed_Q=0.7), runs=30, master_seed=59)
     assert lo.vbar_mean[-1] > 5 * hi.vbar_mean[-1]
     assert second_half_slope(lo.times, lo.vbar_mean) > 0.05
 

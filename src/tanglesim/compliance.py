@@ -75,6 +75,7 @@ class ComplianceNetwork:
         coupling,
         lags,
         window: float,
+        ring_params: tuple[float, float] | None = None,
     ) -> "ComplianceNetwork":
         coupling = np.asarray(coupling, dtype=float)
         n = coupling.shape[0]
@@ -86,6 +87,7 @@ class ComplianceNetwork:
             coupling=coupling,
             lags_to=np.asarray(lags, dtype=float),
             window=float(window),
+            ring_params=ring_params,
         )
 
     @classmethod
@@ -103,20 +105,12 @@ class ComplianceNetwork:
         """Nearest-neighbor ring: uniform coupling D and lag tau."""
         if n < 3:
             raise ValueError("a ring needs at least 3 activities")
-        D = np.zeros((n, n))
-        T = np.zeros((n, n))
-        for i in range(n):
-            for j in ((i - 1) % n, (i + 1) % n):
-                D[i, j] = coupling
-                T[i, j] = lag
-        return cls(
-            targets=np.full(n, float(target)),
-            baselines=np.full(n, float(baseline)),
-            cost_sens=np.full(n, float(cost_sens)),
-            ctrl_gain=np.full(n, float(ctrl_gain)),
-            coupling=D,
-            lags_to=T,
-            window=float(window),
+        i = np.arange(n)
+        gap = (i[:, None] - i) % n
+        near = (gap == 1) | (gap == n - 1)
+        return cls.build(
+            target, baseline, cost_sens, ctrl_gain,
+            np.where(near, coupling, 0.0), np.where(near, lag, 0.0), window,
             ring_params=(float(coupling), float(lag)),
         )
 
@@ -174,6 +168,23 @@ def default_step(net: ComplianceNetwork) -> float:
     return base / 50.0
 
 
+def step_grid(
+    net: ComplianceNetwork, horizon: float, step: float | None = None
+) -> tuple[float, int]:
+    """``(dt, K)`` of an integration: the K >= 1 steps of dt = horizon / K
+    that reach the horizon, dt at most the step, which must be positive and
+    at most ``default_step`` (its default)."""
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    max_step = default_step(net)
+    if step is None:
+        step = max_step
+    if not 0 < step <= max_step + 1e-12:
+        raise ValueError(f"step must be positive and at most {max_step:.6g}, got {step}")
+    K = max(int(np.ceil(horizon / step - 1e-9)), 1)
+    return horizon / K, K
+
+
 def simulate(
     net: ComplianceNetwork,
     horizon: float,
@@ -197,20 +208,12 @@ def simulate(
     ``np.add.accumulate``.  So a zero lag does not shorten the blocks.
     Every value is bit-identical to the elementwise numpy formulation.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    dt, K = step_grid(net, horizon, step)
     n = net.n
     q0 = _as_vector(initial_Q if initial_Q is not None else net.targets, n, "initial_Q")
     c0 = _as_vector(initial_C if initial_C is not None else 0.0, n, "initial_C")
     if np.any(c0 < 0):
         raise ValueError("initial costs must be non-negative")
-    max_step = default_step(net)
-    if step is None:
-        step = max_step
-    if step > max_step + 1e-12:
-        raise ValueError(f"step must be at most {max_step:.6g}")
-    K = max(int(np.ceil(horizon / step - 1e-9)), 1)
-    dt = horizon / K
     times = np.arange(K + 1) * dt
     Q = np.empty((K + 1, n))
     C = np.empty((K + 2, n))  # the row past the horizon is dropped

@@ -80,18 +80,19 @@ _BLOCK_ENTRIES = 1 << 12
 def step_grid(
     delay: float, horizon: float, step: float | None = None
 ) -> tuple[int, float, int]:
-    """``(n_sub, dt, n_steps)`` of an integration: the step rounded down to
-    dt = delay / n_sub with n_sub >= 100, and the n_steps steps of dt that
-    reach the horizon (the trajectory has n_steps + 1 rows)."""
+    """``(n_sub, dt, n_steps)`` of an integration: the step, positive and at
+    most delay/100 (its default), rounded down to dt = delay / n_sub with
+    n_sub >= 100, and the n_steps steps of dt that reach the horizon (the
+    trajectory has n_steps + 1 rows)."""
     h = float(delay)
     if not h > 0:
         raise ValueError("delay must be positive")
     if not horizon > h:
-        raise ValueError("horizon must exceed the delay")
+        raise ValueError(f"horizon must exceed the delay {h}, got {horizon}")
     if step is None:
         step = h / 100.0
-    if step > h / 100.0 + 1e-15:
-        raise ValueError("step must be at most delay/100")
+    if not 0 < step <= h / 100.0 + 1e-15:
+        raise ValueError(f"step must be positive and at most {h / 100:.6g} (delay/100), got {step}")
     n_sub = max(int(math.ceil(h / step - 1e-9)), 100)
     dt = h / n_sub
     return n_sub, dt, int(math.ceil(horizon / dt - 1e-9))

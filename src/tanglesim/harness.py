@@ -254,7 +254,7 @@ def _parse_compliance(top: _Block, horizon: float) -> tuple[dict, compliance.Com
         "baselines": values("baselines"),
         "cost_sens": values("cost_sens", 1.0),
         "ctrl_gain": values("ctrl_gain", 1.0),
-        "step": top.number("step", None, positive=True),
+        "step": top.number("step", None),
         "initial_q_offset": top.number("initial_q_offset", 0.0),
         # kept as written (it is hashed); its numbers are checked below
         "initial_costs": top.take("initial_costs", "static"),
@@ -283,11 +283,12 @@ def _parse_compliance(top: _Block, horizon: float) -> tuple[dict, compliance.Com
             params["targets"], params["baselines"], params["cost_sens"], params["ctrl_gain"],
             params["coupling"], params["lags"], params["window"],
         )
-    # what `simulate` would refuse at run time, refused before any output
-    max_step = compliance.default_step(net)
-    if params["step"] is not None and params["step"] > max_step + 1e-12:
-        raise top.error("step", f"must be at most {max_step:.6g}, got {params['step']}")
-    _cap_rows(top, horizon, params["step"] or max_step)
+    # the steps `simulate` makes, refused before any output
+    try:
+        dt, steps = _built(top.path, compliance.step_grid, net, horizon, params["step"])
+    except OverflowError:  # a step count past the largest float
+        dt, steps = params["step"] or compliance.default_step(net), math.inf
+    _cap_rows(top, horizon, dt, rows=steps)
     if params["initial_costs"] != "static":
         costs = top.numbers("initial_costs")
         if not isinstance(costs, list):
@@ -302,7 +303,7 @@ def _parse_compliance(top: _Block, horizon: float) -> tuple[dict, compliance.Com
 def _parse_fluid(top: _Block, horizon: float) -> dict:
     params = {
         "delay": top.number("delay", positive=True),
-        "step": top.number("step", None, positive=True),
+        "step": top.number("step", None),
         "x0": top.numbers("x0"),
         "l0": top.numbers("l0"),
     }
@@ -318,16 +319,10 @@ def _parse_fluid(top: _Block, horizon: float) -> dict:
             raise top.error(f"x0[{i}]", f"must be >= 0, got {x}")
         if l < x - 1e-12:
             raise top.error(f"x0[{i}]", f"exceeds l0[{i}] = {l}, got {x}")
-    if not horizon > delay:
-        raise top.error("horizon", f"must exceed the delay {delay}, got {horizon}")
-    if step is not None and step > delay / 100.0 + 1e-15:
-        raise top.error(
-            "step", f"must be at most delay/100 = {delay / 100.0:.6g}, got {step}"
-        )
-    # refused by the steps `integrate` makes: it rounds the step down to
-    # delay / n_sub, which can make up to 1% more than horizon / step
+    # the steps `integrate` makes: it rounds the step down to delay / n_sub,
+    # which can make up to 1% more than horizon / step
     try:
-        _, dt, steps = fluid.step_grid(delay, horizon, step)
+        _, dt, steps = _built(top.path, fluid.step_grid, delay, horizon, step)
     except OverflowError:  # a step count past the largest float
         dt, steps = step or delay / 100.0, math.inf
     _cap_rows(top, horizon, dt, rows=steps)
@@ -396,6 +391,8 @@ def parse_scenario(source: str | Path | dict, name: str | None = None) -> Scenar
     per_run = top.take("per_run", False)
     if not isinstance(per_run, bool):
         raise top.error("per_run", f"expected true or false, got {per_run!r}")
+    if per_run and kind not in ("tangle-reduced", "tangle-agent"):
+        raise top.error("per_run", f"applies to tangle kinds only, not {kind!r}")
     if kind in ("tangle-reduced", "tangle-agent"):
         params, model = _parse_tangle(top, kind, horizon)
     elif kind == "fluid":
@@ -445,15 +442,8 @@ def parse_roots_spec(source: str | Path) -> tuple[str, Callable, stability.Spect
         coeffs = top.numbers("coefficients")
         if not (isinstance(coeffs, list) and coeffs):
             raise top.error("coefficients", f"expected a non-empty list, got {coeffs!r}")
-        cs = [complex(c) for c in coeffs]
-
-        def f(z: np.ndarray) -> np.ndarray:
-            # Horner's rule, elementwise over an array of points
-            acc = 0.0 + 0.0j
-            for c in reversed(cs):
-                acc = acc * z + c
-            return acc
-
+        # np.polyval takes the highest power first
+        f = functools.partial(np.polyval, np.array(coeffs[::-1], dtype=complex))
         default = None  # the region is required
     elif kind == "compliance-window":
         scenario = parse_scenario(path.parent / top.text("network"))

@@ -120,14 +120,16 @@ def compliance_path(
         raise ValueError("fixed_Q must lie in [0, 1]")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    path = np.zeros((2, horizon + 1))
     if controller is None:
-        return np.stack((np.full(horizon + 1, fixed_Q, dtype=float), np.zeros(horizon + 1)))
+        path[0] = fixed_Q
+        return path
+    qs, cs = path
     c = q = 0.0
-    rows = [(q, c)]
-    for _ in range(horizon):
+    for u in range(1, horizon + 1):
         c, q = controller_step(c, q, controller)
-        rows.append((q, c))
-    return np.array(rows).T
+        qs[u], cs[u] = q, c
+    return path
 
 
 def check_horizon(config: JunctionConfig, horizon: int) -> None:

@@ -446,6 +446,17 @@ _JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs":
         (_JUNCTION, {"config": {"service_rate": 10**400}}, "bad: service_rate must be at most"),
         (_JUNCTION, {"config": {"service_rate": 10**18, "cross_time": 1e300}},
          "bad: service_rate * cross_time must be finite"),
+        # steps that are not positive, which the integrators refuse
+        (_FLUID, {"step": 0.0}, "bad: step must be positive"),
+        (_FLUID, {"step": -1.0}, "bad: step must be positive"),
+        (_RING, {"step": 0.0}, "bad: step must be positive"),
+        (_RING, {"step": -1.0}, "bad: step must be positive"),
+        # a step count past the largest float
+        (_RING, {"horizon": 1e300, "step": 1e-300}, "bad.horizon: horizon over step"),
+        # per-run CSVs exist for tangle kinds only
+        (_FLUID, {"per_run": True}, "bad.per_run: applies to tangle kinds only"),
+        (_RING, {"per_run": True}, "bad.per_run: applies to tangle kinds only"),
+        (_JUNCTION, {"per_run": True}, "bad.per_run: applies to tangle kinds only"),
     ],
 )
 def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, change, field):

@@ -362,6 +362,22 @@ def test_simulate_validation():
         simulate(net, 10.0, initial_C=-0.1)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+def test_a_step_that_is_not_positive_is_refused(step):
+    # a step of -1 ran one Euler step of dt = horizon, and 0 divided by zero
+    for run in (compliance.step_grid, simulate):
+        with pytest.raises(ValueError, match="step must be positive"):
+            run(_pair(), 10.0, step=step)
+
+
+def test_step_grid_gives_the_rows_simulate_makes():
+    net = _pair()
+    for step in (None, 0.013, default_step(net)):
+        dt, K = compliance.step_grid(net, 2.5, step)
+        traj = simulate(net, 2.5, step=step)
+        assert traj.times.tolist() == (np.arange(K + 1) * dt).tolist()
+
+
 @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
 def test_simulate_refuses_a_horizon_that_is_not_positive(horizon):
     for run in (simulate, oracle_simulate):

@@ -386,6 +386,16 @@ def test_integrate_rejects_bad_steps_and_horizons():
         integrate(hx, hl, 0.0, 10.0)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+def test_a_step_that_is_not_positive_is_refused(step):
+    # a step of -1 ran at the default dt, and 0 divided by zero
+    hx, hl = constant_history([1.5], [3.0])
+    with pytest.raises(ValueError, match="step must be positive"):
+        step_grid(H, 10 * H, step)
+    with pytest.raises(ValueError, match="step must be positive"):
+        integrate(hx, hl, H, 10 * H, step=step)
+
+
 def test_integrate_rejects_inconsistent_history():
     hx, hl = constant_history([2.0], [1.0])  # x > l
     with pytest.raises(ValueError, match="history"):

@@ -30,6 +30,7 @@ controller map.  An ensemble's ``q_mean`` and ``c_mean`` are pinned to the
 mean of ``runs`` stacked copies of the path, bit for bit: that is what the
 CSVs held when every run recorded Q and C.
 """
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,6 +360,20 @@ def test_compliance_path_requires_exactly_one_mode():
         compliance_path(10, fixed_Q=1.5)
     with pytest.raises(ValueError, match="horizon"):
         compliance_path(0, fixed_Q=0.9)
+
+
+@pytest.mark.parametrize("mode", [{"fixed_Q": 0.8}, {"controller": ControllerParams()}])
+def test_a_compliance_path_holds_little_more_than_its_own_rows(mode):
+    # the parser builds the path, so its peak is parse-time memory; a list
+    # of (q, c) tuples peaked at ten times the result
+    tracemalloc.start()
+    try:
+        path = compliance_path(10_000, **mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.shape == (2, 10_001)
+    assert peak < 1.1 * path.nbytes
 
 
 def test_fixed_mode_records_constant_q():

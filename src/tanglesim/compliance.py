@@ -173,7 +173,8 @@ def step_grid(
 ) -> tuple[float, int]:
     """``(dt, K)`` of an integration: the K >= 1 steps of dt = horizon / K
     that reach the horizon, dt at most the step, which must be positive and
-    at most ``default_step`` (its default)."""
+    at most ``default_step`` (its default).  A count past the largest
+    double is refused."""
     if not horizon > 0:
         raise ValueError("horizon must be positive")
     max_step = default_step(net)
@@ -181,6 +182,8 @@ def step_grid(
         step = max_step
     if not 0 < step <= max_step + 1e-12:
         raise ValueError(f"step must be positive and at most {max_step:.6g}, got {step}")
+    if not np.isfinite(horizon / step):
+        raise ValueError(f"horizon over step {step:.6g} gives inf rows, past the largest double")
     K = max(int(np.ceil(horizon / step - 1e-9)), 1)
     return horizon / K, K
 

@@ -83,7 +83,8 @@ def step_grid(
     """``(n_sub, dt, n_steps)`` of an integration: the step, positive and at
     most delay/100 (its default), rounded down to dt = delay / n_sub with
     n_sub >= 100, and the n_steps steps of dt that reach the horizon (the
-    trajectory has n_steps + 1 rows)."""
+    trajectory has n_steps + 1 rows).  A count past the largest double is
+    refused."""
     h = float(delay)
     if not h > 0:
         raise ValueError("delay must be positive")
@@ -93,9 +94,13 @@ def step_grid(
         step = h / 100.0
     if not 0 < step <= h / 100.0 + 1e-15:
         raise ValueError(f"step must be positive and at most {h / 100:.6g} (delay/100), got {step}")
-    n_sub = max(int(math.ceil(h / step - 1e-9)), 100)
-    dt = h / n_sub
-    return n_sub, dt, int(math.ceil(horizon / dt - 1e-9))
+    try:  # math.ceil(inf): a count past the largest double
+        n_sub = max(int(math.ceil(h / step - 1e-9)), 100)
+        dt = h / n_sub
+        n_steps = int(math.ceil(horizon / dt - 1e-9))
+    except OverflowError:
+        raise ValueError(f"horizon over step {step:.6g} gives inf rows, past the largest double") from None
+    return n_sub, dt, n_steps
 
 
 def integrate(

@@ -284,10 +284,7 @@ def _parse_compliance(top: _Block, horizon: float) -> tuple[dict, compliance.Com
             params["coupling"], params["lags"], params["window"],
         )
     # the steps `simulate` makes, refused before any output
-    try:
-        dt, steps = _built(top.path, compliance.step_grid, net, horizon, params["step"])
-    except OverflowError:  # a step count past the largest float
-        dt, steps = params["step"] or compliance.default_step(net), math.inf
+    dt, steps = _built(top.path, compliance.step_grid, net, horizon, params["step"])
     _cap_rows(top, horizon, dt, rows=steps)
     if params["initial_costs"] != "static":
         costs = top.numbers("initial_costs")
@@ -321,10 +318,7 @@ def _parse_fluid(top: _Block, horizon: float) -> dict:
             raise top.error(f"x0[{i}]", f"exceeds l0[{i}] = {l}, got {x}")
     # the steps `integrate` makes: it rounds the step down to delay / n_sub,
     # which can make up to 1% more than horizon / step
-    try:
-        _, dt, steps = _built(top.path, fluid.step_grid, delay, horizon, step)
-    except OverflowError:  # a step count past the largest float
-        dt, steps = step or delay / 100.0, math.inf
+    _, dt, steps = _built(top.path, fluid.step_grid, delay, horizon, step)
     _cap_rows(top, horizon, dt, rows=steps)
     return params
 

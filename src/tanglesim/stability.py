@@ -152,11 +152,6 @@ def count_roots(f: Callable[[np.ndarray], np.ndarray], region: SpectralRegion) -
 
 # -- compliance-network spectrum ---------------------------------------------
 
-def _delay_phase(z: np.ndarray, network) -> np.ndarray:
-    """D_ij e^(-z tau_ji): one (n, n) matrix per point of z[..., 0, 0]."""
-    return network.coupling * np.exp(-z * network.lags_to.astype(complex))
-
-
 def compliance_matrix(z, network) -> np.ndarray:
     """Delay-transfer matrix M(z): M_ij = D_ij e^(-z tau_ji) / (z + E_i k_i).
 
@@ -167,7 +162,8 @@ def compliance_matrix(z, network) -> np.ndarray:
     z = -E_i k_i give entries that are not finite; the scan masks them.
     """
     z = np.asarray(z, dtype=complex)[..., None, None]
-    return _delay_phase(z, network) / (z + (network.cost_sens * network.ctrl_gain)[:, None])
+    phase = network.coupling * np.exp(-z * network.lags_to.astype(complex))
+    return phase / (z + (network.cost_sens * network.ctrl_gain)[:, None])
 
 
 @dataclass
@@ -241,14 +237,25 @@ def window_characteristic(network) -> Callable[[np.ndarray], np.ndarray]:
     exactly the modes of the linearized windowed feedback loop, its
     right-half-plane zeros the unstable ones.  A pole -delta_i of M can be
     a zero of F, as on a ring whose D is singular.
+
+    Only the edges D_ij != 0 are formed: a point costs one exponential per
+    distinct coupled lag, one for the window and one n x n determinant, and
+    F keeps the dense form's bits wherever that form is finite (where a
+    zero-coupled e^(-z tau) overflows, it gives 0 * inf = nan).
     """
-    w = network.window
-    w_eye = w * np.eye(network.n)
+    w, n = network.window, network.n
     delta = network.cost_sens * network.ctrl_gain
+    dest, src = np.nonzero(network.coupling)
+    lags, lag_of = np.unique(network.lags_to[dest, src], return_inverse=True)
+    lags = lags.astype(complex)  # a float operand sends np.multiply down its slower casting loop
+    d = network.coupling[dest, src]
+    diag = np.arange(n)
 
     def f(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)[..., None, None]
-        a = (1.0 - np.exp(-w * z)) * _delay_phase(z, network)
-        return np.linalg.det(a - w_eye * (z + delta))
+        z = np.asarray(z, dtype=complex)[..., None]
+        a = np.zeros(z.shape[:-1] + (n, n), dtype=complex)
+        a[..., dest, src] = (1.0 - np.exp(-w * z)) * (d * np.exp(-z * lags)[..., lag_of])
+        a[..., diag, diag] -= w * (z + delta)
+        return np.linalg.det(a)
 
     return f

@@ -452,7 +452,7 @@ _JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs":
         (_RING, {"step": 0.0}, "bad: step must be positive"),
         (_RING, {"step": -1.0}, "bad: step must be positive"),
         # a step count past the largest float
-        (_RING, {"horizon": 1e300, "step": 1e-300}, "bad.horizon: horizon over step"),
+        (_RING, {"horizon": 1e300, "step": 1e-300}, "bad: horizon over step 1e-300 gives inf rows"),
         # per-run CSVs exist for tangle kinds only
         (_FLUID, {"per_run": True}, "bad.per_run: applies to tangle kinds only"),
         (_RING, {"per_run": True}, "bad.per_run: applies to tangle kinds only"),

@@ -370,6 +370,14 @@ def test_a_step_that_is_not_positive_is_refused(step):
             run(_pair(), 10.0, step=step)
 
 
+@pytest.mark.parametrize("horizon, step", [(float("inf"), None), (1e300, 1e-300)])
+def test_a_step_count_past_the_largest_double_is_refused(horizon, step):
+    # int(inf) raised OverflowError, not a ValueError naming the horizon
+    for run in (compliance.step_grid, simulate):
+        with pytest.raises(ValueError, match="horizon over step .* gives inf rows"):
+            run(_pair(), horizon, step=step)
+
+
 def test_step_grid_gives_the_rows_simulate_makes():
     net = _pair()
     for step in (None, 0.013, default_step(net)):

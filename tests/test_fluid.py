@@ -396,6 +396,16 @@ def test_a_step_that_is_not_positive_is_refused(step):
         integrate(hx, hl, H, 10 * H, step=step)
 
 
+@pytest.mark.parametrize("horizon, step", [(float("inf"), None), (1e300, 1e-300), (10 * H, 5e-324)])
+def test_a_step_count_past_the_largest_double_is_refused(horizon, step):
+    # math.ceil(inf) raised OverflowError, not a ValueError naming the horizon
+    hx, hl = constant_history([1.5], [3.0])
+    with pytest.raises(ValueError, match="horizon over step .* gives inf rows"):
+        step_grid(H, horizon, step)
+    with pytest.raises(ValueError, match="horizon over step .* gives inf rows"):
+        integrate(hx, hl, H, horizon, step=step)
+
+
 def test_integrate_rejects_inconsistent_history():
     hx, hl = constant_history([2.0], [1.0])  # x > l
     with pytest.raises(ValueError, match="history"):

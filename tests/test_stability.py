@@ -8,7 +8,9 @@ point-by-point scan kept here as its oracle, bit for bit, and the batched
 contour walk must give the count of the point-by-point recursive walk kept
 here as its oracle.  The entire window characteristic must count the zeros
 of the pole-carrying form det((1 - e^(-wz)) M(z) - w I), kept here as its
-oracle, plus the poles that form subtracts.
+oracle, plus the poles that form subtracts, and its edge-only evaluation
+must keep the bits of the dense n x n form, kept here as its oracle,
+wherever that form is finite.
 """
 import cmath
 import math
@@ -461,6 +463,76 @@ def test_window_characteristic_no_unstable_roots_for_weak_ring():
     g = window_characteristic(net)
     region = SpectralRegion(1e-4, 3.0, -6.0, 6.0, samples_per_side=200)
     assert count_roots(g, region) == 0
+
+
+# -- the window characteristic on the edges against the dense form -----------------
+
+def dense_window(network):
+    """F(z) from all n^2 entries of (1 - e^(-wz)) (D o e^(-z tau)) -
+    w diag(z + delta), zero-coupled ones included, through one stacked
+    determinant.  A point whose matrix holds an entry that is not finite
+    (0 * inf where a zero-coupled e^(-z tau) overflows) gives nan, since
+    numpy's det can return 0 for such a matrix."""
+    w, w_eye = network.window, network.window * np.eye(network.n)
+    delta = network.cost_sens * network.ctrl_gain
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)[..., None, None]
+        phase = network.coupling * np.exp(-z * network.lags_to.astype(complex))
+        m = (1.0 - np.exp(-w * z)) * phase - w_eye * (z + delta)
+        return np.where(np.isfinite(m).all(axis=(-2, -1)), np.linalg.det(m), np.nan)
+
+    return f
+
+
+@st.composite
+def _signed_networks(draw):
+    # signed coupling with zero entries, zero lags, and lags on zero-coupled
+    # entries long enough that e^(-z tau) overflows left of Re z = -9
+    n = draw(st.integers(1, 8))
+    coupling = st.just(0.0) | st.floats(-2.0, 2.0)
+    lag = st.sampled_from([0.0, 1.0, 80.0]) | st.floats(0.0, 3.0)
+    vec = lambda lo, hi: [draw(st.floats(lo, hi)) for _ in range(n)]
+    return ComplianceNetwork.build(
+        targets=vec(0.0, 1.0), baselines=vec(0.0, 0.5), cost_sens=vec(0.1, 3.0),
+        ctrl_gain=vec(0.1, 2.0), coupling=[[draw(coupling) for _ in range(n)] for _ in range(n)],
+        lags=[[0.0 if i == j else draw(lag) for j in range(n)] for i in range(n)],
+        window=draw(st.floats(0.5, 8.0)),
+    )
+
+
+# a 3-ring whose zero-coupled entries have lag 80: e^(-z 80) overflows at Re z = -10
+_LONG_ZERO_LAGS = ComplianceNetwork.build(
+    targets=[0.9] * 3, baselines=[0.5] * 3, cost_sens=[1.0] * 3, ctrl_gain=[1.0] * 3,
+    coupling=[[0.0, 0.2, 0.0], [0.0, 0.0, 0.2], [0.2, 0.0, 0.0]],
+    lags=[[0.0, 1.0, 80.0], [80.0, 0.0, 1.0], [1.0, 80.0, 0.0]], window=5.0,
+)
+
+_points = st.lists(st.complex_numbers(max_magnitude=40.0, allow_nan=False, allow_infinity=False)
+                   | st.builds(complex, st.floats(-12.0, 12.0), st.floats(-30.0, 30.0)),
+                   min_size=1, max_size=CHUNK_POINTS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=_signed_networks(), zs=_points)
+@example(net=_LONG_ZERO_LAGS, zs=[complex(-10.0, 1.0), 0.5 + 2.0j])
+@example(net=_ZERO, zs=[0j, -1.0 + 0j, 2.0 - 3.0j])
+@example(net=_RING, zs=[-1.0 + 0j, 0.3 + 0.7j])
+def test_window_characteristic_keeps_the_bits_of_the_dense_form(net, zs):
+    zs = np.array(zs, dtype=complex)
+    with np.errstate(all="ignore"):
+        want, got = dense_window(net)(zs), window_characteristic(net)(zs)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+
+
+def test_window_characteristic_is_finite_where_a_zero_coupling_overflows():
+    # the dense form multiplies D_ij = 0 by e^(80 * 10) = inf and gives nan,
+    # so `roots` refused a contour through -10 + 1j as "an overflow"
+    z = np.array([complex(-10.0, 1.0)])
+    with np.errstate(all="ignore"):
+        assert np.isnan(dense_window(_LONG_ZERO_LAGS)(z)).all()
+    assert np.isfinite(window_characteristic(_LONG_ZERO_LAGS)(z)).all()
 
 
 # -- batched contour walk against the point-by-point oracle ------------------------

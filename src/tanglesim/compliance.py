@@ -8,6 +8,7 @@ toward the target compliance and never goes negative.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,9 @@ class ComplianceNetwork:
         for name in ("coupling", "lags_to"):
             if getattr(self, name).shape != (n, n):
                 raise ValueError(f"{name} must have shape ({n}, {n})")
+        for name in ("targets", "baselines", "cost_sens", "ctrl_gain", "coupling"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.cost_sens <= 0):
             raise ValueError("cost sensitivity must be positive everywhere")
         if np.any(self.ctrl_gain <= 0):
@@ -58,8 +62,8 @@ class ComplianceNetwork:
             np.diag(self.lags_to) != 0
         ):
             raise ValueError("lags must be finite, non-negative and zero on the diagonal")
-        if not self.window > 0:
-            raise ValueError("window must be positive")
+        if not 0 < self.window < np.inf:
+            raise ValueError("window must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -198,23 +202,35 @@ def simulate(
     """Closed-loop integration of the delayed network.
 
     initial_Q is the constant compliance history for t <= 0 (default: the
-    targets); initial_C the starting costs (default: zero).  The cost uses
-    explicit Euler with the non-negativity clamp applied every step.
+    targets); initial_C the starting costs (default: zero); both must be
+    finite.  The cost uses explicit Euler with the non-negativity clamp
+    applied every step.
 
     Rows are stepped in lag-safe blocks (the method of steps): a block ends
     before the first row whose delayed reads need a row of the block itself.
-    Within a block every coupling term is read from the finished rows in one
-    numpy pass, except a zero-lag edge's read of the row just before, which
-    the recurrence takes; the per-activity recurrence runs over the block's
-    rows on Python floats, adding each activity's terms in column order, and
-    the prefix integral P is extended with one sequential
-    ``np.add.accumulate``.  So a zero lag does not shorten the blocks.
-    Every value is bit-identical to the elementwise numpy formulation.
+    One numpy pass reads both window ends of a block's coupling terms from
+    the finished rows.  Activity i then reads only its own cost and its own
+    terms, so its rows form a scalar recurrence (response, clamp, cost
+    step) that runs down its column on Python floats, adding its terms in
+    column order.  The exception is a zero-lag edge from j: past the
+    block's first row it reads j's prefix row k - 1 extended by a
+    rectangle.  A self-coupling reads the activity's own running prefix
+    integral; an edge from another activity reads that activity's finished
+    column, so columns run in a topological order of the zero-lag edges
+    between distinct activities (Kahn's algorithm, ties by index), and the
+    activities on or downstream of a zero-lag cycle step together, one row
+    at a time, through the same recurrence.  As the recurrence takes these
+    reads, a zero lag does not shorten the blocks.  The prefix integral P is
+    extended with one sequential ``np.add.accumulate``.  Every value is
+    bit-identical to the elementwise numpy formulation.
     """
     dt, K = step_grid(net, horizon, step)
     n = net.n
     q0 = _as_vector(initial_Q if initial_Q is not None else net.targets, n, "initial_Q")
     c0 = _as_vector(initial_C if initial_C is not None else 0.0, n, "initial_C")
+    for name, v in (("initial_Q", q0), ("initial_C", c0)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     if np.any(c0 < 0):
         raise ValueError("initial costs must be non-negative")
     times = np.arange(K + 1) * dt
@@ -230,28 +246,40 @@ def simulate(
     targets = net.targets.tolist()
     gain_dt = (dt * net.ctrl_gain).tolist()
     # every nonzero coupling as an edge from activity src[e] into dest[e],
-    # row by row and in column order, so each activity adds its terms in
-    # column order
+    # row by row and in column order: the terms of activity i are the edges
+    # at[i] .. at[i + 1] - 1
     dest, src = np.nonzero(net.coupling)
     coup = net.coupling[dest, src]
     lags = net.lags_to[dest, src]
-    dest = dest.tolist()
+    at = np.searchsorted(dest, np.arange(n + 1)).tolist()
     # A zero-lag edge's near read at row k > 0 always takes the extension
-    # branch from row k - 1 (int(times[k] / dt) >= k - 1), so the recurrence
-    # computes it on floats, with P of the near edges' sources kept per row.
-    # The earliest array read of an edge is then t - lag, or t - w for a
-    # zero lag.
-    near = [
-        (e, j, c)
-        for e, (j, c, lag) in enumerate(zip(src.tolist(), coup.tolist(), lags.tolist()))
-        if lag == 0.0
-    ]
-    near_src = sorted({j for _, j, _ in near})
+    # branch from row k - 1 (int(times[k] / dt) >= k - 1), so the
+    # recurrence computes it on floats.  The earliest array read of an edge
+    # is then t - lag, or t - w for a zero lag.
+    near = [[] for _ in range(n)]  # per activity: (term, source, coupling, edge)
+    feeds = [[] for _ in range(n)]  # zero-lag edges between distinct activities
+    needs = [0] * n
+    for e in np.flatnonzero(lags == 0.0).tolist():
+        i, j = int(dest[e]), int(src[e])
+        near[i].append((e - at[i], j, float(coup[e]), e))
+        if j != i:
+            feeds[j].append(i)
+            needs[i] += 1
+    tracked = {j for edges in near for _, j, _, _ in edges}  # P kept on floats
+    order, ready = [], [i for i in range(n) if not needs[i]]
+    while ready:
+        j = heapq.heappop(ready)
+        order.append(j)
+        for i in feeds[j]:
+            needs[i] -= 1
+            if not needs[i]:
+                heapq.heappush(ready, i)
+    tangled = [i for i in range(n) if needs[i]]  # on or downstream of a cycle
     reach = np.where(lags > 0.0, lags, w)
     half = dt * 0.5
 
     def reads(s, last, cols):
-        # integral of Q[:, cols] over [0, s] for a (rows, len(cols)) array s,
+        # integral of Q[:, cols] over [0, s] for a (..., len(cols)) array s,
         # with the constant history q0 before 0.  Row `last` is the newest
         # finished prefix row: a read at or past it extends with its
         # compliance (a rectangle, O(dt) like Euler), an earlier one
@@ -270,9 +298,38 @@ def simulate(
         out[ext] = P[last, ce] + (s[ext] - times[last]) * Q[last, ce]
         return out
 
+    def run(i, a, b):
+        # activity i's recurrence over rows a .. b - 1 of the current block.
+        # Its Q and P lists start with row k0 - 1 (None at k0 = 0), so entry
+        # m is row m - 1 of the block; its C list starts with row k0.
+        rows, qs, ps, cs, edges = terms[i], qcols[i], pcols[i], ccols[i], nears[i]
+        b_i, se, g, target = base[i], sens[i], gain_dt[i], targets[i]
+        c = cs[-1]
+        for m in range(a, b):
+            tr = rows[m]
+            if m and edges:
+                gap = gaps[m - 1]
+                for pos, j, cj, los in edges:
+                    tr[pos] = cj * (pcols[j][m] + gap * qcols[j][m] - los[m]) / w
+            acc = b_i + se * c
+            for x in tr:
+                acc += x
+            # min(max(acc, 0.0), 1.0), NaN kept
+            q = 0.0 if acc < 0.0 else 1.0 if acc > 1.0 else acc
+            if ps is not None:
+                # this row of P, as the accumulate below gives it
+                p = ps[-1]
+                ps.append(0.0 if p is None else p + (qs[-1] + q) * half)
+            qs.append(q)
+            c = c + g * (target - q)
+            # clamp at zero as np.maximum does: -0.0 becomes 0.0, NaN stays
+            c = 0.0 if c <= 0.0 else c
+            cs.append(c)
+
     # candidate rows per block: a lag-safe block is at most about the
-    # shortest reach over dt rows long, and its temporaries stay small
-    span = _block_rows(len(lags))
+    # shortest reach over dt rows long, and its temporaries (both window
+    # ends of every edge) stay small
+    span = _block_rows(2 * len(lags))
     if len(lags):
         span = min(span, int(reach.min() / dt) + 2)
 
@@ -290,42 +347,28 @@ def simulate(
         s = times[k0:k1, None] - lags  # near reads, t - lag
         # within the block only row k0 can take the extension branch, whose
         # newest finished row is k0 - 1 (row 0 reads history only); the near
-        # reads of zero-lag edges past row k0 are replaced below
-        last = max(k0 - 1, 0)
-        lo = reads(s - w, last, src)
-        terms = (coup * (reads(s, last, src) - lo) / w).tolist()
-        if near:
-            near_lo = lo[:, [e for e, _, _ in near]].tolist()
+        # reads of zero-lag edges past row k0 are replaced in `run`
+        hi, lo = reads(np.stack((s, s - w)), max(k0 - 1, 0), src)
+        block = coup * (hi - lo) / w
+        terms = [block[:, a:b].tolist() for a, b in zip(at, at[1:])]
+        if tracked:
+            lo_cols = lo.T.tolist()
+            nears = [[(pos, j, c, lo_cols[e]) for pos, j, c, e in edges] for edges in near]
             gaps = np.diff(times[k0:k1]).tolist()  # times[k] - times[k - 1]
-            p = P[k0 - 1].tolist() if k0 else None
-            qrow = Q[k0 - 1].tolist() if k0 else None
-        crow = C[k0].tolist()
-        qrows, crows = [], []
-        for m, tr in enumerate(terms):
-            if m and near:
-                gap = gaps[m - 1]
-                for (e, j, c), lo_e in zip(near, near_lo[m]):
-                    tr[e] = c * (p[j] + gap * qrow[j] - lo_e) / w
-            acc = [b + se * c for b, se, c in zip(base, sens, crow)]
-            for i, x in zip(dest, tr):
-                acc[i] += x
-            # min(max(acc, 0.0), 1.0), NaN kept
-            qnew = [0.0 if a < 0.0 else 1.0 if a > 1.0 else a for a in acc]
-            if near:
-                # this row of P, as the accumulate below gives it
-                if qrow is None:
-                    p = [0.0] * n
-                else:
-                    for j in near_src:
-                        p[j] += (qrow[j] + qnew[j]) * half
-            qrow = qnew
-            step_c = [c + g * (t - q) for c, g, t, q in zip(crow, gain_dt, targets, qrow)]
-            # clamp at zero as np.maximum does: -0.0 becomes 0.0, NaN stays
-            crow = [0.0 if c <= 0.0 else c for c in step_c]
-            qrows.append(qrow)
-            crows.append(crow)
-        Q[k0:k1] = qrows
-        C[k0 + 1:k1 + 1] = crows
+        else:
+            nears = near
+        first = Q[k0 - 1].tolist() if k0 else [None] * n
+        qcols = [[q] for q in first]
+        first = P[k0 - 1].tolist() if k0 else [None] * n
+        pcols = [[p] if i in tracked else None for i, p in enumerate(first)]
+        ccols = [[c] for c in C[k0].tolist()]
+        for i in order:
+            run(i, 0, k1 - k0)
+        for m in range(k1 - k0):
+            for i in tangled:
+                run(i, m, m + 1)
+        Q[k0:k1].T[...] = [col[1:] for col in qcols]
+        C[k0 + 1:k1 + 1].T[...] = [col[1:] for col in ccols]
         a = max(k0, 1)
         if a < k1:
             P[a:k1] = Q[a - 1:k1 - 1] + Q[a:k1]
@@ -334,8 +377,9 @@ def simulate(
         k0 = k1
 
     every = np.arange(n)
-    chunk = _block_rows(n)
+    chunk = _block_rows(2 * n)
     for a in range(0, K + 1, chunk):
         t = np.broadcast_to(times[a:a + chunk, None], (min(chunk, K + 1 - a), n))
-        qbar[a:a + chunk] = (reads(t, K, every) - reads(t - w, K, every)) / w
+        hi, lo = reads(np.stack((t, t - w)), K, every)
+        qbar[a:a + chunk] = (hi - lo) / w
     return ComplianceTrajectory(times, Q, C[:-1], qbar)

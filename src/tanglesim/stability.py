@@ -85,17 +85,20 @@ def _values(f: Callable[[np.ndarray], np.ndarray], zs: np.ndarray) -> np.ndarray
 
 
 def _refusal(f, z: complex, v: complex) -> ContourError:
-    """The error for the contour value v = f(z); a non-finite value is
-    evaluated once more to tell a pole (division by zero) from an overflow."""
-    if cmath.isfinite(v):
-        return ContourError(
-            f"|f| = {abs(v):.3g} <= {MIN_MODULUS:.3g} on the contour at {z:.6g}"
-        )
+    """The error for the contour value v = f(z).  A value that is not finite
+    is evaluated once more to tell a pole (division by zero) from an
+    overflow; so is an exact 0, which numpy's det also returns for some
+    matrices that overflowed, to tell that overflow from a root."""
     flags: set[str] = set()
-    with np.errstate(all="call", call=lambda kind, _: flags.add(kind)):
-        f(np.array([z]))
-    cause = "a pole (division by zero)" if "divide by zero" in flags else "an overflow"
-    return ContourError(f"f = {v} is not finite at {z:.6g} on the contour: {cause}")
+    if v == 0 or not cmath.isfinite(v):
+        with np.errstate(all="call", call=lambda kind, _: flags.add(kind)):
+            f(np.array([z]))
+    if not cmath.isfinite(v):
+        cause = "a pole (division by zero)" if "divide by zero" in flags else "an overflow"
+        return ContourError(f"f = {v} is not finite at {z:.6g} on the contour: {cause}")
+    if "overflow" in flags:
+        return ContourError(f"f = 0 at {z:.6g} on the contour is an overflow, not a root")
+    return ContourError(f"|f| = {abs(v):.3g} <= {MIN_MODULUS:.3g} on the contour at {z:.6g}")
 
 
 def count_roots(f: Callable[[np.ndarray], np.ndarray], region: SpectralRegion) -> int:

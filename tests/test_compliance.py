@@ -161,8 +161,9 @@ def test_validation_rejects_bad_networks():
         ComplianceNetwork.build(1.5, 0.5, 1.0, 1.0, [[0.0]], [[0.0]], 4.0)
     with pytest.raises(ValueError, match="lags"):
         ComplianceNetwork.build(0.9, 0.5, 1.0, 1.0, [[0.0]], [[1.0]], 4.0)
-    with pytest.raises(ValueError, match="window"):
-        ComplianceNetwork.build(0.9, 0.5, 1.0, 1.0, [[0.0]], [[0.0]], 0.0)
+    for window in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            ComplianceNetwork.build(0.9, 0.5, 1.0, 1.0, [[0.0]], [[0.0]], window)
     for lag in (np.nan, np.inf):
         with pytest.raises(ValueError, match="lags must be finite"):
             ComplianceNetwork.build(
@@ -170,6 +171,21 @@ def test_validation_rejects_bad_networks():
             )
     with pytest.raises(ValueError, match="ring"):
         ComplianceNetwork.ring(2, 0.1, 1.0, 5.0, 0.9, 0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("targets", [np.nan, 0.8]),
+    ("baselines", [0.5, -np.inf]),
+    ("cost_sens", [1.0, np.nan]),
+    ("ctrl_gain", [np.inf, 1.0]),
+    ("coupling", [[0.0, np.nan], [0.1, 0.0]]),
+])
+def test_non_finite_parameters_are_refused(field, value):
+    # each was accepted, and simulate gave non-finite compliance
+    args = dict(targets=[0.9, 0.8], baselines=[0.5, 0.4], cost_sens=1.0, ctrl_gain=1.0,
+                coupling=[[0.0, 0.1], [0.1, 0.0]], lags=[[0.0, 1.0], [1.0, 0.0]], window=2.5)
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        ComplianceNetwork.build(**{**args, field: value})
 
 
 def test_response_interior_and_clamped():
@@ -362,6 +378,17 @@ def test_simulate_validation():
         simulate(net, 10.0, initial_C=-0.1)
 
 
+@pytest.mark.parametrize("q0, c0, field", [
+    ([np.nan, 0.9], None, "initial_Q"),
+    ([0.9, np.inf], None, "initial_Q"),
+    (None, [0.1, np.nan], "initial_C"),
+    (None, [np.inf, 0.1], "initial_C"),
+])
+def test_simulate_refuses_non_finite_initial_values(q0, c0, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        simulate(_pair(), 5.0, q0, c0)
+
+
 @pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
 def test_a_step_that_is_not_positive_is_refused(step):
     # a step of -1 ran one Euler step of dt = horizon, and 0 divided by zero
@@ -471,6 +498,13 @@ def _two(coupling, lags, window=2.5):
 
 
 _RING = ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0, target=0.9, baseline=0.5)
+# activities 0 and 1 read each other with lag 0, activity 2 reads 1 with
+# lag 0 and itself, and activity 0 reads 2 with lag 1
+_TANGLED = ComplianceNetwork.build(
+    targets=[0.9, 0.8, 0.85], baselines=[0.5, 0.4, 0.45], cost_sens=[1.0, 0.5, 1.5],
+    ctrl_gain=[1.0, 2.0, 0.7], coupling=[[0.0, 0.2, 0.1], [-0.3, 0.0, 0.0], [0.0, 0.25, -0.2]],
+    lags=[[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], window=2.5,
+)
 
 
 @settings(max_examples=30, deadline=None)
@@ -480,9 +514,15 @@ _RING = ComplianceNetwork.ring(8, coupling=0.1, lag=1.0, window=5.0, target=0.9,
 @example(case=(_RING, 20.0, (_RING.targets + 0.05).tolist(),
                static_solution(_RING).costs.tolist(), None))
 # a zero-lag edge between two activities: its near read is taken on
-# floats in the recurrence, and the window sets blocks of about w / dt rows
+# floats in the recurrence, activity 1's column steps before activity 0
+# reads it, and the window sets blocks of about w / dt rows
 @example(case=(_two([[0.0, 0.2], [-0.3, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
                2.5, [0.7, 0.95], [0.1, 0.4], None))
+# a zero-lag 2-cycle: the two columns step together, one row at a time
+@example(case=(_two([[0.0, 0.2], [-0.3, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+               6.0, [0.7, 0.95], [0.1, 0.4], None))
+# a zero-lag cycle, an activity downstream of it and a self-coupling
+@example(case=(_TANGLED, 6.0, [0.7, 0.95, 0.6], [0.1, 0.4, 0.0], None))
 # a zero-lag self-coupling, over 13 blocks
 @example(case=(_two([[0.3, 0.1], [0.1, -0.2]], [[0.0, 1.0], [1.0, 0.0]]),
                12.0, [0.7, 0.95], [0.1, 0.4], None))
@@ -502,13 +542,15 @@ def test_simulate_matches_numpy_oracle(case):
     _pair(),
     _two([[0.3, 0.1], [0.1, -0.2]], [[0.0, 1.0], [1.0, 0.0]]),
     _RING,
+    _TANGLED,
 ])
 def test_a_network_wider_than_a_block_steps_one_row_at_a_time(monkeypatch, net):
-    # a block's temporaries hold at most _BLOCK_ENTRIES entries, so a
-    # network with more edges or activities than that (4,097 of them at the
-    # shipped size) steps one-row blocks and reads Qbar one row at a time;
-    # a shipped-size one needs (4097, 4097) matrices, about 300 MB, so the
-    # budget is shrunk here instead
+    # a block's temporaries hold at most _BLOCK_ENTRIES entries, both window
+    # ends counted, so a network with more than half that many edges or
+    # activities (1,025 of them at the shipped size) steps one-row blocks
+    # and reads Qbar one row at a time; the budget is shrunk here instead of
+    # building such a network, so every block is one row, zero-lag cycle or
+    # not
     monkeypatch.setattr(compliance, "_BLOCK_ENTRIES", 1)
     q0 = (net.targets + 0.03).tolist()
     want = _outcome(lambda: oracle_simulate(net, 3.0, q0, 0.1))

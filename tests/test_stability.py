@@ -535,6 +535,28 @@ def test_window_characteristic_is_finite_where_a_zero_coupling_overflows():
     assert np.isfinite(window_characteristic(_LONG_ZERO_LAGS)(z)).all()
 
 
+# coupled lags of 80: e^(-z 80) overflows at Re z = -12, and numpy's det of
+# the stack that holds it returns exactly 0
+_COUPLED_LONG_LAGS = ComplianceNetwork.build(
+    targets=0.9, baselines=0.5, cost_sens=1.0, ctrl_gain=1.0,
+    coupling=[[0, 0, 0, 0, -1], [-1, 0, 1, 1, 1], [-1, -1, 0, 1, 1], [1, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+    lags=[[0, 0, 0, 0, 80], [80, 0, 1, 80, 80], [80, 1, 0, 1, 1], [80, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+    window=5.0,
+)
+
+
+def test_a_zero_from_an_overflow_is_not_named_a_root():
+    f = window_characteristic(_COUPLED_LONG_LAGS)
+    with np.errstate(all="ignore"):
+        assert f(np.array([-12.0 + 0j]))[0] == 0
+    # it read "|f| = 0 <= 1e-09 on the contour at -12+0j"
+    with pytest.raises(ContourError, match=r"f = 0 at -12\+0j on the contour is an overflow"):
+        count_roots(f, SpectralRegion(-12.0, -11.0, 0.0, 1.0, 8))
+    # a true zero keeps its message: the 8-ring's mode at -1
+    with pytest.raises(ContourError, match=r"^\|f\| = 0 <= 1e-09 on the contour at -1\+0j$"):
+        count_roots(window_characteristic(_RING), SpectralRegion(-1.0, 0.0, 0.0, 1.0, 8))
+
+
 # -- batched contour walk against the point-by-point oracle ------------------------
 
 def oracle_count_roots(f, region: SpectralRegion) -> int:

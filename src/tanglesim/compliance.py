@@ -9,6 +9,7 @@ toward the target compliance and never goes negative.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,7 @@ class ComplianceTrajectory:
     Qbar: np.ndarray  # (K+1, n) own windowed average, undelayed
 
 
-# most (row, edge) entries that one block's temporaries hold
+# most (row, edge) entries of a block's temporaries, and of a read plan per window end
 _BLOCK_ENTRIES = 1 << 12
 
 
@@ -184,12 +185,35 @@ def step_grid(
     max_step = default_step(net)
     if step is None:
         step = max_step
-    if not 0 < step <= max_step + 1e-12:
+    if not 0 < step <= max_step * (1 + 1e-9):
         raise ValueError(f"step must be positive and at most {max_step:.6g}, got {step}")
     if not np.isfinite(horizon / step):
         raise ValueError(f"horizon over step {step:.6g} gives inf rows, past the largest double")
     K = max(int(np.ceil(horizon / step - 1e-9)), 1)
     return horizon / K, K
+
+
+def _block_starts(net: ComplianceNetwork, dt: float, K: int) -> list[int]:
+    """Rows 0 = k_0 < k_1 < ... < K + 1 that cut rows 0 .. K into lag-safe
+    blocks.  Row k > k0 needs an unfinished row if an array read lands at
+    s > 0 with r = int(s / dt) >= k0 - 1 (an interpolation reads r + 1, the
+    extension row k - 1).  An edge's latest array read is t - lag, or
+    t - window for a zero lag, and r is monotone in s, so the shortest such
+    reach decides, by one bisection per block.  A block is also at most
+    about that reach over dt rows, and both window ends of every edge fit
+    in `_BLOCK_ENTRIES`."""
+    lags = net.lags_to[net.coupling != 0]
+    span, shortest = _block_rows(2 * len(lags)), np.inf
+    if len(lags):
+        shortest = np.where(lags > 0.0, lags, net.window).min()
+        span = min(span, int(shortest / dt) + 2)
+    s = np.arange(K + 1) * dt - shortest
+    r = np.where(s > 0.0, (np.where(s > 0.0, s, 0.0) / dt).astype(np.intp), -2).tolist()
+    starts = [0]
+    while starts[-1] <= K:
+        k0 = starts[-1]
+        starts.append(bisect_left(r, k0 - 1, k0 + 1, min(k0 + span, K + 1)))
+    return starts
 
 
 def simulate(
@@ -206,23 +230,25 @@ def simulate(
     finite.  The cost uses explicit Euler with the non-negativity clamp
     applied every step.
 
-    Rows are stepped in lag-safe blocks (the method of steps): a block ends
-    before the first row whose delayed reads need a row of the block itself.
-    One numpy pass reads both window ends of a block's coupling terms from
-    the finished rows.  Activity i then reads only its own cost and its own
-    terms, so its rows form a scalar recurrence (response, clamp, cost
-    step) that runs down its column on Python floats, adding its terms in
-    column order.  The exception is a zero-lag edge from j: past the
-    block's first row it reads j's prefix row k - 1 extended by a
-    rectangle.  A self-coupling reads the activity's own running prefix
-    integral; an edge from another activity reads that activity's finished
-    column, so columns run in a topological order of the zero-lag edges
-    between distinct activities (Kahn's algorithm, ties by index), and the
-    activities on or downstream of a zero-lag cycle step together, one row
-    at a time, through the same recurrence.  As the recurrence takes these
-    reads, a zero lag does not shorten the blocks.  The prefix integral P is
-    extended with one sequential ``np.add.accumulate``.  Every value is
-    bit-identical to the elementwise numpy formulation.
+    Rows are stepped in lag-safe blocks (the method of steps), all cut
+    before the first step.  Where a delayed read lands depends only on the
+    row and the lag, so one read plan per chunk of blocks holds each (row,
+    edge, window end) entry's prefix row, weight and history value; a block
+    gathers its coupling terms from the finished rows of the prefix
+    integral P and picks each entry's branch with one ``np.where``.
+    Activity i then reads only its own cost and terms, so its rows form a
+    scalar recurrence (response, clamp, cost step) on Python floats down
+    its column, adding its terms in column order, seeded by the previous
+    block's last floats.  The exception is a zero-lag edge from j: past row
+    0 it reads j's prefix row k - 1 extended by a rectangle, which the
+    recurrence takes (every other read lies about 50 steps or more back).
+    A self-coupling reads the activity's own running prefix integral; an
+    edge from another activity reads that activity's finished column, so
+    columns run in a topological order of the zero-lag edges between
+    distinct activities (Kahn's algorithm, ties by index), and those on or
+    downstream of a zero-lag cycle step together, one row at a time.  P is
+    extended with one ``np.add.accumulate``.  Every value is bit-identical
+    to the elementwise numpy formulation.
     """
     dt, K = step_grid(net, horizon, step)
     n = net.n
@@ -236,15 +262,14 @@ def simulate(
     times = np.arange(K + 1) * dt
     Q = np.empty((K + 1, n))
     C = np.empty((K + 2, n))  # the row past the horizon is dropped
-    P = np.empty((K + 1, n))  # prefix integral of Q
+    P = np.zeros((K + 2, n))  # prefix integral of Q, a zero row past the horizon
+    P1 = P[1:]  # flat index r * n + j of P1 is P[r + 1, j]
     qbar = np.empty((K + 1, n))
     C[0] = c0
-    P[0] = 0.0
     w = net.window
-    base = net.baselines.tolist()
-    sens = net.cost_sens.tolist()
-    targets = net.targets.tolist()
+    base, sens, targets = (v.tolist() for v in (net.baselines, net.cost_sens, net.targets))
     gain_dt = (dt * net.ctrl_gain).tolist()
+    gaps = np.diff(times, prepend=0.0)  # times[k] - times[k - 1]
     # every nonzero coupling as an edge from activity src[e] into dest[e],
     # row by row and in column order: the terms of activity i are the edges
     # at[i] .. at[i + 1] - 1
@@ -252,10 +277,6 @@ def simulate(
     coup = net.coupling[dest, src]
     lags = net.lags_to[dest, src]
     at = np.searchsorted(dest, np.arange(n + 1)).tolist()
-    # A zero-lag edge's near read at row k > 0 always takes the extension
-    # branch from row k - 1 (int(times[k] / dt) >= k - 1), so the
-    # recurrence computes it on floats.  The earliest array read of an edge
-    # is then t - lag, or t - w for a zero lag.
     near = [[] for _ in range(n)]  # per activity: (term, source, coupling, edge)
     feeds = [[] for _ in range(n)]  # zero-lag edges between distinct activities
     needs = [0] * n
@@ -275,28 +296,24 @@ def simulate(
             if not needs[i]:
                 heapq.heappush(ready, i)
     tangled = [i for i in range(n) if needs[i]]  # on or downstream of a cycle
-    reach = np.where(lags > 0.0, lags, w)
     half = dt * 0.5
 
-    def reads(s, last, cols):
-        # integral of Q[:, cols] over [0, s] for a (..., len(cols)) array s,
-        # with the constant history q0 before 0.  Row `last` is the newest
-        # finished prefix row: a read at or past it extends with its
-        # compliance (a rectangle, O(dt) like Euler), an earlier one
-        # interpolates P.  Each entry takes the scalar operations in the
-        # scalar order, and only finished rows are read.
-        out = q0[cols] * s
+    def plan(t, lag, cols):
+        # the reads of Q[:, cols] at both window ends of t - lag, as (2, rows,
+        # edges) arrays: the flat index of prefix row r = int(s / dt), the
+        # weight, the history value (q0 before 0) and whether s > 0
+        s = t[:, None] - lag
+        s = np.stack((s, s - w))
         pos = s > 0.0
         r = (np.where(pos, s, 0.0) / dt).astype(np.intp)
-        ext = pos & (r >= last)
-        mid = pos & (r < last)
-        cols = np.broadcast_to(cols, s.shape)
-        rm, cm = r[mid], cols[mid]
-        lo = P[rm, cm]
-        out[mid] = lo + (s[mid] - times[rm]) / dt * (P[rm + 1, cm] - lo)
-        ce = cols[ext]
-        out[ext] = P[last, ce] + (s[ext] - times[last]) * Q[last, ce]
-        return out
+        return r * n + cols, (s - times[r]) / dt, q0[cols] * s, pos
+
+    def read(idx, wt, hist, pos):
+        # integral of Q over [0, s] per entry, in the scalar order.  Unfinished
+        # rows are read only where the recurrence replaces the read, row K + 1
+        # only with weight 0: that gives P[K], as a rectangle of width 0 does
+        lo = P.take(idx)
+        return np.where(pos, lo + wt * (P1.take(idx) - lo), hist)
 
     def run(i, a, b):
         # activity i's recurrence over rows a .. b - 1 of the current block.
@@ -307,10 +324,10 @@ def simulate(
         c = cs[-1]
         for m in range(a, b):
             tr = rows[m]
-            if m and edges:
-                gap = gaps[m - 1]
+            if edges and (m or k0):  # int(times[k] / dt) >= k - 1: extend row k - 1
+                tr = list(tr)
                 for pos, j, cj, los in edges:
-                    tr[pos] = cj * (pcols[j][m] + gap * qcols[j][m] - los[m]) / w
+                    tr[pos] = cj * (pcols[j][m] + gap[m] * qcols[j][m] - los[m]) / w
             acc = b_i + se * c
             for x in tr:
                 acc += x
@@ -326,42 +343,23 @@ def simulate(
             c = 0.0 if c <= 0.0 else c
             cs.append(c)
 
-    # candidate rows per block: a lag-safe block is at most about the
-    # shortest reach over dt rows long, and its temporaries (both window
-    # ends of every edge) stay small
-    span = _block_rows(2 * len(lags))
-    if len(lags):
-        span = min(span, int(reach.min() / dt) + 2)
-
-    k0 = 0
-    while k0 <= K:
-        # Row k > k0 needs an unfinished row if an array read lands at s > 0
-        # with r = int(s / dt) and r + 1 >= k0: an interpolation reads r + 1,
-        # and the extension reads last = k - 1 >= k0 (it holds r >= k - 1).
-        # An edge's other read is no later than its earliest one, so its r
-        # is no larger.
-        later = times[k0 + 1:min(k0 + span, K + 1), None] - reach
-        pos = later > 0.0
-        late = (pos & ((np.where(pos, later, 0.0) / dt).astype(np.intp) >= k0 - 1)).any(axis=1)
-        k1 = k0 + 1 + (int(late.argmax()) if late.any() else len(later))
-        s = times[k0:k1, None] - lags  # near reads, t - lag
-        # within the block only row k0 can take the extension branch, whose
-        # newest finished row is k0 - 1 (row 0 reads history only); the near
-        # reads of zero-lag edges past row k0 are replaced in `run`
-        hi, lo = reads(np.stack((s, s - w)), max(k0 - 1, 0), src)
-        block = coup * (hi - lo) / w
-        terms = [block[:, a:b].tolist() for a, b in zip(at, at[1:])]
+    starts = _block_starts(net, dt, K)
+    chunk, z = _block_rows(len(lags)), 0  # a plan's rows: _BLOCK_ENTRIES per window end
+    qcols = [[None] for _ in range(n)]
+    pcols = [[None] if i in tracked else None for i in range(n)]
+    ccols = [[c] for c in c0.tolist()]
+    nears = near
+    for k0, k1 in zip(starts, starts[1:]):
+        if k1 > z:  # plan rows a .. z - 1: the blocks that fit in `chunk` rows
+            a, z = k0, starts[bisect_right(starts, k0 + chunk) - 1]
+            idx, wt, hist, pos = plan(times[a:z], lags, src)
+        hi, lo = read(*(x[:, k0 - a:k1 - a] for x in (idx, wt, hist, pos)))
+        cols = (coup * (hi - lo) / w).T.tolist()
+        terms = [list(zip(*cols[x:y])) or [()] * (k1 - k0) for x, y in zip(at, at[1:])]
         if tracked:
             lo_cols = lo.T.tolist()
-            nears = [[(pos, j, c, lo_cols[e]) for pos, j, c, e in edges] for edges in near]
-            gaps = np.diff(times[k0:k1]).tolist()  # times[k] - times[k - 1]
-        else:
-            nears = near
-        first = Q[k0 - 1].tolist() if k0 else [None] * n
-        qcols = [[q] for q in first]
-        first = P[k0 - 1].tolist() if k0 else [None] * n
-        pcols = [[p] if i in tracked else None for i, p in enumerate(first)]
-        ccols = [[c] for c in C[k0].tolist()]
+            nears = [[(x, j, c, lo_cols[e]) for x, j, c, e in edges] for edges in near]
+            gap = gaps[k0:k1].tolist()
         for i in order:
             run(i, 0, k1 - k0)
         for m in range(k1 - k0):
@@ -369,17 +367,18 @@ def simulate(
                 run(i, m, m + 1)
         Q[k0:k1].T[...] = [col[1:] for col in qcols]
         C[k0 + 1:k1 + 1].T[...] = [col[1:] for col in ccols]
-        a = max(k0, 1)
-        if a < k1:
-            P[a:k1] = Q[a - 1:k1 - 1] + Q[a:k1]
-            P[a:k1] *= half
-            np.add.accumulate(P[a - 1:k1], axis=0, out=P[a - 1:k1])
-        k0 = k1
+        f = max(k0, 1)
+        P[f:k1] = Q[f - 1:k1 - 1] + Q[f:k1]
+        P[f:k1] *= half
+        np.add.accumulate(P[f - 1:k1], axis=0, out=P[f - 1:k1])
+        # the next block's seeds: the last row of each column
+        qcols = [col[-1:] for col in qcols]
+        pcols = [col and col[-1:] for col in pcols]
+        ccols = [col[-1:] for col in ccols]
 
-    every = np.arange(n)
+    every, zero = np.arange(n), np.zeros(n)
     chunk = _block_rows(2 * n)
     for a in range(0, K + 1, chunk):
-        t = np.broadcast_to(times[a:a + chunk, None], (min(chunk, K + 1 - a), n))
-        hi, lo = reads(np.stack((t, t - w)), K, every)
+        hi, lo = read(*plan(times[a:a + chunk], zero, every))
         qbar[a:a + chunk] = (hi - lo) / w
     return ComplianceTrajectory(times, Q, C[:-1], qbar)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main(argv)."""
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -408,6 +409,10 @@ _RING = {"kind": "compliance-net", "horizon": 20.0, "window": 5.0,
 _TANGLE = {"kind": "tangle-reduced", "rate": 40.0, "delay": 1.0, "horizon": 8.0,
            "runs": 3, "types": 2}
 _JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs": 2}
+# coupled lags of 1e-14 and a window of 1e-13: the largest step is 2e-16
+_TINY = {"kind": "compliance-net", "n": 2, "window": 1e-13, "horizon": 1e-11,
+         "targets": [0.9, 0.8], "baselines": [0.5, 0.4], "coupling": [[0.0, 0.1], [0.1, 0.0]],
+         "lags": [[0.0, 1e-14], [1e-14, 0.0]]}
 
 
 @pytest.mark.parametrize(
@@ -457,6 +462,8 @@ _JUNCTION = {"kind": "junction", "mode": "closed-loop", "horizon": 10.0, "runs":
         (_FLUID, {"per_run": True}, "bad.per_run: applies to tangle kinds only"),
         (_RING, {"per_run": True}, "bad.per_run: applies to tangle kinds only"),
         (_JUNCTION, {"per_run": True}, "bad.per_run: applies to tangle kinds only"),
+        # 2,500 times the largest step, which an absolute margin of 1e-12 let through
+        (_TINY, {"step": 5e-13}, "bad: step must be positive and at most 2e-16, got 5e-13"),
     ],
 )
 def test_simulate_rejects_bad_inputs_before_any_output(tmp_path, capsys, base, change, field):
@@ -507,6 +514,34 @@ def test_simulate_refuses_a_horizon_with_too_many_steps(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert f"{name}.horizon: horizon over step 0.0" in err and "rows, more than 1e+07" in err
     assert not (tmp_path / "res").exists()
+
+
+# the workflow's compliance smoke files: an explicit 3-activity network
+# (signed coupling, a zero-lag edge 0 <- 1, self-couplings on 0 and 2) and
+# a zero-lag 2-cycle, whose two activities step together, row by row
+_EXPLICIT = {"kind": "compliance-net", "n": 3, "window": 2.0, "horizon": 30.0,
+             "targets": [0.9, 0.85, 0.8], "baselines": [0.4, 0.3, 0.5], "cost_sens": [1.0, 2.0, 0.5],
+             "coupling": [[0.2, 0.1, -0.05], [0.2, 0.0, 0.1], [-0.1, 0.15, -0.1]],
+             "lags": [[0.0, 0.0, 2.0], [1.0, 0.0, 0.7], [2.0, 1.0, 0.0]],
+             "initial_q_offset": 0.03, "out": "explicit"}
+_CYCLE = {"kind": "compliance-net", "n": 2, "window": 2.5, "horizon": 30.0,
+          "targets": [0.9, 0.8], "baselines": [0.5, 0.4], "cost_sens": [1.0, 0.5],
+          "ctrl_gain": [1.0, 2.0], "coupling": [[0.0, 0.2], [-0.3, 0.0]],
+          "lags": [[0.0, 0.0], [0.0, 0.0]], "initial_q_offset": 0.03, "out": "cycle"}
+
+
+@pytest.mark.parametrize("scenario, lines, digest", [
+    (_EXPLICIT, 2145, "152921d8a5a9643f4055c6e3f78094cf18884531b0fde27096818c233774632c"),
+    (_CYCLE, 602, "5b53557652be4bcaa50796bf2850e01e31f2de33bd180a585c6311798a6d30d0"),
+], ids=["explicit", "cycle"])
+def test_compliance_smoke_files_keep_their_bytes(tmp_path, scenario, lines, digest):
+    # the zero-lag reads, the row-by-row cycle and the self-couplings run on
+    # no shipped file, so their CSV bytes are pinned here
+    path = _write(tmp_path, f"{scenario['out']}.json", scenario)
+    assert main(["simulate", path, "--out", str(tmp_path / "res")]) == 0
+    data = (tmp_path / "res" / f"{scenario['out']}_compliance.csv").read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_simulate_refuses_a_junction_horizon_with_too_many_units(tmp_path, capsys):

@@ -405,6 +405,17 @@ def test_a_step_count_past_the_largest_double_is_refused(horizon, step):
             run(_pair(), horizon, step=step)
 
 
+def test_a_step_is_refused_past_the_default_by_a_relative_margin():
+    # coupled lags of 1e-14 and a window of 1e-13 give a largest step of
+    # 2e-16; an absolute margin of 1e-12 accepted 5e-13, 2,500 times that
+    net = _two([[0.0, 0.1], [0.1, 0.0]], [[0.0, 1e-14], [1e-14, 0.0]], window=1e-13)
+    assert default_step(net) == 2e-16
+    for run in (compliance.step_grid, simulate):
+        with pytest.raises(ValueError, match="at most 2e-16, got 5e-13"):
+            run(net, 1e-11, step=5e-13)
+    assert compliance.step_grid(net, 1e-11, default_step(net)) == (2e-16, 50000)
+
+
 def test_step_grid_gives_the_rows_simulate_makes():
     net = _pair()
     for step in (None, 0.013, default_step(net)):
@@ -536,6 +547,39 @@ def test_simulate_matches_numpy_oracle(case):
     want = _outcome(lambda: oracle_simulate(net, horizon, q0, c0, step))
     got = _outcome(lambda: simulate(net, horizon, q0, c0, step))
     assert got == want
+
+
+def oracle_block_starts(net, dt, K):
+    """The lag-safe blocks by the per-block rule: row k > k0 is late if any
+    edge's latest array read (t - lag, or t - window for a zero lag) lands
+    at s > 0 with int(s / dt) >= k0 - 1, and a block ends at its first late
+    row or after `span` rows."""
+    lags = net.lags_to[net.coupling != 0]
+    reach = np.where(lags > 0.0, lags, net.window)
+    span = compliance._block_rows(2 * len(lags))
+    if len(lags):
+        span = min(span, int(reach.min() / dt) + 2)
+    times = np.arange(K + 1) * dt
+    starts = [0]
+    while starts[-1] <= K:
+        k0 = starts[-1]
+        later = times[k0 + 1:min(k0 + span, K + 1), None] - reach
+        pos = later > 0.0
+        late = (pos & ((np.where(pos, later, 0.0) / dt).astype(np.intp) >= k0 - 1)).any(axis=1)
+        starts.append(k0 + 1 + (int(late.argmax()) if late.any() else len(later)))
+    return starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=compliance_cases())
+# no edges: blocks of _BLOCK_ENTRIES rows
+@example(case=(_two([[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]), 300.0, [], [], None))
+# zero-lag edges only: the window is the reach
+@example(case=(_two([[0.0, 0.2], [-0.3, 0.0]], [[0.0, 0.0], [0.0, 0.0]]), 6.0, [], [], None))
+def test_block_starts_match_the_per_block_rule(case):
+    net, horizon, _, _, step = case
+    dt, K = compliance.step_grid(net, horizon, step)
+    assert compliance._block_starts(net, dt, K) == oracle_block_starts(net, dt, K)
 
 
 @pytest.mark.parametrize("net", [
